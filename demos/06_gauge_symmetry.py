@@ -21,10 +21,8 @@ h = rademacher(substream(99, "field"), N)
 gauged = gauge_conjugate(coupling, h)
 
 zbar0 = substream(17, "z0").normal(0.0, np.sqrt(params.sigma_star_sq), N)
-with_field = run_field_iteration(coupling, h, params, T, h * zbar0,
-                                 involution=True)
-unit_field = run_field_iteration(gauged, np.ones(N), params, T, zbar0,
-                                 involution=True)
+with_field = run_field_iteration(coupling, h, params, T, h * zbar0)
+unit_field = run_field_iteration(gauged, np.ones(N), params, T, zbar0)
 
 print("entrywise identity diag(h) z^t(Jbar, 1) = z^t(J, h):")
 for t in range(T + 1):

@@ -7,7 +7,7 @@ high-temperature TAP equations of mean-field Ising models.
 """
 
 from .amp import AmpTrace, gaussian_init, run_amp
-from .ensembles import (EnsembleDiagnostics, MatrixOperator,
+from .ensembles import (ENSEMBLES, EnsembleDiagnostics, MatrixOperator,
                         build_random_orthogonal, build_sign_perm,
                         build_signed_hadamard, build_signed_sine,
                         build_wigner_coupling, build_wishart_coupling,

@@ -60,6 +60,9 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if self.mode not in ("simple", "projected", "tap"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.dump_trace and self.N > TRACE_DUMP_CAP:
+            raise ValueError(
+                f"trace dump is gated to N <= {TRACE_DUMP_CAP} (got {self.N})")
 
 
 def parse_seeds(text: str) -> tuple:
@@ -254,9 +257,6 @@ def emit_seed_observables(trace, sigma, d_pred, path: str) -> None:
 
 
 def emit_trace(trace, path: str) -> None:
-    if trace.N > TRACE_DUMP_CAP:
-        raise ValueError(
-            f"trace dump is gated to N <= {TRACE_DUMP_CAP} (got {trace.N})")
     lines = [f"# seed={trace.seed} ensemble={trace.ensemble_label} "
              f"N={trace.N} T={trace.T} mode={trace.mode}"]
     for t, z in enumerate(trace.iterates):
@@ -317,7 +317,7 @@ def _build_parser():
 
     p_tap = sub.add_parser("tap", help="TAP magnetization experiment")
     common(p_tap)
-    p_tap.add_argument("--ensemble", choices=tap.TAP_ENSEMBLES)
+    p_tap.add_argument("--ensemble", choices=tuple(ensembles.ENSEMBLES))
     p_tap.add_argument("--beta", type=float)
     p_tap.add_argument("--theta", type=float)
     p_tap.add_argument("--phi", type=float)

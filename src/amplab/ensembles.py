@@ -15,13 +15,15 @@ sigma_psi^2 of its conjugated core.  The builders cover:
   (conjugate-gradient solves behind the same matvec interface).
 
 The first three have spectrum {-1, +1} (they square to the identity), so
-their centered resolvent is the linear polynomial
-(J - (Tr J / N) I) / (lam^2 - 1); the TAP driver exploits that shortcut.
+they are built with ``involution=True`` and the TAP driver uses their
+centered resolvent in closed form, (J - (Tr J / N) I) / (lam^2 - 1).
+``ENSEMBLES`` maps each named coupling family to its builder and law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,11 +35,11 @@ from .spectral import SpectralLaw, resolvent_variance
 # coupling builders).  All shipped experiments fit under it.
 MATERIALIZATION_CAP = 8192
 
-DEFAULT_PROBES = 64
-
 
 class MatrixOperator:
     """Symmetric operator known only through products w = M v.
+
+    ``apply`` must take a vector (N,) and a column block (N, K) alike.
 
     Attributes
     ----------
@@ -53,11 +55,16 @@ class MatrixOperator:
     trace : float or None
         Exact trace when it is cheap to know (diagonal-sum formulas).
     coupling : MatrixOperator or None
-        For resolvent operators, the underlying coupling J.
+        For resolvent and gauged operators, the underlying coupling J.
+    involution : bool
+        True when M^2 = I; the TAP driver then uses the closed-form resolvent.
+    haar_basis : _LazyHaar or None
+        The lazily revealed Haar factor of a random-orthogonal operator.
     """
 
     def __init__(self, dim, apply, sigma_psi_sq, label, *, seed=None,
-                 trace=None, dense=None, coupling=None, accepts_matrix=False):
+                 trace=None, dense=None, eigenvalues=None, coupling=None,
+                 involution=False, haar_basis=None):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
         if sigma_psi_sq <= 0:
@@ -69,20 +76,19 @@ class MatrixOperator:
         self.trace = trace
         self.dense = dense
         self.coupling = coupling
-        self.accepts_matrix = accepts_matrix
+        self.involution = bool(involution)
+        self.haar_basis = haar_basis
         self._apply = apply
-        self._eigenvalues = None
+        self._eigenvalues = eigenvalues
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape[0] != self.dim:
             raise ValueError(f"vector length {v.shape[0]} != dim {self.dim}")
-        if v.ndim == 2 and not self.accepts_matrix:
-            return np.stack([self._apply(v[:, k]) for k in range(v.shape[1])], axis=1)
         return self._apply(v)
 
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum of a dense-backed operator (cached)."""
+        """Spectrum given at construction, else from ``dense`` (cached)."""
         if self._eigenvalues is None:
             if self.dense is None:
                 raise ValueError(f"{self.label}: no dense form available")
@@ -158,6 +164,11 @@ def _dst_diagonal_sum(n: int) -> float:
                         / np.sqrt(2 * n + 1)))
 
 
+def scale_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """diag(d) v for a vector (N,) or a column block (N, K)."""
+    return (d[:, None] if v.ndim == 2 else d) * v
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -167,11 +178,10 @@ def build_signed_sine(n: int, seed: int) -> MatrixOperator:
     signs = rademacher(substream(seed, "signs"), n)
 
     def apply(v):
-        s = signs[:, None] if v.ndim == 2 else signs
-        return s * dst_matvec(s * v, method="fft")
+        return scale_rows(signs, dst_matvec(scale_rows(signs, v), method="fft"))
 
     return MatrixOperator(n, apply, 1.0, "signed-sine", seed=seed,
-                          trace=_dst_diagonal_sum(n), accepts_matrix=True)
+                          trace=_dst_diagonal_sum(n), involution=True)
 
 
 def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
@@ -185,12 +195,10 @@ def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
     lam = rademacher(substream(seed, "spectrum"), n)
 
     def apply(v):
-        if v.ndim == 2:
-            return signs[:, None] * fwht(lam[:, None] * fwht(signs[:, None] * v))
-        return signs * fwht(lam * fwht(signs * v))
+        return scale_rows(signs, fwht(scale_rows(lam, fwht(scale_rows(signs, v)))))
 
     return MatrixOperator(n, apply, 1.0, "signed-hadamard", seed=seed,
-                          trace=float(lam.sum()), accepts_matrix=True)
+                          trace=float(lam.sum()), involution=True)
 
 
 class _LazyHaar:
@@ -266,15 +274,20 @@ def build_random_orthogonal(n: int, seed: int, *,
     (two per AMP step), not with N.  Exceeding ``max_directions`` raises a
     ResourceError.  The store mutates on first touch of a new direction:
     this is the single operator that is not re-entrant during a matvec.
+    A column block is applied one column at a time, in order, so it
+    reveals the same directions in the same order as separate matvecs.
     """
     basis = _LazyHaar(n, substream(seed, "haar"), max_directions)
     lam = rademacher(substream(seed, "spectrum"), n)
-    op = MatrixOperator(n, lambda v: basis.forward(lam * basis.backward(v)),
-                        1.0, "random-orthogonal", seed=seed,
-                        trace=float(lam.sum()))
-    op.haar_basis = basis  # exposed for orthogonality tests
-    op.spectrum_signs = lam
-    return op
+
+    def apply(v):
+        if v.ndim == 2:
+            return np.stack([apply(v[:, k]) for k in range(v.shape[1])], axis=1)
+        return basis.forward(lam * basis.backward(v))
+
+    return MatrixOperator(n, apply, 1.0, "random-orthogonal", seed=seed,
+                          trace=float(lam.sum()), involution=True,
+                          haar_basis=basis)
 
 
 def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
@@ -299,9 +312,9 @@ def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
     inv = np.argsort(perm)
 
     def apply(v):
-        w = fwht(signs * v)
-        w = lam * w[perm]          # P^T then diag(lam)
-        return signs * fwht(w[inv])  # P then H then D
+        w = fwht(scale_rows(signs, v))
+        w = scale_rows(lam, w[perm])           # P^T then diag(lam)
+        return scale_rows(signs, fwht(w[inv]))  # P then H then D
 
     return MatrixOperator(n, apply, sig2, "sign-perm", seed=seed,
                           trace=float(lam.sum()))
@@ -337,7 +350,7 @@ def build_wigner_coupling(n: int, seed: int,
     np.fill_diagonal(j, diag)
     j /= np.sqrt(n)
     return MatrixOperator(n, lambda v: j @ v, 1.0, "wigner", seed=seed,
-                          trace=float(np.trace(j)), dense=j, accepts_matrix=True)
+                          trace=float(np.trace(j)), dense=j)
 
 
 def build_wishart_coupling(n: int, phi: float, seed: int,
@@ -345,8 +358,9 @@ def build_wishart_coupling(n: int, phi: float, seed: int,
     """PSD coupling J = X^T X / sqrt(M N), M = round(phi N).
 
     The matvec uses the Gram form X^T(X v), which keeps every quadratic
-    form nonnegative exactly.  sigma_psi_sq stores the limiting spectral
-    second moment 1 + phi.
+    form nonnegative exactly.  The spectrum is computed once here, since
+    every resolvent of J needs it.  sigma_psi_sq stores the limiting
+    spectral second moment 1 + phi.
     """
     _check_cap(n)
     if phi <= 0:
@@ -364,21 +378,9 @@ def build_wishart_coupling(n: int, phi: float, seed: int,
     def apply(v):
         return x.T @ (x @ v) / scale
 
-    op = MatrixOperator(n, apply, 1.0 + phi, "wishart", seed=seed,
-                        trace=float(np.sum(x * x)) / scale, accepts_matrix=True)
-    op.phi = float(phi)
-    op.rows = m
-    op.dense = None  # materialized lazily below when eigenvalues are needed
-    op._factor = x
-
-    def _eigs():
-        if op._eigenvalues is None:
-            gram = (x.T @ x) / scale
-            op._eigenvalues = np.linalg.eigvalsh(gram)
-        return op._eigenvalues
-
-    op.eigenvalues = _eigs
-    return op
+    return MatrixOperator(n, apply, 1.0 + phi, "wishart", seed=seed,
+                          trace=float(np.sum(x * x)) / scale,
+                          eigenvalues=np.linalg.eigvalsh((x.T @ x) / scale))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +416,7 @@ def largest_eigenvalue(op: MatrixOperator, *, iters: int = 200,
     """
     try:
         return float(op.eigenvalues()[-1])
-    except (ValueError, TypeError):
+    except ValueError:
         pass
     shift = power_iteration_norm(op, iters=iters, seed=seed) + 1.0
     rng = substream(seed, "power-shifted", op.label)
@@ -472,41 +474,20 @@ def conjugate_gradient(apply, b: np.ndarray, *, rtol: float = 1e-10,
         f"conjugate gradient stalled at relative residual {worst:.3e}")
 
 
-def hutchinson_trace(apply, dim: int, *, probes: int = DEFAULT_PROBES,
-                     seed: int = 23, block: int = 16) -> float:
-    """Estimate Tr(A) as the average of v^T A v over +/-1 probe vectors."""
-    rng = substream(seed, "hutchinson")
-    total = 0.0
-    done = 0
-    while done < probes:
-        k = min(block, probes - done)
-        v = 2.0 * rng.integers(0, 2, size=(dim, k)).astype(np.float64) - 1.0
-        av = apply(v)
-        total += float(np.sum(v * av))
-        done += k
-    return total / probes
-
-
-def hutchinson_trace_square(op: MatrixOperator, *, probes: int = DEFAULT_PROBES,
+def hutchinson_trace_square(op: MatrixOperator, *, probes: int = 64,
                             seed: int = 29, block: int = 16) -> float:
     """Estimate Tr(M^2) = E ||M v||^2 over +/-1 probes (M symmetric).
 
-    Probes are drawn one at a time (fixed stream) but applied in blocks
-    when the operator supports matrix input, so expensive solves batch.
+    Probes are drawn one at a time (fixed stream) but applied in blocks of
+    ``block`` columns, so expensive solves batch.
     """
     rng = substream(seed, "hutchinson-sq", op.label)
     draws = [2.0 * rng.integers(0, 2, size=op.dim).astype(np.float64) - 1.0
              for _ in range(probes)]
     total = 0.0
-    if op.accepts_matrix:
-        for start in range(0, probes, block):
-            v = np.stack(draws[start:start + block], axis=1)
-            w = op.matvec(v)
-            total += float(np.sum(w * w))
-    else:
-        for v in draws:
-            w = op.matvec(v)
-            total += float(w @ w)
+    for start in range(0, probes, block):
+        w = op.matvec(np.stack(draws[start:start + block], axis=1))
+        total += float(np.sum(w * w))
     return total / probes
 
 
@@ -515,21 +496,18 @@ def hutchinson_trace_square(op: MatrixOperator, *, probes: int = DEFAULT_PROBES,
 # ---------------------------------------------------------------------------
 
 def centered_resolvent(j_op: MatrixOperator, lam: float, sigma_psi_sq: float,
-                       *, cg_rtol: float = 1e-10, probes: int = DEFAULT_PROBES,
-                       margin: float = 1e-3,
-                       resolvent_trace: float | None = None,
-                       dense_cap: int = MATERIALIZATION_CAP) -> MatrixOperator:
+                       *, cg_rtol: float = 1e-10, margin: float = 1e-3,
+                       resolvent_trace: float | None = None) -> MatrixOperator:
     """M(lam) = (lam I - J)^{-1} - (Tr (lam I - J)^{-1} / N) I as an operator.
 
     Requires lam above the spectrum of J by at least ``margin``.  Each
     matvec runs a conjugate-gradient solve of the positive definite system
     (lam I - J) w = v to relative residual ``cg_rtol``.  The trace term is
-    computed once: exactly from the spectrum while dim <= ``dense_cap``
-    (materializing J from matvecs if it is not already dense), else by a
-    Hutchinson estimate with >= 64 probes.  Callers who know
-    Tr (lam I - J)^{-1} in closed form can pass ``resolvent_trace``.
-    ``sigma_psi_sq`` is supplied by the caller (closed form or algebraic
-    identity for the law at hand).
+    computed once, exactly from the spectrum of J (materializing J from
+    matvecs when it has no known spectrum, up to the dense cap).  Callers
+    who know Tr (lam I - J)^{-1} in closed form can pass
+    ``resolvent_trace``.  ``sigma_psi_sq`` is supplied by the caller
+    (closed form or algebraic identity for the law at hand).
     """
     top = largest_eigenvalue(j_op)
     if not lam > top + margin:
@@ -541,16 +519,13 @@ def centered_resolvent(j_op: MatrixOperator, lam: float, sigma_psi_sq: float,
 
     if resolvent_trace is not None:
         trace_res = float(resolvent_trace)
-    elif j_op.dim <= dense_cap:
+    else:
         try:
             eigs = j_op.eigenvalues()
-        except (ValueError, TypeError):
+        except ValueError:
+            _check_cap(j_op.dim)
             eigs = np.linalg.eigvalsh(j_op.matvec(np.eye(j_op.dim)))
         trace_res = float(np.sum(1.0 / (lam - eigs)))
-    else:
-        trace_res = hutchinson_trace(
-            lambda v: conjugate_gradient(shifted, v, rtol=cg_rtol),
-            j_op.dim, probes=max(probes, 64), seed=j_op.seed or 0)
     center = trace_res / j_op.dim
 
     def apply(v):
@@ -558,8 +533,7 @@ def centered_resolvent(j_op: MatrixOperator, lam: float, sigma_psi_sq: float,
 
     return MatrixOperator(j_op.dim, apply, sigma_psi_sq,
                           f"{j_op.label}-resolvent", seed=j_op.seed,
-                          trace=0.0, coupling=j_op,
-                          accepts_matrix=j_op.accepts_matrix)
+                          trace=0.0, coupling=j_op)
 
 
 def involution_resolvent(j_op: MatrixOperator, lam: float,
@@ -584,8 +558,7 @@ def involution_resolvent(j_op: MatrixOperator, lam: float,
 
     return MatrixOperator(j_op.dim, apply, sigma_psi_sq,
                           f"{j_op.label}-resolvent", seed=j_op.seed,
-                          trace=0.0, coupling=j_op,
-                          accepts_matrix=j_op.accepts_matrix)
+                          trace=0.0, coupling=j_op)
 
 
 @dataclass(frozen=True)
@@ -628,13 +601,19 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
     Since M = S Psi S with S a sign diagonal, |Psi_ij| = |M_ij| and
     Psi Psi^T = S M M^T S entrywise up to signs, so every reported quantity
     is computable from M alone.  Dense mode reconstructs all N columns
-    (requires dim <= cap); probe mode samples ``pairs`` random Gram entries
-    from a pool of sampled columns.
+    (requires dim <= cap, and for a lazy Haar operator dim <= the store's
+    direction cap); probe mode samples ``pairs`` random Gram entries from
+    a pool of sampled columns.
     """
     n = op.dim
     if mode == "dense":
         if n > MATERIALIZATION_CAP:
             raise ValueError(f"dense diagnostics need dim <= {MATERIALIZATION_CAP}")
+        if op.haar_basis is not None and n > op.haar_basis.cap:
+            raise ResourceError(
+                f"dense diagnostics of {op.label} reveal all {n} Haar "
+                f"directions, above the lazy store's cap of "
+                f"{op.haar_basis.cap}; use probe mode (--mode probe)")
         if op.dense is not None:
             m = op.dense
         else:
@@ -673,15 +652,44 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
 
 
 # ---------------------------------------------------------------------------
-# CLI operator spec strings
+# the ensemble table and CLI operator spec strings
 # ---------------------------------------------------------------------------
+
+class Ensemble(NamedTuple):
+    """A named coupling family: its builder and its limiting spectral law."""
+
+    build: Callable[[int, int, float], MatrixOperator]   # (n, seed, phi)
+    law: Callable[[float], SpectralLaw]                  # (phi)
+
+
+ENSEMBLES = {
+    "signed-sine": Ensemble(
+        lambda n, seed, phi: build_signed_sine(n, seed),
+        lambda phi: SpectralLaw.rademacher()),
+    "signed-hadamard": Ensemble(
+        lambda n, seed, phi: build_signed_hadamard(n, seed),
+        lambda phi: SpectralLaw.rademacher()),
+    "random-orthogonal": Ensemble(
+        lambda n, seed, phi: build_random_orthogonal(n, seed),
+        lambda phi: SpectralLaw.rademacher()),
+    "sk": Ensemble(
+        lambda n, seed, phi: build_wigner_coupling(n, seed),
+        lambda phi: SpectralLaw.semicircle()),
+    # The Hopfield law is the sampled spectrum of an independent 4096-dim
+    # realization: this normalization has no closed form here.
+    "hopfield": Ensemble(
+        lambda n, seed, phi: build_wishart_coupling(n, phi, seed),
+        lambda phi: SpectralLaw.marchenko_pastur(phi, dim=4096)),
+}
+
 
 def operator_from_spec(spec: str, n: int, seed: int) -> MatrixOperator:
     """Build an operator from its command line spec string.
 
     Recognized forms: ``signed-sine``, ``signed-hadamard``,
-    ``random-orthogonal``, ``wigner-resolvent:lambda=<x>``,
-    ``wishart-resolvent:phi=<x>,lambda=<y>``,
+    ``random-orthogonal``, ``wigner-resolvent:lambda=<x>`` (the ``sk``
+    entry of ``ENSEMBLES``), ``wishart-resolvent:phi=<x>,lambda=<y>`` (the
+    ``hopfield`` entry, law included), and
     ``sign-perm:base=hadamard,spectrum=<file>``.
     """
     name, _, argstr = spec.partition(":")
@@ -692,23 +700,14 @@ def operator_from_spec(spec: str, n: int, seed: int) -> MatrixOperator:
             if not value:
                 raise ValueError(f"malformed operator argument {item!r} in {spec!r}")
             args[key.strip()] = value.strip()
-    if name == "signed-sine":
-        return build_signed_sine(n, seed)
-    if name == "signed-hadamard":
-        return build_signed_hadamard(n, seed)
-    if name == "random-orthogonal":
-        return build_random_orthogonal(n, seed)
-    if name == "wigner-resolvent":
+    if name in ("signed-sine", "signed-hadamard", "random-orthogonal"):
+        return ENSEMBLES[name].build(n, seed, 1.0)
+    if name in ("wigner-resolvent", "wishart-resolvent"):
+        entry, phi = ((ENSEMBLES["sk"], 1.0) if name == "wigner-resolvent"
+                      else (ENSEMBLES["hopfield"], float(args["phi"])))
         lam = float(args["lambda"])
-        law = SpectralLaw.semicircle()
-        j = build_wigner_coupling(n, seed)
-        return centered_resolvent(j, lam, resolvent_variance(law, lam))
-    if name == "wishart-resolvent":
-        phi = float(args["phi"])
-        lam = float(args["lambda"])
-        law = SpectralLaw.marchenko_pastur(phi)
-        j = build_wishart_coupling(n, phi, seed)
-        return centered_resolvent(j, lam, resolvent_variance(law, lam))
+        return centered_resolvent(entry.build(n, seed, phi), lam,
+                                  resolvent_variance(entry.law(phi), lam))
     if name == "sign-perm":
         base = args.get("base", "hadamard")
         if base != "hadamard":

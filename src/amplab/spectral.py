@@ -18,7 +18,7 @@ Empirical laws average 1/(z - lambda_i) over their atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +35,6 @@ class SpectralLaw:
     lambda_plus: float
     eigenvalues: np.ndarray | None = None
     phi: float | None = None
-    extra: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -138,7 +137,7 @@ def cauchy_derivative(law: SpectralLaw, z: float) -> float:
     return float(-np.mean(1.0 / (z - law.eigenvalues) ** 2))
 
 
-def _sup_cauchy(law: SpectralLaw) -> float:
+def sup_cauchy(law: SpectralLaw) -> float:
     """Supremum of G on (lambda_plus, inf), i.e. the limit at the edge."""
     if law.kind == "rademacher":
         return np.inf
@@ -156,7 +155,7 @@ def inverse_cauchy(law: SpectralLaw, y: float, *, tol: float = 1e-14) -> float:
     1e-12).  The initial bracket upper end lambda_plus + 1/y + 1 works
     because G(z) < 1/(z - lambda_plus).
     """
-    sup = _sup_cauchy(law)
+    sup = sup_cauchy(law)
     if not 0.0 < y < sup:
         raise ValueError(
             f"y = {y} outside the attainable range (0, {sup}) of G")

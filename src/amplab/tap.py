@@ -10,9 +10,10 @@ here follows the classical two-stage route:
 
 1. ``solve_q_star`` finds the scalar fixed point
        q = E[tanh^2(theta + sigma*(q) G)],  sigma*^2(q) = beta^2 q R'(beta - beta q),
-   by damped iteration, then derives lambda* = G^{-1}(beta - beta q*) and
-   the variance constant sigma_psi^2 of the trace-centered resolvent
-   M(lambda*).
+   by damped iteration over the overlaps where beta (1 - q) lies in the
+   range of the Cauchy transform G, then derives
+   lambda* = G^{-1}(beta - beta q*) and the variance constant sigma_psi^2
+   of the trace-centered resolvent M(lambda*).
 2. ``run_tap_amp`` iterates z^{t+1} = M(lambda*) g(z^t) from
    z^0 ~ N(0, sigma*^2 I) with
        g(z) = [tanh(theta + z)/(1 - q*) - z] / (beta - beta q*),
@@ -20,9 +21,12 @@ here follows the classical two-stage route:
    iteration applies and the state-evolution variance stays constant at
    sigma*^2 for every step.
 
-Couplings with two-point spectrum {-1, +1} (signed sine, signed Hadamard,
-random orthogonal) use the linear-polynomial resolvent shortcut; dense SK
-and Hopfield couplings go through the conjugate-gradient resolvent.
+Ensembles are looked up by name in ``ensembles.ENSEMBLES``, which gives
+each coupling's builder and limiting spectral law.  Couplings built with
+``involution=True`` (signed sine, signed Hadamard, random orthogonal, and
+their gauge conjugates) use the linear-polynomial resolvent shortcut;
+dense SK and Hopfield couplings go through the conjugate-gradient
+resolvent.
 """
 
 from __future__ import annotations
@@ -32,22 +36,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amp import AmpTrace, gaussian_init, run_amp
-from .ensembles import (MatrixOperator, build_random_orthogonal,
-                        build_signed_hadamard, build_signed_sine,
-                        build_wigner_coupling, build_wishart_coupling,
-                        centered_resolvent, involution_resolvent)
+from .ensembles import (ENSEMBLES, Ensemble, MatrixOperator,
+                        centered_resolvent, involution_resolvent, scale_rows)
 from .errors import ConvergenceError
 from .hermite import gaussian_expectation
 from .spectral import (SpectralLaw, inverse_cauchy, r_transform,
-                       resolvent_variance)
+                       resolvent_variance, sup_cauchy)
 from .state_evolution import Nonlinearity
 
-TAP_ENSEMBLES = ("signed-sine", "signed-hadamard", "random-orthogonal",
-                 "sk", "hopfield")
-
-# Hopfield limiting law: sampled spectrum of an independent realization of
-# this size (there is no closed form for this normalization).
-HOPFIELD_LAW_DIM = 4096
+# Relative distance from the edge sup G that the q* iteration keeps: G^{-1}
+# loses accuracy next to a square-root edge such as the semicircle's.
+EDGE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -77,15 +76,22 @@ class TapParameters:
         return self.beta * (self.lambda_star - 1.0 / y)
 
 
+def _entry(ensemble: str) -> Ensemble:
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}; "
+                         f"choose from {tuple(ENSEMBLES)}")
+    return ENSEMBLES[ensemble]
+
+
 def ensemble_law(ensemble: str, phi: float = 1.0) -> SpectralLaw:
-    """Limiting spectral law of each supported coupling."""
-    if ensemble in ("signed-sine", "signed-hadamard", "random-orthogonal"):
-        return SpectralLaw.rademacher()
-    if ensemble == "sk":
-        return SpectralLaw.semicircle()
-    if ensemble == "hopfield":
-        return SpectralLaw.marchenko_pastur(phi, dim=HOPFIELD_LAW_DIM)
-    raise ValueError(f"unknown ensemble {ensemble!r}; choose from {TAP_ENSEMBLES}")
+    """Limiting spectral law of a coupling named in ``ENSEMBLES``."""
+    return _entry(ensemble).law(phi)
+
+
+def build_coupling(ensemble: str, n: int, seed: int,
+                   phi: float = 1.0) -> MatrixOperator:
+    """Build the coupling named in ``ENSEMBLES`` at size n for one seed."""
+    return _entry(ensemble).build(n, seed, phi)
 
 
 def solve_q_star(beta: float, theta: float, law: SpectralLaw,
@@ -98,6 +104,12 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw,
     shrinking) until the fixed-point residual is <= tol.  Uniqueness is
     only guaranteed at high temperature; the returned parameters describe
     the fixed point actually reached from the standard start.
+
+    The equation needs y = beta (1 - q) < sup G.  The standard start
+    (q = 0.5, or 0.01 without a field) is kept where it meets that, else
+    the iteration starts halfway into the set; iterates are clamped to it
+    (within ``EDGE_MARGIN``), and one pinned at its lower end raises
+    ConvergenceError.
 
     ``quad_order`` is the node count of the dense Gaussian grid used for
     the expectation (a Gauss rule of admissible order cannot deliver
@@ -122,7 +134,11 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw,
             lambda yv: np.tanh(theta + yv) ** 2, np.sqrt(s2),
             points=quad_order)
 
+    sup = sup_cauchy(law)
+    q_lo = max(0.0, 1.0 - (1.0 - EDGE_MARGIN) * sup / beta) if beta > 0 else 0.0
     q = 0.5 if theta > 0 else 0.01
+    if q <= q_lo:
+        q = 0.5 * (q_lo + 1.0)
     eta = 0.5
     prev_resid = None
     iterations = 0
@@ -134,8 +150,13 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw,
                 and abs(resid) >= abs(prev_resid):
             eta *= 0.5  # oscillating without progress: damp harder
         prev_resid = resid
+        if q == q_lo and resid < 0:
+            raise ConvergenceError(
+                f"no fixed point of the overlap equation in "
+                f"{{q : beta (1 - q) < sup G = {sup:.6g}}}: the iteration is "
+                f"pinned at its lower end q = {q_lo:.6g}", residual=resid)
         q = q + eta * resid
-        q = float(np.clip(q, 0.0, 1.0 - 1e-12))
+        q = float(np.clip(q, q_lo, 1.0 - 1e-12))
     else:
         raise ConvergenceError(
             f"q* iteration did not converge in {max_iter} steps "
@@ -155,53 +176,39 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw,
                          sigma_psi_sq, law, iterations, abs(resid))
 
 
-def g_nonlinearity(params: TapParameters) -> Nonlinearity:
-    """g(z) = [tanh(theta + z)/(1 - q*) - z] / (beta - beta q*).
+def g_nonlinearity(params: TapParameters, h=1.0) -> Nonlinearity:
+    """g(z) = [tanh(theta h + z)/(1 - q*) - z] / (beta - beta q*).
 
-    Divergence-free at input scale sigma*: E[Z g(sigma* Z)] = 0, which is
-    what lets the simple memory-free iteration drive the TAP fixed point.
+    ``h`` is the external field: 1 for the uniform field, or a +/-1
+    vector for a random one.  Divergence-free at input scale sigma*:
+    E[Z g(sigma* Z)] = 0, which is what lets the simple memory-free
+    iteration drive the TAP fixed point.
     """
-    beta, theta, q = params.beta, params.theta, params.q_star
+    beta, q = params.beta, params.q_star
+    shift = params.theta * h
     scale = beta * (1.0 - q)
     if scale == 0.0:
         raise ValueError("beta (1 - q*) vanishes; g is undefined")
     one_minus_q = 1.0 - q
 
     def g(z):
-        return (np.tanh(theta + z) / one_minus_q - z) / scale
+        return (np.tanh(shift + z) / one_minus_q - z) / scale
 
     def g_prime(z):
-        return ((1.0 - np.tanh(theta + z) ** 2) / one_minus_q - 1.0) / scale
+        return ((1.0 - np.tanh(shift + z) ** 2) / one_minus_q - 1.0) / scale
 
     return Nonlinearity(g, "tap-g", g_prime)
 
 
-def build_coupling(ensemble: str, n: int, seed: int,
-                   phi: float = 1.0) -> MatrixOperator:
-    if ensemble == "signed-sine":
-        return build_signed_sine(n, seed)
-    if ensemble == "signed-hadamard":
-        return build_signed_hadamard(n, seed)
-    if ensemble == "random-orthogonal":
-        return build_random_orthogonal(n, seed)
-    if ensemble == "sk":
-        return build_wigner_coupling(n, seed)
-    if ensemble == "hopfield":
-        return build_wishart_coupling(n, phi, seed)
-    raise ValueError(f"unknown ensemble {ensemble!r}; choose from {TAP_ENSEMBLES}")
-
-
-def resolvent_operator(coupling: MatrixOperator, params: TapParameters,
-                       *, involution: bool | None = None) -> MatrixOperator:
+def resolvent_operator(coupling: MatrixOperator,
+                       params: TapParameters) -> MatrixOperator:
     """Centered resolvent M(lambda*) for a built coupling.
 
-    Couplings with spectrum {-1, +1} take the linear-polynomial shortcut;
-    anything else solves with conjugate gradient.
+    Couplings built with ``involution=True`` (spectrum {-1, +1}) take the
+    linear-polynomial shortcut; anything else solves with conjugate
+    gradient.
     """
-    if involution is None:
-        involution = coupling.label in ("signed-sine", "signed-hadamard",
-                                        "random-orthogonal")
-    if involution:
+    if coupling.involution:
         return involution_resolvent(coupling, params.lambda_star,
                                     params.sigma_psi_sq)
     return centered_resolvent(coupling, params.lambda_star,
@@ -218,10 +225,9 @@ class TapRunResult:
 
 
 def tap_residual(m: np.ndarray, coupling: MatrixOperator,
-                 params: TapParameters, theta_field=None) -> float:
+                 params: TapParameters) -> float:
     """(1/N) || m - tanh(theta 1 + beta J m - beta R(beta - beta q*) m) ||^2."""
-    field_term = params.theta if theta_field is None else params.theta * theta_field
-    rhs = np.tanh(field_term + params.beta * coupling.matvec(m)
+    rhs = np.tanh(params.theta + params.beta * coupling.matvec(m)
                   - params.r_shift * m)
     return float(np.mean((m - rhs) ** 2))
 
@@ -256,6 +262,7 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
 
     Conjugation by a sign diagonal is exact in floating point, so the
     iterate identity z^t(J, h) = diag(h) z^t(Jbar, 1) holds entrywise.
+    Jbar keeps the spectrum, the trace and the ``involution`` flag of J.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (j_op.dim,):
@@ -264,32 +271,23 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
         raise ValueError("field entries must be +1 or -1")
 
     def apply(v):
-        hh = h[:, None] if v.ndim == 2 else h
-        return hh * j_op.matvec(hh * v)
+        return scale_rows(h, j_op.matvec(scale_rows(h, v)))
 
     trace = j_op.trace  # diag(h) J diag(h) has the same diagonal
     return MatrixOperator(j_op.dim, apply, j_op.sigma_psi_sq,
                           f"{j_op.label}-gauged", seed=j_op.seed,
                           trace=trace, coupling=j_op,
-                          accepts_matrix=j_op.accepts_matrix)
+                          involution=j_op.involution)
 
 
 def run_field_iteration(coupling: MatrixOperator, h: np.ndarray,
-                        params: TapParameters, T: int, z0: np.ndarray,
-                        *, involution: bool | None = None) -> list:
+                        params: TapParameters, T: int, z0: np.ndarray) -> list:
     """Memory-free TAP iteration with a +/-1 external field vector h.
 
+    ``run_amp`` with the TAP g shifted by the field:
     z^{t+1} = M(lambda*) [tanh(theta h + z^t)/(1-q*) - z^t] / (beta - beta q*).
-    Returns the list of iterates z^0..z^T.
+    Returns the list of iterates z^0..z^T (T >= 1).
     """
-    h = np.asarray(h, dtype=np.float64)
-    operator = resolvent_operator(coupling, params, involution=involution)
-    beta, theta, q = params.beta, params.theta, params.q_star
-    scale = beta * (1.0 - q)
-    z = np.asarray(z0, dtype=np.float64).copy()
-    iterates = [z.copy()]
-    for _ in range(T):
-        update = (np.tanh(theta * h + z) / (1.0 - q) - z) / scale
-        z = operator.matvec(update)
-        iterates.append(z.copy())
-    return iterates
+    g = g_nonlinearity(params, np.asarray(h, dtype=np.float64))
+    operator = resolvent_operator(coupling, params)
+    return run_amp(operator, [g] * T, z0, T).iterates

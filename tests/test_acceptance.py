@@ -268,10 +268,8 @@ class TestCriterion9:
         jbar = gauge_conjugate(j, h)
         zbar0 = substream(12, "z0").normal(0.0,
                                            np.sqrt(params.sigma_star_sq), n)
-        zs = run_field_iteration(j, h, params, t_max, h * zbar0,
-                                 involution=True)
-        zbars = run_field_iteration(jbar, np.ones(n), params, t_max, zbar0,
-                                    involution=True)
+        zs = run_field_iteration(j, h, params, t_max, h * zbar0)
+        zbars = run_field_iteration(jbar, np.ones(n), params, t_max, zbar0)
         gap = max(float(np.max(np.abs(zs[t] - h * zbars[t])))
                   for t in range(t_max + 1))
         verdict(9, gap <= 1e-12,

@@ -40,6 +40,9 @@ class TestParsing:
             ExperimentConfig("signed-sine", N=64, T=0)
         with pytest.raises(ValueError):
             ExperimentConfig("signed-sine", N=64, T=3, seeds=())
+        with pytest.raises(ValueError, match="trace dump"):
+            ExperimentConfig("signed-sine", N=8192, T=3, seeds=(1, 2),
+                             dump_trace=True)
 
 
 class TestRunExperiment:
@@ -149,6 +152,14 @@ class TestMainEntry:
         record = dict(part.split("=") for part in out.split())
         assert float(record["psi_inf_norm"]) == pytest.approx(
             2 / np.sqrt(1025), abs=1e-6)
+
+    def test_check_ensemble_dense_haar_refused_up_front(self, capsys):
+        rc = main(["check-ensemble", "--ensemble", "random-orthogonal",
+                   "--N", "1024", "--mode", "dense"])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ResourceError"
+        assert "--mode probe" in record["message"]
 
     def test_run_subcommand_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from amplab.ensembles import hutchinson_trace_square
+from amplab.cli import _build_parser
+from amplab.ensembles import ENSEMBLES, hutchinson_trace_square
+from amplab.errors import ConvergenceError
 from amplab.hermite import gaussian_expectation
 from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, resolvent_variance
@@ -63,10 +65,23 @@ class TestSolveQStar:
         assert 0.0 < params.q_star < 1.0
         assert params.lambda_star > 2.0
 
-    def test_domain_violation_raises(self):
-        # semicircle: G sup is 1, so beta(1 - q) >= 1 leaves the R domain
-        with pytest.raises(ValueError):
-            solve_q_star(3.0, 2.0, SpectralLaw.semicircle())
+    @pytest.mark.parametrize("law", [
+        pytest.param(RADEMACHER, id="rademacher"),
+        pytest.param(SpectralLaw.semicircle(), id="semicircle"),
+        pytest.param(SpectralLaw.marchenko_pastur(1.0, dim=512), id="mp"),
+    ])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5, 4.0])
+    def test_converges_above_the_edge(self, law, beta):
+        # the start q = 0.5 leaves the domain beta (1 - q) < sup G of the
+        # semicircle at beta >= 2 and of this MP law at beta >= 1
+        params = solve_q_star(beta, 2.0, law)
+        assert params.lambda_star > law.lambda_plus
+
+    def test_no_admissible_fixed_point_raises(self):
+        # without a field the overlap map of this MP law points below the
+        # domain's lower end 1 - sup G / beta everywhere inside it
+        with pytest.raises(ConvergenceError, match="sup G"):
+            solve_q_star(1.0, 0.0, SpectralLaw.marchenko_pastur(1.0, dim=512))
 
 
 class TestGNonlinearity:
@@ -150,12 +165,48 @@ class TestRunTapAmp:
             ensemble_law("mystery")
 
 
+class TestEnsembleTable:
+    @pytest.mark.parametrize("name", list(ENSEMBLES))
+    def test_entry_builds_and_has_a_law(self, name, monkeypatch):
+        # the hopfield law samples a 4096-dim spectrum (about 9 s): draw a
+        # 256-dim one instead and check the size the entry asks for
+        asked = []
+        draw = SpectralLaw.marchenko_pastur
+
+        def small_draw(phi, *, dim, seed=0):
+            asked.append(dim)
+            return draw(phi, dim=256, seed=seed)
+
+        monkeypatch.setattr(SpectralLaw, "marchenko_pastur",
+                            staticmethod(small_draw))
+        op = build_coupling(name, 64, seed=1)
+        law = ensemble_law(name)
+        assert op.dim == 64
+        assert isinstance(law, SpectralLaw)
+        assert asked == ([4096] if name == "hopfield" else [])
+
+    def test_keys_are_the_tap_choices(self):
+        sub = _build_parser()._subparsers._group_actions[0].choices["tap"]
+        action = next(a for a in sub._actions if a.dest == "ensemble")
+        assert tuple(action.choices) == tuple(ENSEMBLES)
+
+
 class TestGaugeTransform:
     def test_all_ones_field_is_identity(self):
         j = build_coupling("signed-sine", 256, seed=1)
         gauged = gauge_conjugate(j, np.ones(256))
         v = substream(7, "test").standard_normal(256)
         np.testing.assert_array_equal(gauged.matvec(v), j.matvec(v))
+
+    def test_gauged_involution_keeps_closed_form_resolvent(self):
+        params = solve_q_star(2.0, 2.0, RADEMACHER)
+        j = build_coupling("signed-sine", 512, seed=3)
+        h = rademacher(substream(11, "field"), 512)
+        v = substream(13, "v").standard_normal(512)
+        gauged = resolvent_operator(gauge_conjugate(j, h), params)
+        plain = resolvent_operator(j, params)
+        np.testing.assert_array_equal(gauged.matvec(v),
+                                      h * plain.matvec(h * v))
 
     def test_non_sign_entries_rejected(self):
         j = build_coupling("signed-sine", 64, seed=2)
@@ -172,9 +223,8 @@ class TestGaugeTransform:
         zbar0 = substream(12, "z0").normal(
             0.0, np.sqrt(params.sigma_star_sq), n)
         z0 = h * zbar0
-        zs = run_field_iteration(j, h, params, t_max, z0, involution=True)
-        zbars = run_field_iteration(jbar, np.ones(n), params, t_max, zbar0,
-                                    involution=True)
+        zs = run_field_iteration(j, h, params, t_max, z0)
+        zbars = run_field_iteration(jbar, np.ones(n), params, t_max, zbar0)
         for t in range(t_max + 1):
             np.testing.assert_allclose(zs[t], h * zbars[t], atol=1e-12)
 
@@ -190,10 +240,9 @@ class TestGaugeTransform:
             jbar = gauge_conjugate(j, h)
             zbar0 = substream(200 + seed, "z0").normal(
                 0.0, np.sqrt(params.sigma_star_sq), n)
-            zs = run_field_iteration(j, h, params, t_max, h * zbar0,
-                                     involution=True)
+            zs = run_field_iteration(j, h, params, t_max, h * zbar0)
             zbars = run_field_iteration(jbar, np.ones(n), params, t_max,
-                                        zbar0, involution=True)
+                                        zbar0)
             lhs = float(np.mean(h * zs[t_max]))
             rhs = float(np.mean(zbars[t_max]))
             assert lhs == pytest.approx(rhs, abs=1e-14)
