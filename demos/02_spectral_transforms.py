@@ -1,7 +1,7 @@
 """Cauchy and R transforms of the spectral laws.
 
-Shows the closed forms, the inverse transform round trip, and the
-empirical fallback used for sample-covariance couplings.
+Shows the closed forms, including the Marchenko-Pastur law of
+sample-covariance couplings, and the inverse transform round trip.
 
 Run:  python3 demos/02_spectral_transforms.py
 """
@@ -27,9 +27,9 @@ for y in (0.05, 0.2, 0.5):
     r, rp = r_transform(sc, y)
     print(f"  R({y}) = {r:.10f}   R'({y}) = {rp:.10f}")
 
-# The sample-covariance coupling X^T X / sqrt(MN) has no closed form in
-# this normalization; its law is served from a sampled spectrum.
-mp = SpectralLaw.marchenko_pastur(1.0, dim=1024)
+# The sample-covariance coupling X^T X / sqrt(MN) is sqrt(phi) times a
+# Marchenko-Pastur matrix of ratio 1/phi; G solves a quadratic.
+mp = SpectralLaw.marchenko_pastur(1.0)
 print(f"\nsample-covariance law at phi = 1: edge = {mp.lambda_plus:.4f} "
       f"(theory: 4)")
 print(f"  G(4.5) = {cauchy_transform(mp, 4.5):.6f}")

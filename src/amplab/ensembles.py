@@ -12,7 +12,7 @@ sigma_psi^2 of its conjugated core.  The builders cover:
                      full matrix is never sampled,
 * sign-permutation - D H P diag(lam) P^T H^T D for a supplied spectrum,
 * Wigner / Wishart couplings (dense), and their trace-centered resolvents
-  (conjugate-gradient solves behind the same matvec interface).
+  (a dense inverse from one Cholesky factorization, applied as one gemv).
 
 The first three have spectrum {-1, +1} (they square to the identity), so
 they are built with ``involution=True`` and the TAP driver uses their
@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, lapack
 
 from .errors import NumericError, ResourceError
 from .rng import rademacher, substream
 from .spectral import SpectralLaw, resolvent_variance
 
-# Dense reconstruction / factorization cap (see check_semi_random and the
-# coupling builders).  All shipped experiments fit under it.
+# Dense reconstruction / factorization cap (see dense_form and the coupling
+# builders).  All shipped experiments fit under it.
 MATERIALIZATION_CAP = 8192
 
 
@@ -63,8 +64,8 @@ class MatrixOperator:
     """
 
     def __init__(self, dim, apply, sigma_psi_sq, label, *, seed=None,
-                 trace=None, dense=None, eigenvalues=None, coupling=None,
-                 involution=False, haar_basis=None):
+                 trace=None, dense=None, coupling=None, involution=False,
+                 haar_basis=None):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
         if sigma_psi_sq <= 0:
@@ -79,21 +80,12 @@ class MatrixOperator:
         self.involution = bool(involution)
         self.haar_basis = haar_basis
         self._apply = apply
-        self._eigenvalues = eigenvalues
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape[0] != self.dim:
             raise ValueError(f"vector length {v.shape[0]} != dim {self.dim}")
         return self._apply(v)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum given at construction, else from ``dense`` (cached)."""
-        if self._eigenvalues is None:
-            if self.dense is None:
-                raise ValueError(f"{self.label}: no dense form available")
-            self._eigenvalues = np.linalg.eigvalsh(self.dense)
-        return self._eigenvalues
 
     def __repr__(self):
         return f"MatrixOperator({self.label!r}, dim={self.dim}, seed={self.seed})"
@@ -358,9 +350,8 @@ def build_wishart_coupling(n: int, phi: float, seed: int,
     """PSD coupling J = X^T X / sqrt(M N), M = round(phi N).
 
     The matvec uses the Gram form X^T(X v), which keeps every quadratic
-    form nonnegative exactly.  The spectrum is computed once here, since
-    every resolvent of J needs it.  sigma_psi_sq stores the limiting
-    spectral second moment 1 + phi.
+    form nonnegative exactly; ``dense`` holds J for its resolvents.
+    sigma_psi_sq stores the limiting spectral second moment 1 + phi.
     """
     _check_cap(n)
     if phi <= 0:
@@ -380,7 +371,7 @@ def build_wishart_coupling(n: int, phi: float, seed: int,
 
     return MatrixOperator(n, apply, 1.0 + phi, "wishart", seed=seed,
                           trace=float(np.sum(x * x)) / scale,
-                          eigenvalues=np.linalg.eigvalsh((x.T @ x) / scale))
+                          dense=(x.T @ x) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -406,33 +397,6 @@ def power_iteration_norm(op: MatrixOperator, *, iters: int = 200,
     return float(est)
 
 
-def largest_eigenvalue(op: MatrixOperator, *, iters: int = 200,
-                       seed: int = 11) -> float:
-    """Largest (signed) eigenvalue of a symmetric operator.
-
-    Uses the exact spectrum when the operator is dense-backed; otherwise a
-    shifted power iteration (the shift makes the top of the spectrum the
-    dominant eigenvalue in magnitude).
-    """
-    try:
-        return float(op.eigenvalues()[-1])
-    except ValueError:
-        pass
-    shift = power_iteration_norm(op, iters=iters, seed=seed) + 1.0
-    rng = substream(seed, "power-shifted", op.label)
-    v = rng.standard_normal(op.dim)
-    v /= np.linalg.norm(v)
-    mu = 0.0
-    for _ in range(iters):
-        w = op.matvec(v) + shift * v
-        mu = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        v = w / norm
-    return mu - shift
-
-
 def conjugate_gradient(apply, b: np.ndarray, *, rtol: float = 1e-10,
                        max_iter: int | None = None) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A given ``apply``.
@@ -440,7 +404,8 @@ def conjugate_gradient(apply, b: np.ndarray, *, rtol: float = 1e-10,
     ``b`` may be a vector or an (N, K) block; columns are solved jointly
     with per-column step sizes.  Raises NumericError if the relative
     residual has not reached ``rtol`` within ``max_iter`` iterations
-    (default 10 N).
+    (default 10 N).  No amplab code path calls it; benchmark/tracer.py
+    still wraps it by name.
     """
     b = np.asarray(b, dtype=np.float64)
     single = b.ndim == 1
@@ -495,45 +460,47 @@ def hutchinson_trace_square(op: MatrixOperator, *, probes: int = 64,
 # centered resolvent and diagnostics
 # ---------------------------------------------------------------------------
 
-def centered_resolvent(j_op: MatrixOperator, lam: float, sigma_psi_sq: float,
-                       *, cg_rtol: float = 1e-10, margin: float = 1e-3,
-                       resolvent_trace: float | None = None) -> MatrixOperator:
+def dense_form(op: MatrixOperator) -> np.ndarray:
+    """The N x N matrix of ``op``: its ``dense`` field, else ``matvec(I)``.
+
+    Materializing is refused before any matvec above MATERIALIZATION_CAP.
+    """
+    if op.dense is not None:
+        return op.dense
+    _check_cap(op.dim)
+    return op.matvec(np.eye(op.dim))
+
+
+def centered_resolvent(j_op: MatrixOperator, lam: float,
+                       sigma_psi_sq: float) -> MatrixOperator:
     """M(lam) = (lam I - J)^{-1} - (Tr (lam I - J)^{-1} / N) I as an operator.
 
-    Requires lam above the spectrum of J by at least ``margin``.  Each
-    matvec runs a conjugate-gradient solve of the positive definite system
-    (lam I - J) w = v to relative residual ``cg_rtol``.  The trace term is
-    computed once, exactly from the spectrum of J (materializing J from
-    matvecs when it has no known spectrum, up to the dense cap).  Callers
-    who know Tr (lam I - J)^{-1} in closed form can pass
-    ``resolvent_trace``.  ``sigma_psi_sq`` is supplied by the caller
-    (closed form or algebraic identity for the law at hand).
+    One Cholesky factorization of lam I - J proves lam is above the
+    spectrum of J (a failed one raises ValueError); the inverse is formed
+    from the factor, its diagonal gives the centering constant, and each
+    matvec is one dense product.  A coupling without a ``dense`` form is
+    materialized from matvecs (see ``dense_form``).  ``sigma_psi_sq`` is
+    supplied by the caller (closed form or algebraic identity for the law
+    at hand).
     """
-    top = largest_eigenvalue(j_op)
-    if not lam > top + margin:
-        raise ValueError(
-            f"lambda = {lam} is not above the spectrum (top ~ {top:.6f} + margin {margin})")
+    n = j_op.dim
+    shifted = -dense_form(j_op)
+    shifted[np.diag_indices(n)] += lam
+    try:
+        factor, _ = cho_factor(shifted, lower=True, overwrite_a=True)
+    except LinAlgError:
+        raise ValueError(f"lambda = {lam} is not above the spectrum of "
+                         f"{j_op.label}: lam I - J is not positive definite")
+    inverse, info = lapack.dpotri(factor, lower=True, overwrite_c=True)
+    if info:
+        raise NumericError(f"inverting the Cholesky factor failed (info {info})")
+    # dpotri writes the lower triangle only: mirror it above the diagonal
+    np.copyto(inverse, inverse.T, where=~np.tri(n, dtype=bool))
+    inverse[np.diag_indices(n)] -= np.trace(inverse) / n
 
-    def shifted(v):
-        return lam * v - j_op.matvec(v)
-
-    if resolvent_trace is not None:
-        trace_res = float(resolvent_trace)
-    else:
-        try:
-            eigs = j_op.eigenvalues()
-        except ValueError:
-            _check_cap(j_op.dim)
-            eigs = np.linalg.eigvalsh(j_op.matvec(np.eye(j_op.dim)))
-        trace_res = float(np.sum(1.0 / (lam - eigs)))
-    center = trace_res / j_op.dim
-
-    def apply(v):
-        return conjugate_gradient(shifted, v, rtol=cg_rtol) - center * v
-
-    return MatrixOperator(j_op.dim, apply, sigma_psi_sq,
+    return MatrixOperator(n, lambda v: inverse @ v, sigma_psi_sq,
                           f"{j_op.label}-resolvent", seed=j_op.seed,
-                          trace=0.0, coupling=j_op)
+                          trace=0.0, dense=inverse, coupling=j_op)
 
 
 def involution_resolvent(j_op: MatrixOperator, lam: float,
@@ -607,17 +574,12 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
     """
     n = op.dim
     if mode == "dense":
-        if n > MATERIALIZATION_CAP:
-            raise ValueError(f"dense diagnostics need dim <= {MATERIALIZATION_CAP}")
         if op.haar_basis is not None and n > op.haar_basis.cap:
             raise ResourceError(
                 f"dense diagnostics of {op.label} reveal all {n} Haar "
                 f"directions, above the lazy store's cap of "
                 f"{op.haar_basis.cap}; use probe mode (--mode probe)")
-        if op.dense is not None:
-            m = op.dense
-        else:
-            m = op.matvec(np.eye(n))
+        m = dense_form(op)
         gram = m @ m.T
         diag = np.diag(gram)
         off = gram - np.diag(diag)
@@ -675,11 +637,9 @@ ENSEMBLES = {
     "sk": Ensemble(
         lambda n, seed, phi: build_wigner_coupling(n, seed),
         lambda phi: SpectralLaw.semicircle()),
-    # The Hopfield law is the sampled spectrum of an independent 4096-dim
-    # realization: this normalization has no closed form here.
     "hopfield": Ensemble(
         lambda n, seed, phi: build_wishart_coupling(n, phi, seed),
-        lambda phi: SpectralLaw.marchenko_pastur(phi, dim=4096)),
+        SpectralLaw.marchenko_pastur),
 }
 
 
@@ -700,6 +660,12 @@ def operator_from_spec(spec: str, n: int, seed: int) -> MatrixOperator:
             if not value:
                 raise ValueError(f"malformed operator argument {item!r} in {spec!r}")
             args[key.strip()] = value.strip()
+    required = {"wigner-resolvent": ("lambda",), "sign-perm": ("spectrum",),
+                "wishart-resolvent": ("phi", "lambda")}.get(name, ())
+    for key in required:
+        if key not in args:
+            form = ",".join(f"{k}=<{k}>" for k in required)
+            raise ValueError(f"{spec!r} lacks {key}=; expected {name}:{form}")
     if name in ("signed-sine", "signed-hadamard", "random-orthogonal"):
         return ENSEMBLES[name].build(n, seed, 1.0)
     if name in ("wigner-resolvent", "wishart-resolvent"):

@@ -9,22 +9,19 @@ is strictly decreasing on (lambda_plus, inf), so it has an inverse on
 (0, G(lambda_plus+)) and the R-transform R(y) = G^{-1}(y) - 1/y is well
 defined there.  Everything is real-axis only.
 
-Closed forms are provided for the two-atom uniform +/-1 law ("rademacher")
-and the semicircle; the Marchenko-Pastur law of the sample-covariance
-coupling J = X^T X / sqrt(M N) is served from the sampled spectrum of a
-fresh realization, which is the source of truth for that normalization.
-Empirical laws average 1/(z - lambda_i) over their atoms.
+Closed forms are provided for the two-atom uniform +/-1 law ("rademacher"),
+the semicircle, and the Marchenko-Pastur law of the sample-covariance
+coupling J = X^T X / sqrt(M N).  Empirical laws average 1/(z - lambda_i)
+over their atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericError
-from .rng import substream
 
 _KINDS = ("rademacher", "semicircle", "marchenko_pastur", "empirical")
 
@@ -62,19 +59,17 @@ class SpectralLaw:
         return SpectralLaw("semicircle", 2.0)
 
     @staticmethod
-    def marchenko_pastur(phi: float, *, dim: int = 2048, seed: int = 0) -> "SpectralLaw":
+    def marchenko_pastur(phi: float) -> "SpectralLaw":
         """Limiting law of J = X^T X / sqrt(M N), M = round(phi N).
 
-        Served empirically from an independent seeded realization of size
-        ``dim``; the right edge is the theoretical sqrt(phi) + 1/sqrt(phi) + 2
-        or the sampled maximum, whichever is larger.
+        J = sqrt(phi) W with W Marchenko-Pastur of ratio c = 1/phi, so the
+        right edge is sqrt(phi) + 1/sqrt(phi) + 2; for phi < 1 the law has
+        an atom of mass 1 - phi at 0.
         """
         if phi <= 0:
             raise ValueError(f"phi must be positive, got {phi}")
-        ev = _mp_spectrum(float(phi), int(dim), int(seed))
         edge = np.sqrt(phi) + 1.0 / np.sqrt(phi) + 2.0
-        return SpectralLaw("marchenko_pastur", float(max(edge, ev[-1])),
-                           eigenvalues=ev, phi=float(phi))
+        return SpectralLaw("marchenko_pastur", float(edge), phi=float(phi))
 
     @staticmethod
     def empirical(eigenvalues) -> "SpectralLaw":
@@ -100,15 +95,18 @@ class SpectralLaw:
         return SpectralLaw.empirical(values)
 
 
-@lru_cache(maxsize=4)
-def _mp_spectrum(phi: float, dim: int, seed: int) -> np.ndarray:
-    rng = substream(seed, "mp-law", str(phi), str(dim))
-    m = int(round(phi * dim))
-    x = 2.0 * rng.integers(0, 2, size=(m, dim)).astype(np.float64) - 1.0
-    j = (x.T @ x) / np.sqrt(m * dim)
-    ev = np.linalg.eigvalsh(j)
-    ev.setflags(write=False)
-    return ev
+def _mp_cauchy(phi: float, z: float):
+    """(G, G') of the Marchenko-Pastur law of J = sqrt(phi) W at z.
+
+    G_W(w) is the root of c w G^2 - (w - 1 + c) G + 1 = 0 that behaves as
+    1/w at infinity (atom included), written without cancellation, and
+    G_W' = -G (1 - c G) / sqrt((w - 1 - c)^2 - 4 c).
+    """
+    c, s = 1.0 / phi, np.sqrt(phi)
+    w = z / s
+    root = np.sqrt((w - (1.0 + 1.0 / s) ** 2) * (w - (1.0 - 1.0 / s) ** 2))
+    g = 2.0 / (w - 1.0 + c + root)
+    return g / s, -g * (1.0 - c * g) / root / phi
 
 
 def _check_above_edge(law: SpectralLaw, z: float):
@@ -124,6 +122,8 @@ def cauchy_transform(law: SpectralLaw, z: float) -> float:
         return z / (z * z - 1.0)
     if law.kind == "semicircle":
         return (z - np.sqrt(z * z - 4.0)) / 2.0
+    if law.kind == "marchenko_pastur":
+        return float(_mp_cauchy(law.phi, z)[0])
     return float(np.mean(1.0 / (z - law.eigenvalues)))
 
 
@@ -134,18 +134,18 @@ def cauchy_derivative(law: SpectralLaw, z: float) -> float:
         return -(z * z + 1.0) / (z * z - 1.0) ** 2
     if law.kind == "semicircle":
         return (1.0 - z / np.sqrt(z * z - 4.0)) / 2.0
+    if law.kind == "marchenko_pastur":
+        return float(_mp_cauchy(law.phi, z)[1])
     return float(-np.mean(1.0 / (z - law.eigenvalues) ** 2))
 
 
 def sup_cauchy(law: SpectralLaw) -> float:
     """Supremum of G on (lambda_plus, inf), i.e. the limit at the edge."""
-    if law.kind == "rademacher":
-        return np.inf
     if law.kind == "semicircle":
         return 1.0
-    if law.lambda_plus <= law.eigenvalues[-1]:
-        return np.inf  # atom at the edge
-    return float(np.mean(1.0 / (law.lambda_plus - law.eigenvalues)))
+    if law.kind == "marchenko_pastur":
+        return float(np.sqrt(law.phi) / (1.0 + np.sqrt(law.phi)))
+    return np.inf  # the two-point and empirical laws have an atom at the edge
 
 
 def inverse_cauchy(law: SpectralLaw, y: float, *, tol: float = 1e-14) -> float:

@@ -25,8 +25,8 @@ Ensembles are looked up by name in ``ensembles.ENSEMBLES``, which gives
 each coupling's builder and limiting spectral law.  Couplings built with
 ``involution=True`` (signed sine, signed Hadamard, random orthogonal, and
 their gauge conjugates) use the linear-polynomial resolvent shortcut;
-dense SK and Hopfield couplings go through the conjugate-gradient
-resolvent.
+dense SK and Hopfield couplings use the dense Cholesky-inverse resolvent
+of ``ensembles.centered_resolvent``.
 """
 
 from __future__ import annotations
@@ -205,8 +205,8 @@ def resolvent_operator(coupling: MatrixOperator,
     """Centered resolvent M(lambda*) for a built coupling.
 
     Couplings built with ``involution=True`` (spectrum {-1, +1}) take the
-    linear-polynomial shortcut; anything else solves with conjugate
-    gradient.
+    linear-polynomial shortcut; anything else gets the dense inverse of
+    ``centered_resolvent``.
     """
     if coupling.involution:
         return involution_resolvent(coupling, params.lambda_star,

@@ -214,7 +214,7 @@ class TestCriterion6:
         est = hutchinson_trace_square(m, probes=64) / 2048
         rel_w = abs(est - want) / want
         lam_mp = 4.5
-        law = SpectralLaw.marchenko_pastur(1.0, dim=2048)
+        law = SpectralLaw.marchenko_pastur(1.0)
         want_mp = resolvent_variance(law, lam_mp)
         jw = build_wishart_coupling(2048, 1.0, seed=1)
         mw = centered_resolvent(jw, lam_mp, want_mp)

@@ -178,13 +178,19 @@ class TestMainEntry:
         assert "q_star=" in out
         assert "ensemble,beta,theta" in out
 
-    def test_error_record_on_stderr(self, capsys):
-        rc = main(["run", "--ensemble", "mystery-ensemble", "--N", "64",
+    @pytest.mark.parametrize("spec, named", [
+        ("mystery-ensemble", "mystery-ensemble"),
+        ("wigner-resolvent", "lambda="),
+        ("wishart-resolvent:lambda=4.5", "phi="),
+        ("sign-perm:base=hadamard", "spectrum="),
+    ], ids=["unknown", "no-lambda", "no-phi", "no-spectrum"])
+    def test_error_record_on_stderr(self, capsys, spec, named):
+        rc = main(["run", "--ensemble", spec, "--N", "64",
                    "--T", "2", "--seeds", "1"])
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValueError"
-        assert "mystery-ensemble" in record["message"]
+        assert named in record["message"]
 
     def test_config_file_merging(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from amplab.ensembles import build_wishart_coupling
 from amplab.spectral import (SpectralLaw, cauchy_derivative, cauchy_transform,
-                             inverse_cauchy, r_transform, resolvent_variance)
+                             inverse_cauchy, r_transform, resolvent_variance,
+                             sup_cauchy)
 
 RADEMACHER = SpectralLaw.rademacher()
 SEMICIRCLE = SpectralLaw.semicircle()
@@ -39,7 +41,7 @@ class TestCauchyTransform:
 
     def test_monotone_decreasing_on_grid(self):
         laws = [RADEMACHER, SEMICIRCLE,
-                SpectralLaw.marchenko_pastur(1.0, dim=256),
+                SpectralLaw.marchenko_pastur(1.0),
                 SpectralLaw.empirical([-1.0, 0.3, 0.9])]
         for law in laws:
             grid = law.lambda_plus + np.linspace(1e-3, 10.0, 50)
@@ -163,13 +165,60 @@ class TestEmpiricalConsistency:
             SpectralLaw.from_file(path)
 
 
+def mp_quad(phi, f):
+    """Oracle: quadrature of f against the MP law of X^T X / sqrt(M N).
+
+    Density sqrt(phi) sqrt((b - x)(x - a)) / (2 pi x) on [a, b], with
+    a, b = sqrt(phi) + 1/sqrt(phi) -/+ 2, plus an atom of mass 1 - phi at
+    0 when phi < 1.  x = a + (b - a) sin^2(t/2) removes the square-root
+    endpoints.
+    """
+    a = np.sqrt(phi) + 1 / np.sqrt(phi) - 2
+    b = a + 4
+
+    def integrand(t):
+        s, c = np.sin(t / 2), np.cos(t / 2)
+        x = a + (b - a) * s * s
+        return np.sqrt(phi) * ((b - a) * s * c) ** 2 / (2 * np.pi * x) * f(x)
+
+    val, _ = quad(integrand, 0, np.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val + max(0.0, 1 - phi) * f(0.0)
+
+
+class TestMarchenkoPastur:
+    @pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
+    def test_closed_form_against_density_quadrature(self, phi):
+        law = SpectralLaw.marchenko_pastur(phi)
+        assert mp_quad(phi, lambda x: 1.0) == pytest.approx(1.0, abs=1e-12)
+        for dz in (0.1, 0.5, 3.0):
+            z = law.lambda_plus + dz
+            g = mp_quad(phi, lambda x: 1 / (z - x))
+            dg = -mp_quad(phi, lambda x: 1 / (z - x) ** 2)
+            assert cauchy_transform(law, z) == pytest.approx(g, abs=1e-10)
+            assert cauchy_derivative(law, z) == pytest.approx(dg, abs=1e-12)
+
+    def test_exact_values_at_phi_one(self):
+        # w = 4.5: G = 1/3, G' = -4/27, so -G' - G^2 = 1/27
+        law = SpectralLaw.marchenko_pastur(1.0)
+        assert resolvent_variance(law, 4.5) == pytest.approx(1 / 27, abs=1e-15)
+        assert sup_cauchy(law) == 0.5
+
+    @pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
+    def test_matches_sampled_wishart_spectrum(self, phi):
+        eigs = np.linalg.eigvalsh(build_wishart_coupling(2048, phi, seed=3).dense)
+        law = SpectralLaw.marchenko_pastur(phi)
+        z = law.lambda_plus + 0.5
+        sampled = cauchy_transform(SpectralLaw.empirical(eigs), z)
+        assert cauchy_transform(law, z) == pytest.approx(sampled, abs=2e-3)
+
+
 class TestResolventVarianceBridge:
     def test_semicircle_positive_above_edge(self):
         for lam in 2.0 + np.linspace(0.01, 8.0, 40):
             assert resolvent_variance(SEMICIRCLE, lam) > 0
 
     def test_marchenko_pastur_edge(self):
-        law = SpectralLaw.marchenko_pastur(1.0, dim=512)
+        law = SpectralLaw.marchenko_pastur(1.0)
         # right edge of the X^T X / sqrt(MN) normalization at phi = 1 is 4
         assert law.lambda_plus == pytest.approx(4.0, abs=0.15)
         assert cauchy_transform(law, 5.0) > 0
