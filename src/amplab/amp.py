@@ -43,9 +43,6 @@ class AmpTrace:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    def iterate(self, t: int) -> np.ndarray:
-        return self.iterates[t]
-
 
 def gaussian_init(n: int, sigma0: float, seed: int) -> np.ndarray:
     """N i.i.d. N(0, sigma0^2) entries from the seed's "init" substream."""

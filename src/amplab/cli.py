@@ -103,31 +103,28 @@ def _worker_count(n_jobs: int) -> int:
 # experiment pipelines
 # ---------------------------------------------------------------------------
 
-def _tap_experiment(config: ExperimentConfig):
-    params = tap.solve_q_star(config.beta, config.theta,
-                              tap.ensemble_law(config.ensemble, config.phi))
-    g = tap.g_nonlinearity(params)
+def _tap_prediction(ensemble, beta, theta, phi, T, degree):
+    """TAP parameters and their state evolution, shared by ``tap`` and ``se``."""
+    params = tap.solve_q_star(beta, theta, tap.ensemble_law(ensemble, phi))
     se = state_evolution.run_state_evolution(
-        [g] * config.T, params.sigma_star_sq, params.sigma_psi_sq,
-        config.T, config.degree)
+        [tap.g_nonlinearity(params)] * T, params.sigma_star_sq,
+        params.sigma_psi_sq, T, degree)
+    return params, se
+
+
+def _tap_experiment(config: ExperimentConfig):
+    params, se = _tap_prediction(config.ensemble, config.beta, config.theta,
+                                 config.phi, config.T, config.degree)
 
     def one_seed(seed):
         return tap.run_tap_amp(config.ensemble, config.beta, config.theta,
                                config.N, config.T, seed, phi=config.phi,
                                params=params).trace
 
-    traces = _run_seeds(one_seed, config.seeds)
-    header = {
-        "beta": params.beta, "theta": params.theta, "q_star": params.q_star,
-        "sigma_star_sq": params.sigma_star_sq,
-        "lambda_star": params.lambda_star,
-        "sigma_psi_sq": params.sigma_psi_sq,
-        "seed": _format_seeds(config.seeds),
-    }
-    report = metrics.report_from_traces(
-        traces, np.sqrt(se.sigma_sq), se.succ_diff_prediction(),
-        beta=config.beta, theta=config.theta, params=header)
-    return report, se, traces
+    header = {key: getattr(params, key) for key in (
+        "beta", "theta", "q_star", "sigma_star_sq", "lambda_star",
+        "sigma_psi_sq")}
+    return se, one_seed, header
 
 
 def _plain_experiment(config: ExperimentConfig):
@@ -143,10 +140,10 @@ def _plain_experiment(config: ExperimentConfig):
             f"{config.nonlinearity!r} with sigma_psi_sq = "
             f"{sample_op.sigma_psi_sq:g}; observables cannot be "
             f"standardized (pick a different preset or operator)")
-    sigma = np.sqrt(se.sigma_sq)
     if config.mode == "simple":
         # The simple iteration tracks state evolution only with
         # divergence-free steps: center each one at its input scale.
+        sigma = np.sqrt(se.sigma_sq)
         nonlins = [state_evolution.center_divergence_free(base, sigma[t])
                    for t in range(config.T)]
     else:
@@ -158,15 +155,10 @@ def _plain_experiment(config: ExperimentConfig):
         z0 = amp.gaussian_init(config.N, np.sqrt(config.sigma0_sq), seed)
         return amp.run_amp(op, nonlins, z0, config.T, config.mode, seed=seed)
 
-    traces = _run_seeds(one_seed, config.seeds)
     header = {"nonlinearity": config.nonlinearity, "mode": config.mode,
               "sigma0_sq": config.sigma0_sq,
-              "sigma_psi_sq": sample_op.sigma_psi_sq,
-              "seed": _format_seeds(config.seeds)}
-    report = metrics.report_from_traces(
-        traces, sigma, se.succ_diff_prediction(),
-        beta=config.beta, theta=config.theta, params=header)
-    return report, se, traces
+              "sigma_psi_sq": sample_op.sigma_psi_sq}
+    return se, one_seed, header
 
 
 def _run_seeds(fn, seeds):
@@ -178,17 +170,19 @@ def _run_seeds(fn, seeds):
 
 
 def run_experiment(config: ExperimentConfig):
-    """Build, solve, run all seeds, write CSVs.  Returns the report."""
-    if config.mode == "tap":
-        report, se, traces = _tap_experiment(config)
-    else:
-        report, se, traces = _plain_experiment(config)
+    """Build, solve, run all seeds, write the report's CSVs.  Returns it."""
+    pipeline = _tap_experiment if config.mode == "tap" else _plain_experiment
+    se, one_seed, header = pipeline(config)
+    traces = _run_seeds(one_seed, config.seeds)
+    report = metrics.report_from_traces(
+        traces, np.sqrt(se.sigma_sq), se.succ_diff_prediction(),
+        beta=config.beta, theta=config.theta,
+        params={**header, "seed": _format_seeds(config.seeds)})
     if config.out:
         emit_report(report, config.out)
         stem, ext = os.path.splitext(config.out)
-        sigma = np.sqrt(se.sigma_sq)
-        for seed, trace in zip(config.seeds, traces):
-            emit_seed_observables(trace, sigma, se.succ_diff_prediction(),
+        for seed, trace, table in zip(config.seeds, traces, report.seed_tables):
+            emit_seed_observables(trace, table,
                                   f"{stem}.seed{seed}{ext or '.csv'}")
             if config.dump_trace:
                 emit_trace(trace, f"{stem}.seed{seed}.trace{ext or '.csv'}")
@@ -242,17 +236,13 @@ def emit_report(report: metrics.ObservableReport, path: str) -> None:
     _write_text(path, _report_lines(report))
 
 
-def emit_seed_observables(trace, sigma, d_pred, path: str) -> None:
+def emit_seed_observables(trace, table, path: str) -> None:
+    """Write one seed's ``metrics.observable_table`` rows under its header."""
     lines = [f"# seed={trace.seed} ensemble={trace.ensemble_label} "
              f"N={trace.N} T={trace.T} mode={trace.mode}",
              "t,succ_diff,hermite_m1,hermite_m2,hermite_m3,hermite_m4,ks_stat"]
-    sd = metrics.successive_diff(trace)
-    for t in range(1, trace.T + 1):
-        z = trace.iterates[t]
-        moments = [metrics.hermite_moment(z, k, sigma[t]) for k in range(1, 5)]
-        ks = metrics.ks_statistic(z, sigma[t])
-        lines.append(",".join([str(t), _fmt(sd[t - 1])]
-                              + [_fmt(m) for m in moments] + [_fmt(ks)]))
+    lines += [",".join([str(t)] + [_fmt(x) for x in row])
+              for t, row in enumerate(table, start=1)]
     _write_text(path, lines)
 
 
@@ -370,33 +360,28 @@ def _merged(args, defaults: dict) -> dict:
     return out
 
 
-def _cmd_run(args) -> int:
-    merged = _merged(args, dict(
-        ensemble="signed-sine", N=1024, T=10, seeds="1..8", mode="simple",
-        nonlinearity="square", sigma0_sq=1.0, degree=24, out=None,
-        dump_trace=False))
+def _experiment_command(args, defaults: dict, **fixed) -> int:
+    """``run`` and ``tap``: one experiment, its report to --out or stdout."""
+    merged = _merged(args, defaults)
     merged["seeds"] = parse_seeds(str(merged["seeds"]))
-    config = ExperimentConfig(beta=0.0, theta=0.0, **merged)
+    config = ExperimentConfig(**fixed, **merged)
     report = run_experiment(config)
     if not config.out:
-        emit_report_stdout(report)
+        sys.stdout.write("\n".join(_report_lines(report)) + "\n")
     return 0
+
+
+def _cmd_run(args) -> int:
+    return _experiment_command(args, dict(
+        ensemble="signed-sine", N=1024, T=10, seeds="1..8", mode="simple",
+        nonlinearity="square", sigma0_sq=1.0, degree=24, out=None,
+        dump_trace=False), beta=0.0, theta=0.0)
 
 
 def _cmd_tap(args) -> int:
-    merged = _merged(args, dict(
+    return _experiment_command(args, dict(
         ensemble="signed-sine", N=1024, T=10, beta=2.0, theta=2.0, phi=1.0,
-        seeds="1..8", degree=64, out=None, dump_trace=False))
-    merged["seeds"] = parse_seeds(str(merged["seeds"]))
-    config = ExperimentConfig(mode="tap", **merged)
-    report = run_experiment(config)
-    if not config.out:
-        emit_report_stdout(report)
-    return 0
-
-
-def emit_report_stdout(report) -> None:
-    sys.stdout.write("\n".join(_report_lines(report)) + "\n")
+        seeds="1..8", degree=64, out=None, dump_trace=False), mode="tap")
 
 
 def _cmd_se(args) -> int:
@@ -405,13 +390,9 @@ def _cmd_se(args) -> int:
         T=10, degree=64, nonlinearity="square", sigma0_sq=1.0,
         sigma_psi_sq=1.0, out=None))
     if merged["preset"] == "tap":
-        params = tap.solve_q_star(merged["beta"], merged["theta"],
-                                  tap.ensemble_law(merged["ensemble"],
-                                                   merged["phi"]))
-        g = tap.g_nonlinearity(params)
-        se = state_evolution.run_state_evolution(
-            [g] * merged["T"], params.sigma_star_sq, params.sigma_psi_sq,
-            merged["T"], merged["degree"])
+        _, se = _tap_prediction(merged["ensemble"], merged["beta"],
+                                merged["theta"], merged["phi"], merged["T"],
+                                merged["degree"])
     else:
         base = state_evolution.preset_nonlinearity(merged["nonlinearity"])
         se = state_evolution.run_state_evolution(

@@ -55,6 +55,9 @@ class MatrixOperator:
         (seed, dim, label).
     trace : float or None
         Exact trace when it is cheap to know (diagonal-sum formulas).
+    dense : ndarray or None
+        The full matrix of the dense SK and Hopfield couplings and of every
+        ``centered_resolvent``; ``dense_form`` and ``check_semi_random`` read it.
     coupling : MatrixOperator or None
         For resolvent and gauged operators, the underlying coupling J.
     involution : bool
@@ -662,16 +665,27 @@ def operator_from_spec(spec: str, n: int, seed: int) -> MatrixOperator:
             args[key.strip()] = value.strip()
     required = {"wigner-resolvent": ("lambda",), "sign-perm": ("spectrum",),
                 "wishart-resolvent": ("phi", "lambda")}.get(name, ())
+    form = f"{name}:" + ",".join(f"{k}=<{k}>" for k in required)
     for key in required:
         if key not in args:
-            form = ",".join(f"{k}=<{k}>" for k in required)
-            raise ValueError(f"{spec!r} lacks {key}=; expected {name}:{form}")
+            raise ValueError(f"{spec!r} lacks {key}=; expected {form}")
+
+    def number(key):
+        try:
+            value = float(args[key])
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise ValueError(f"{spec!r}: {key}={args[key]!r} is not a finite "
+                             f"number; expected {form}")
+        return value
+
     if name in ("signed-sine", "signed-hadamard", "random-orthogonal"):
         return ENSEMBLES[name].build(n, seed, 1.0)
     if name in ("wigner-resolvent", "wishart-resolvent"):
         entry, phi = ((ENSEMBLES["sk"], 1.0) if name == "wigner-resolvent"
-                      else (ENSEMBLES["hopfield"], float(args["phi"])))
-        lam = float(args["lambda"])
+                      else (ENSEMBLES["hopfield"], number("phi")))
+        lam = number("lambda")
         return centered_resolvent(entry.build(n, seed, phi), lam,
                                   resolvent_variance(entry.law(phi), lam))
     if name == "sign-perm":

@@ -44,12 +44,25 @@ def ks_statistic(v: np.ndarray, sigma: float) -> float:
     return float(max(upper, lower))
 
 
+def observable_table(trace: AmpTrace, sigma) -> np.ndarray:
+    """Per-step observables of one trace as a (T, 6) array.
+
+    Row t-1 holds succ_diff, the Hermite moments k = 1..4 of z^t / sigma[t]
+    and the KS distance of z^t to N(0, sigma[t]^2).
+    """
+    rows = [[hermite_moment(z, k, sigma[t]) for k in range(1, 5)]
+            + [ks_statistic(z, sigma[t])]
+            for t, z in enumerate(trace.iterates[1:], start=1)]
+    return np.column_stack([successive_diff(trace), rows])
+
+
 @dataclass
 class ObservableReport:
     """Seed-averaged per-step observables of one experiment configuration.
 
     Arrays are indexed by t = 1..T (entry 0 is t = 1).  ``hermite`` has
     shape (T, 4) holding moments k = 1..4 of z^t standardized by sigma_t.
+    ``seed_tables`` holds each averaged trace's ``observable_table``.
     """
 
     ensemble: str
@@ -63,6 +76,7 @@ class ObservableReport:
     hermite: np.ndarray
     ks: np.ndarray
     params: dict = field(default_factory=dict)
+    seed_tables: list = field(default_factory=list)
 
     def __post_init__(self):
         expected = (self.T,)
@@ -89,25 +103,18 @@ def report_from_traces(traces, sigma, d_pred, *, beta=0.0, theta=0.0,
 
     ``sigma`` gives the standardizing scale per step (length T+1, from
     state evolution); ``d_pred`` the predicted successive differences.
+    The averages are the trace-order means of the ``observable_table``s.
     """
     first = traces[0]
-    T = first.T
-    sd = np.zeros(T)
-    herm = np.zeros((T, 4))
-    ks = np.zeros(T)
     for trace in traces:
-        if trace.T != T or trace.N != first.N:
+        if trace.T != first.T or trace.N != first.N:
             raise ValueError("traces have mismatched shapes")
-        sd += successive_diff(trace)
-        for t in range(1, T + 1):
-            z = trace.iterates[t]
-            for k in range(1, 5):
-                herm[t - 1, k - 1] += hermite_moment(z, k, sigma[t])
-            ks[t - 1] += ks_statistic(z, sigma[t])
-    count = len(traces)
-    return ObservableReport(first.ensemble_label, beta, theta, first.N, T,
-                            count, sd / count, np.asarray(d_pred, float),
-                            herm / count, ks / count, params or {})
+    tables = [observable_table(trace, sigma) for trace in traces]
+    mean = sum(tables) / len(tables)
+    return ObservableReport(first.ensemble_label, beta, theta, first.N,
+                            first.T, len(tables), mean[:, 0],
+                            np.asarray(d_pred, float), mean[:, 1:5],
+                            mean[:, 5], params or {}, tables)
 
 
 def universality_compare(reports) -> float:

@@ -19,7 +19,8 @@ here follows the classical two-stage route:
        g(z) = [tanh(theta + z)/(1 - q*) - z] / (beta - beta q*),
    which is divergence-free at scale sigma*, so the simple memory-free
    iteration applies and the state-evolution variance stays constant at
-   sigma*^2 for every step.
+   sigma*^2 for every step.  ``tap_residual`` measures how far the
+   magnetization m^t = tanh(theta 1 + z^t) is from the fixed point.
 
 Ensembles are looked up by name in ``ensembles.ENSEMBLES``, which gives
 each coupling's builder and limiting spectral law.  Couplings built with
@@ -31,7 +32,7 @@ of ``ensembles.centered_resolvent``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -217,11 +218,9 @@ def resolvent_operator(coupling: MatrixOperator,
 
 @dataclass
 class TapRunResult:
-    trace: AmpTrace
-    magnetization: list          # m^t = tanh(theta 1 + z^t), t = 0..T
-    tap_residual: list           # per-t squared fixed-point violation
+    trace: AmpTrace              # labelled with the ensemble name
     params: TapParameters
-    coupling: MatrixOperator = field(repr=False, default=None)
+    coupling: MatrixOperator = field(repr=False)
 
 
 def tap_residual(m: np.ndarray, coupling: MatrixOperator,
@@ -238,8 +237,9 @@ def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
     """Full TAP pipeline: solve parameters, build J and M(lambda*), iterate.
 
     The iteration is the simple memory-free run with f_t = g for all t and
-    z^0 ~ N(0, sigma*^2 I).  Magnetization iterates and TAP residuals are
-    recorded alongside the raw trace.
+    z^0 ~ N(0, sigma*^2 I); the trace is labelled with ``ensemble``.  No
+    TAP residual is computed: ``tap_residual(np.tanh(theta + z),
+    result.coupling, result.params)`` gives one for an iterate z.
     """
     if params is None:
         params = solve_q_star(beta, theta, ensemble_law(ensemble, phi))
@@ -248,9 +248,8 @@ def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
     g = g_nonlinearity(params)
     z0 = gaussian_init(n, np.sqrt(params.sigma_star_sq), seed)
     trace = run_amp(operator, [g] * T, z0, T, "simple", seed=seed)
-    magnetization = [np.tanh(theta + z) for z in trace.iterates]
-    residuals = [tap_residual(m, coupling, params) for m in magnetization]
-    return TapRunResult(trace, magnetization, residuals, params, coupling)
+    return TapRunResult(replace(trace, ensemble_label=ensemble), params,
+                        coupling)
 
 
 # ---------------------------------------------------------------------------

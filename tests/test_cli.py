@@ -45,6 +45,13 @@ class TestParsing:
                              dump_trace=True)
 
 
+def read_rows(path):
+    """(header, data rows) of a CSV written by the CLI, comments skipped."""
+    lines = [ln.split(",") for ln in path.read_text().splitlines()
+             if not ln.startswith("#")]
+    return lines[0], lines[1:]
+
+
 class TestRunExperiment:
     def test_simple_mode_writes_report_and_seed_files(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -118,6 +125,44 @@ class TestRunExperiment:
         assert float(record["succ_diff"]) == pytest.approx(
             report.succ_diff[0], rel=1e-15)
 
+    @pytest.mark.parametrize("mode", ["tap", "projected"])
+    def test_report_is_seed_order_mean_of_seed_files(self, tmp_path, mode):
+        out = tmp_path / "r.csv"
+        seeds = (3, 1, 2)
+        config = ExperimentConfig("signed-hadamard", N=256, T=3, seeds=seeds,
+                                  mode=mode, nonlinearity="square",
+                                  out=str(out), degree=24)
+        run_experiment(config)
+        header, rows = read_rows(out)
+        columns = ("succ_diff", "h1", "h2", "h3", "h4", "ks")
+        report = [[float(row[header.index(c)]) for c in columns]
+                  for row in rows]
+        per_seed = []
+        for seed in seeds:
+            seed_header, seed_rows = read_rows(tmp_path / f"r.seed{seed}.csv")
+            assert seed_header == ["t", "succ_diff", "hermite_m1",
+                                   "hermite_m2", "hermite_m3", "hermite_m4",
+                                   "ks_stat"]
+            per_seed.append([[float(x) for x in row[1:]] for row in seed_rows])
+        for t, report_row in enumerate(report):
+            for j, value in enumerate(report_row):
+                total = 0.0
+                for table in per_seed:
+                    total += table[t][j]
+                assert value == total / len(seeds)
+
+    def test_tap_report_names_the_ensemble_given(self, tmp_path):
+        out = tmp_path / "sk.csv"
+        rc = main(["tap", "--ensemble", "sk", "--N", "128", "--T", "2",
+                   "--seeds", "1..2", "--out", str(out)])
+        assert rc == 0
+        header, rows = read_rows(out)
+        assert {row[header.index("ensemble")] for row in rows} == {"sk"}
+        assert "# ensemble=sk " in out.read_text()
+        for seed in (1, 2):
+            first = (tmp_path / f"sk.seed{seed}.csv").read_text().splitlines()[0]
+            assert f"# seed={seed} ensemble=sk " in first
+
     def test_trace_dump_gated(self, tmp_path):
         out = tmp_path / "tr.csv"
         config = ExperimentConfig("signed-sine", N=64, T=2, seeds=(1,),
@@ -183,7 +228,10 @@ class TestMainEntry:
         ("wigner-resolvent", "lambda="),
         ("wishart-resolvent:lambda=4.5", "phi="),
         ("sign-perm:base=hadamard", "spectrum="),
-    ], ids=["unknown", "no-lambda", "no-phi", "no-spectrum"])
+        ("wishart-resolvent:phi=abc,lambda=4.5", "phi='abc' is not a finite"),
+        ("wigner-resolvent:lambda=inf", "lambda='inf' is not a finite"),
+    ], ids=["unknown", "no-lambda", "no-phi", "no-spectrum", "phi-not-number",
+            "lambda-infinite"])
     def test_error_record_on_stderr(self, capsys, spec, named):
         rc = main(["run", "--ensemble", spec, "--N", "64",
                    "--T", "2", "--seeds", "1"])

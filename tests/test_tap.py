@@ -3,14 +3,16 @@ import pytest
 from scipy.integrate import quad
 
 from amplab.cli import _build_parser
-from amplab.ensembles import ENSEMBLES, hutchinson_trace_square
+from amplab import tap
+from amplab.ensembles import ENSEMBLES, MatrixOperator, hutchinson_trace_square
 from amplab.errors import ConvergenceError
 from amplab.hermite import gaussian_expectation
 from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, resolvent_variance
 from amplab.tap import (build_coupling, ensemble_law, g_nonlinearity,
                         gauge_conjugate, resolvent_operator,
-                        run_field_iteration, run_tap_amp, solve_q_star)
+                        run_field_iteration, run_tap_amp, solve_q_star,
+                        tap_residual)
 
 RADEMACHER = SpectralLaw.rademacher()
 
@@ -118,20 +120,50 @@ class TestGNonlinearity:
         assert g.eval(0.0) == pytest.approx(want, rel=1e-12)
 
 
+def magnetization(result, t):
+    return np.tanh(result.params.theta + result.trace.iterates[t])
+
+
 class TestRunTapAmp:
     def test_magnetization_strictly_inside_cube(self):
         result = run_tap_amp("signed-sine", 2.0, 2.0, 512, 5, seed=1)
-        for m in result.magnetization:
-            assert np.all(np.abs(m) < 1.0)
+        for t in range(result.trace.T + 1):
+            assert np.all(np.abs(magnetization(result, t)) < 1.0)
 
     def test_residual_decreases_from_first_step(self):
         # seed-averaged trend: the iteration approaches a TAP solution
         first, last = 0.0, 0.0
         for seed in range(1, 9):
             result = run_tap_amp("signed-sine", 2.0, 2.0, 1024, 10, seed=seed)
-            first += result.tap_residual[1]
-            last += result.tap_residual[10]
+            first += tap_residual(magnetization(result, 1), result.coupling,
+                                  result.params)
+            last += tap_residual(magnetization(result, 10), result.coupling,
+                                 result.params)
         assert last <= first
+
+    def test_one_coupling_matvec_per_step(self, monkeypatch):
+        calls = []
+
+        def counting_build(ensemble, n, seed, phi=1.0):
+            j = build_coupling(ensemble, n, seed, phi)
+
+            def apply(v):
+                calls.append(v.shape)
+                return j.matvec(v)
+
+            return MatrixOperator(j.dim, apply, j.sigma_psi_sq, j.label,
+                                  seed=j.seed, trace=j.trace,
+                                  involution=j.involution)
+
+        monkeypatch.setattr(tap, "build_coupling", counting_build)
+        result = run_tap_amp("signed-sine", 2.0, 2.0, 256, 6, seed=1)
+        assert result.trace.T == 6
+        assert len(calls) == 6
+
+    def test_trace_carries_the_ensemble_name(self):
+        params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
+        result = run_tap_amp("sk", 0.8, 1.0, 64, 2, seed=5, params=params)
+        assert result.trace.ensemble_label == "sk"
 
     def test_involution_and_cg_paths_agree(self):
         params = solve_q_star(2.0, 2.0, RADEMACHER)
@@ -155,7 +187,7 @@ class TestRunTapAmp:
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
         result = run_tap_amp("sk", 0.8, 1.0, 256, 3, seed=5, params=params)
         assert result.trace.T == 3
-        assert np.all(np.abs(result.magnetization[-1]) < 1.0)
+        assert np.all(np.abs(magnetization(result, 3)) < 1.0)
 
     def test_hopfield_small_run(self):
         law = SpectralLaw.marchenko_pastur(1.0)
@@ -163,7 +195,7 @@ class TestRunTapAmp:
         result = run_tap_amp("hopfield", 0.6, 1.0, 256, 3, seed=6,
                              params=params)
         assert result.trace.T == 3
-        assert np.all(np.abs(result.magnetization[-1]) < 1.0)
+        assert np.all(np.abs(magnetization(result, 3)) < 1.0)
 
     def test_unknown_ensemble(self):
         with pytest.raises(ValueError, match="ensemble"):

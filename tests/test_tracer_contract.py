@@ -1,0 +1,32 @@
+"""The benchmark tracer wraps amplab functions by (module, name).
+
+A wrapped name that is renamed or removed turns the per-layer metrics
+derived from it into ``null``; this test catches that in tier 1, without
+running the benchmark.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("amplab_bench_tracer",
+                                                  TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("module_name, attr", load_tracer().WRAPPED,
+                         ids=lambda value: value)
+def test_wrapped_name_is_a_module_function(module_name, attr):
+    module = importlib.import_module(f"amplab.{module_name}")
+    fn = getattr(module, attr, None)
+    assert callable(fn), f"amplab.{module_name}.{attr} is gone"
+    inspect.signature(fn)  # the tracer binds arguments through it
