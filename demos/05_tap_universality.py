@@ -35,6 +35,9 @@ for beta in (2.0, 4.0):
             result = run_tap_amp(ens, beta, 2.0, N, T, seed, params=params)
             acc += successive_diff(result.trace)
         curves[ens] = acc / len(SEEDS)
+        # On random-orthogonal the residual of m^10 depends on the vectors
+        # queried before it: the lazy Haar store reveals U in query order,
+        # so computing m^1's residual first changes the digits of m^10's.
         residual[ens] = [tap_residual(np.tanh(2.0 + result.trace.iterates[t]),
                                       result.coupling, params)
                          for t in (1, T)]

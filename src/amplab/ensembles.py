@@ -103,21 +103,39 @@ def fwht(v: np.ndarray) -> np.ndarray:
 
     Length must be a power of two.  Operates along axis 0, so (N,) vectors
     and (N, K) column blocks both work.
+
+    Levels h = 1, 2, 4, ... alternate between two buffers.  With i = r b + s
+    and b = 2^floor(log2 N / 2), the levels h < b run on the (b, N/b)
+    transpose and the rest on the (N/b, b) layout: every butterfly adds
+    contiguous rows.
     """
     a = np.asarray(v, dtype=np.float64)
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
-    shape = a.shape
-    a = a.reshape(n, -1).copy()
+    b = 1 << ((n.bit_length() - 1) // 2)
+    r, k = n // b, a.size // n
+    src = a.reshape(r, b, k).transpose(1, 0, 2).copy()  # C order, never a view
+    dst = np.empty_like(src)
+    src, dst = _butterflies(src.reshape(b, -1), dst.reshape(b, -1))
+    dst.reshape(r, b, k)[...] = src.reshape(b, r, k).transpose(1, 0, 2)
+    src, dst = _butterflies(dst.reshape(r, -1), src.reshape(r, -1))
+    src /= np.sqrt(n)
+    return src.reshape(a.shape)
+
+
+def _butterflies(src, dst):
+    # Radix-2 levels h = 1, 2, 4, ... pairing rows of src, alternating
+    # between the two buffers; returns (result, spare buffer).
     h = 1
-    while h < n:
-        a = a.reshape(n // (2 * h), 2, h, -1)
-        top = a[:, 0] + a[:, 1]
-        bot = a[:, 0] - a[:, 1]
-        a = np.stack((top, bot), axis=1).reshape(n, -1)
+    while h < src.shape[0]:
+        x = src.reshape(-1, 2, h, src.shape[1])
+        y = dst.reshape(x.shape)
+        np.add(x[:, 0], x[:, 1], out=y[:, 0])
+        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
+        src, dst = dst, src
         h *= 2
-    return (a / np.sqrt(n)).reshape(shape)
+    return src, dst
 
 
 def dst_matvec(v: np.ndarray, method: str = "direct") -> np.ndarray:
@@ -133,11 +151,13 @@ def dst_matvec(v: np.ndarray, method: str = "direct") -> np.ndarray:
     n = a.shape[0]
     length = 2 * n + 1
     if method == "fft":
+        import scipy.fft  # here, not at module level: `amplab se` never needs it
         w = np.zeros((length,) + a.shape[1:], dtype=np.float64)
         w[1:n + 1] = a
         w[n + 1:] = -a[::-1]
-        # odd extension: hat(w)_k = -2i sum_j sin(2 pi k j / L) v_j
-        spec = np.fft.rfft(w, axis=0)
+        # odd extension: hat(w)_k = -2i sum_j sin(2 pi k j / L) v_j;
+        # scipy.fft caches the plan of this odd length across calls
+        spec = scipy.fft.rfft(w, axis=0)
         return -spec.imag[1:] / np.sqrt(length)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
@@ -214,8 +234,17 @@ class _LazyHaar:
         self.dim = dim
         self.rng = rng
         self.cap = max_directions
-        self.q = np.zeros((0, dim))
-        self.p = np.zeros((0, dim))
+        self._count = 0
+        self._q = np.zeros((0, dim))
+        self._p = np.zeros((0, dim))
+
+    @property
+    def q(self):  # (k, dim): the revealed q_i as rows
+        return self._q[:self._count]
+
+    @property
+    def p(self):  # (k, dim): their images p_i = U q_i
+        return self._p[:self._count]
 
     def _fresh(self, basis):
         # Gaussian direction orthogonalized against `basis` rows (twice).
@@ -228,7 +257,7 @@ class _LazyHaar:
                 return g / norm
         raise NumericError("could not draw a fresh orthogonal direction")
 
-    def _apply(self, v, src, dst, grow):
+    def _apply(self, v, src, dst, forward):
         a1 = src @ v
         resid = v - src.T @ a1
         a2 = src @ resid
@@ -236,28 +265,33 @@ class _LazyHaar:
         out = dst.T @ (a1 + a2)
         rnorm = np.linalg.norm(resid)
         if rnorm > self._DROP * np.linalg.norm(v):
-            if self.q.shape[0] >= self.cap:
+            if self._count >= self.cap:
                 raise ResourceError(
                     f"lazy Haar store exceeded {self.cap} directions")
             new_src = resid / rnorm
             new_dst = self._fresh(dst)
-            grow(new_src, new_dst)
+            if forward:
+                self._append(new_src, new_dst)
+            else:
+                self._append(new_dst, new_src)
             out += rnorm * new_dst
         return out
 
     def forward(self, v):  # U v
-        return self._apply(v, self.q, self.p, self._grow_qp)
+        return self._apply(v, self.q, self.p, True)
 
     def backward(self, w):  # U^T w
-        return self._apply(w, self.p, self.q, self._grow_pq)
+        return self._apply(w, self.p, self.q, False)
 
-    def _grow_qp(self, qn, pn):
-        self.q = np.vstack([self.q, qn])
-        self.p = np.vstack([self.p, pn])
-
-    def _grow_pq(self, pn, qn):
-        self.q = np.vstack([self.q, qn])
-        self.p = np.vstack([self.p, pn])
+    def _append(self, qn, pn):
+        k = self._count
+        if k == self._q.shape[0]:  # full: 16 rows, then doubling, up to the cap
+            rows = min(self.cap, max(16, 2 * k))
+            q, p = self._q, self._p
+            self._q, self._p = np.empty((rows, self.dim)), np.empty((rows, self.dim))
+            self._q[:k], self._p[:k] = q, p
+        self._q[k], self._p[k] = qn, pn
+        self._count = k + 1
 
 
 def build_random_orthogonal(n: int, seed: int, *,
@@ -271,6 +305,9 @@ def build_random_orthogonal(n: int, seed: int, *,
     this is the single operator that is not re-entrant during a matvec.
     A column block is applied one column at a time, in order, so it
     reveals the same directions in the same order as separate matvecs.
+    The matvec of a vector outside the revealed span therefore depends on
+    the vectors queried before it: the same v gives a different (equally
+    Haar-distributed) image after a different query history.
     """
     basis = _LazyHaar(n, substream(seed, "haar"), max_directions)
     lam = rademacher(substream(seed, "spectrum"), n)

@@ -34,45 +34,53 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import DegreeOverflowError, NumericError
 
-# Highest Hermite degree served by hermite_eval.  The unit-norm recurrence
+# Highest Hermite degree served by hermite_sequence.  The unit-norm recurrence
 # is stable far beyond this; the cap exists to catch runaway callers.
 MAX_DEGREE = 64
 
 MAX_QUAD_ORDER = 256
 
 
+def hermite_sequence(max_degree: int, x):
+    """Yield H_0(x), H_1(x), ..., H_max_degree(x) in one recurrence pass.
+
+    Uses the normalized three-term recurrence
+    H_{k+1} = (x H_k - sqrt(k) H_{k-1}) / sqrt(k+1), which keeps every
+    intermediate at unit Gaussian norm.  Only the last two values are kept;
+    H_1 is ``x`` itself (as float64), so callers must not modify it.
+    """
+    if max_degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {max_degree}")
+    if max_degree > MAX_DEGREE:
+        raise DegreeOverflowError(f"degree {max_degree} exceeds cap {MAX_DEGREE}")
+    x = np.asarray(x, dtype=np.float64)
+    h_prev = np.ones_like(x)
+    yield h_prev
+    if max_degree == 0:
+        return
+    h = x
+    yield h
+    for j in range(1, max_degree):
+        h, h_prev = (x * h - np.sqrt(j) * h_prev) / np.sqrt(j + 1), h
+        yield h
+
+
 def hermite_eval(k: int, x):
     """Evaluate the degree-``k`` unit-norm Hermite polynomial.
 
-    Accepts scalars or arrays.  Uses the normalized three-term recurrence
-    H_{k+1} = (x H_k - sqrt(k) H_{k-1}) / sqrt(k+1), which keeps every
-    intermediate at unit Gaussian norm.
+    Accepts scalars or arrays; an array result is a new array.
     """
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    if k > MAX_DEGREE:
-        raise DegreeOverflowError(f"degree {k} exceeds cap {MAX_DEGREE}")
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for j in range(1, k):
-        h, h_prev = (x * h - np.sqrt(j) * h_prev) / np.sqrt(j + 1), h
+    for h in hermite_sequence(k, np.array(x, dtype=np.float64)):
+        pass
     return h if h.ndim else float(h)
 
 
 def hermite_all(max_degree: int, x: np.ndarray) -> np.ndarray:
     """Stack H_0..H_max_degree evaluated at ``x`` (shape (deg+1, len(x)))."""
-    if max_degree > MAX_DEGREE:
-        raise DegreeOverflowError(f"degree {max_degree} exceeds cap {MAX_DEGREE}")
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((max_degree + 1,) + x.shape)
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = x
-    for k in range(1, max_degree):
-        out[k + 1] = (x * out[k] - np.sqrt(k) * out[k - 1]) / np.sqrt(k + 1)
+    for k, h in enumerate(hermite_sequence(max_degree, x)):
+        out[k] = h
     return out
 
 

@@ -10,12 +10,12 @@ evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
-from scipy.special import ndtr
 
 from .amp import AmpTrace
-from .hermite import hermite_eval
+from .hermite import hermite_eval, hermite_sequence
 
 
 def successive_diff(trace: AmpTrace) -> np.ndarray:
@@ -34,6 +34,7 @@ def hermite_moment(v: np.ndarray, k: int, sigma: float) -> float:
 
 def ks_statistic(v: np.ndarray, sigma: float) -> float:
     """Exact sup distance between the empirical CDF of v and N(0, sigma^2)."""
+    from scipy.special import ndtr  # here: `amplab se` never loads scipy.special
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.sort(np.asarray(v, dtype=np.float64))
@@ -48,11 +49,16 @@ def observable_table(trace: AmpTrace, sigma) -> np.ndarray:
     """Per-step observables of one trace as a (T, 6) array.
 
     Row t-1 holds succ_diff, the Hermite moments k = 1..4 of z^t / sigma[t]
-    and the KS distance of z^t to N(0, sigma[t]^2).
+    and the KS distance of z^t to N(0, sigma[t]^2).  The four moments come
+    from one pass of the Hermite recurrence per step; each equals
+    ``hermite_moment(z, k, sigma[t])`` bit for bit.
     """
-    rows = [[hermite_moment(z, k, sigma[t]) for k in range(1, 5)]
-            + [ks_statistic(z, sigma[t])]
-            for t, z in enumerate(trace.iterates[1:], start=1)]
+    rows = []
+    for t, z in enumerate(trace.iterates[1:], start=1):
+        if sigma[t] <= 0:
+            raise ValueError(f"sigma must be positive, got {sigma[t]}")
+        hs = islice(hermite_sequence(4, np.asarray(z) / sigma[t]), 1, None)
+        rows.append([float(np.mean(h)) for h in hs] + [ks_statistic(z, sigma[t])])
     return np.column_stack([successive_diff(trace), rows])
 
 

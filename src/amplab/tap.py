@@ -225,7 +225,12 @@ class TapRunResult:
 
 def tap_residual(m: np.ndarray, coupling: MatrixOperator,
                  params: TapParameters) -> float:
-    """(1/N) || m - tanh(theta 1 + beta J m - beta R(beta - beta q*) m) ||^2."""
+    """(1/N) || m - tanh(theta 1 + beta J m - beta R(beta - beta q*) m) ||^2.
+
+    On a random-orthogonal coupling the value depends on the vectors the
+    coupling was applied to before m: its lazy Haar store reveals U in
+    query order (see ``ensembles.build_random_orthogonal``).
+    """
     rhs = np.tanh(params.theta + params.beta * coupling.matvec(m)
                   - params.r_shift * m)
     return float(np.mean((m - rhs) ** 2))

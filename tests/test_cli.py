@@ -278,6 +278,17 @@ class TestMainEntry:
         record = json.loads(capsys.readouterr().err.strip())
         assert "zero variance" in record["message"]
 
+    def test_import_loads_neither_fft_nor_special(self):
+        # `amplab se` only imports amplab.cli; the sine FFT and the KS CDF
+        # load their scipy modules on first use
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import amplab.cli, sys; print(sorted({'scipy.fft', "
+             "'scipy.special'} & set(sys.modules)))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_console_script_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "amplab.cli", "se", "--preset", "plain",

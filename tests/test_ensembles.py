@@ -34,7 +34,31 @@ def assert_linear_symmetric(op, seed=0, pairs=16):
         assert sym / max(abs(u @ op.matvec(v)), 1.0) < 1e-10
 
 
+def radix2_fwht(v):
+    # the per-level reference: stack the butterfly halves at every level
+    a = np.asarray(v, dtype=np.float64)
+    n, shape = a.shape[0], a.shape
+    a = a.reshape(n, -1).copy()
+    h = 1
+    while h < n:
+        a = a.reshape(n // (2 * h), 2, h, -1)
+        a = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]),
+                     axis=1).reshape(n, -1)
+        h *= 2
+    return (a / np.sqrt(n)).reshape(shape)
+
+
 class TestFwht:
+    @pytest.mark.parametrize("log2n", range(1, 15))
+    def test_bit_identical_to_radix2_reference(self, log2n):
+        rng = np.random.default_rng(log2n)
+        n = 2 ** log2n
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                  rng.standard_normal((n, 3))[:, 1]):
+            before = v.copy()
+            assert np.array_equal(fwht(v), radix2_fwht(v))
+            assert np.array_equal(v, before)
+
     def test_first_basis_vector(self):
         e1 = np.zeros(4)
         e1[0] = 1.0
@@ -73,6 +97,13 @@ class TestDst:
     def test_involution_at_512(self):
         v = np.random.default_rng(4).standard_normal(512)
         np.testing.assert_allclose(dst_matvec(dst_matvec(v)), v, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [511, 512, 1001])
+    def test_fft_block_equals_its_columns(self, n):
+        block = np.random.default_rng(n).standard_normal((n, 3))
+        cols = np.stack([dst_matvec(block[:, k], "fft") for k in range(3)],
+                        axis=1)
+        assert np.array_equal(dst_matvec(block, "fft"), cols)
 
     def test_norm_preserved(self):
         v = np.random.default_rng(5).standard_normal(512)
@@ -167,6 +198,29 @@ class TestRandomOrthogonal:
         with pytest.raises(ResourceError):
             for _ in range(8):
                 op.matvec(rng.standard_normal(64))
+
+    def test_exactly_cap_directions_accepted(self):
+        basis = build_random_orthogonal(64, seed=4, max_directions=5).haar_basis
+        rng = np.random.default_rng(17)
+        for k in range(1, 6):
+            basis.forward(rng.standard_normal(64))
+            assert basis.q.shape[0] == basis.p.shape[0] == k
+        with pytest.raises(ResourceError):
+            basis.forward(rng.standard_normal(64))
+        assert basis.q.shape[0] == 5
+
+    def test_store_grows_past_first_buffer(self):
+        basis = build_random_orthogonal(512, seed=7).haar_basis
+        rng = np.random.default_rng(18)
+        for k in range(1, 41):
+            (basis.forward if k % 2 else basis.backward)(
+                rng.standard_normal(512))
+            assert basis.q.shape == basis.p.shape == (k, 512)
+        for rows in (basis.q, basis.p):
+            np.testing.assert_allclose(rows @ rows.T, np.eye(40), atol=1e-12)
+        np.testing.assert_allclose(basis.forward(basis.q[25]), basis.p[25],
+                                   atol=1e-12)
+        assert basis.q.shape[0] == 40  # a stored direction reveals nothing
 
     def test_reproducible(self):
         v = np.random.default_rng(16).standard_normal(128)

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from amplab.errors import DegreeOverflowError, NumericError
 from amplab.hermite import (HermiteSeries, bivariate_gaussian_moment,
                             gauss_hermite_rule, gaussian_expectation,
-                            hermite_all, hermite_coefficients, hermite_eval)
+                            hermite_all, hermite_coefficients, hermite_eval,
+                            hermite_sequence)
 
 
 def gaussian_quad(f, lo=-12.0, hi=12.0):
@@ -35,6 +36,20 @@ class TestHermiteEval:
                                    atol=1e-13)
         np.testing.assert_allclose(hermite_eval(3, z), (z**3 - 3*z) / np.sqrt(6),
                                    atol=1e-13)
+
+    def test_one_recurrence_serves_eval_and_all(self):
+        x = np.random.default_rng(0).standard_normal(257)
+        table = hermite_all(10, x)
+        seq = list(hermite_sequence(10, x))
+        assert len(seq) == 11
+        for k in range(11):
+            assert np.array_equal(hermite_eval(k, x), table[k])
+            assert np.array_equal(seq[k], table[k])
+
+    def test_eval_returns_a_new_array(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        hermite_eval(1, x)[:] = 0.0
+        assert x[0] == -1.0
 
     def test_degree_cap(self):
         with pytest.raises(DegreeOverflowError):

@@ -3,8 +3,8 @@ import pytest
 
 from amplab.amp import AmpTrace
 from amplab.metrics import (ObservableReport, hermite_moment, ks_statistic,
-                            report_from_traces, successive_diff,
-                            universality_compare)
+                            observable_table, report_from_traces,
+                            successive_diff, universality_compare)
 
 
 def make_trace(iterates, seed=0, label="test"):
@@ -93,6 +93,25 @@ def small_report(label="a", seed_base=0, n=256, t_max=3):
     sigma = np.ones(t_max + 1)
     d = 2.0 * np.ones(t_max)
     return report_from_traces(traces, sigma, d, beta=2.0, theta=2.0)
+
+
+class TestObservableTable:
+    def test_equals_the_per_observable_functions_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        trace = make_trace(list(rng.standard_normal((5, 4096))
+                                * np.array([[1.0], [1.3], [0.7], [2.1], [1.1]])))
+        sigma = np.array([1.0, 1.2, 0.8, 2.0, 1.05])
+        expected = np.column_stack(
+            [successive_diff(trace),
+             [[hermite_moment(z, k, sigma[t]) for k in range(1, 5)]
+              + [ks_statistic(z, sigma[t])]
+              for t, z in enumerate(trace.iterates[1:], start=1)]])
+        assert np.array_equal(observable_table(trace, sigma), expected)
+
+    def test_requires_positive_sigma(self):
+        trace = make_trace(list(np.random.default_rng(7).standard_normal((3, 64))))
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            observable_table(trace, np.array([1.0, 1.0, 0.0]))
 
 
 class TestReports:

@@ -10,7 +10,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from amplab.amp import gaussian_init, run_amp
+from amplab.ensembles import build_random_orthogonal
+from amplab.state_evolution import Nonlinearity
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
 
@@ -30,3 +35,14 @@ def test_wrapped_name_is_a_module_function(module_name, attr):
     fn = getattr(module, attr, None)
     assert callable(fn), f"amplab.{module_name}.{attr} is gone"
     inspect.signature(fn)  # the tracer binds arguments through it
+
+
+def test_run_amp_counts_reads_the_haar_store():
+    # the tracer's haar_directions count reads the lazy store's q rows
+    op = build_random_orthogonal(256, seed=3)
+    T = 4
+    trace = run_amp(op, [Nonlinearity(np.tanh, "tanh")] * T,
+                    gaussian_init(256, 1.0, 3), T, "simple", seed=3)
+    counts = load_tracer()._run_amp_counts((op,), {}, trace)
+    assert counts["steps"] == T
+    assert counts["haar_directions"] == op.haar_basis.q.shape[0] == 2 * T
