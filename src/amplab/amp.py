@@ -1,4 +1,4 @@
-"""The memory-free iteration itself, with full trace recording.
+"""The memory-free iteration itself.
 
 Two modes:
 
@@ -9,8 +9,12 @@ Two modes:
                 which removes the linear component in-sample and needs no
                 divergence-free assumption.
 
-Traces keep every iterate (T <= 32 and N <= 65536 stay under ~16 MB), and
-all standardization constants for downstream metrics come from state
+Given the state-evolution scales sigma_0..sigma_T, a run fills each
+step's observable row (``metrics.observable_row``) as soon as z^t exists
+and keeps only z^{t-1} and z^t alive; its trace carries the (T, 6) table
+and z^T.  Without them it keeps all T+1 iterates (88 MB at N = 2^20,
+T = 10) for the callers that read them: tests, demos, the field iteration
+and trace dumps.  Standardization constants always come from state
 evolution, never from in-loop estimates.
 """
 
@@ -23,6 +27,7 @@ import numpy as np
 
 from .ensembles import MatrixOperator
 from .errors import NumericError
+from .metrics import observable_row
 from .rng import substream
 from .state_evolution import Nonlinearity
 
@@ -31,13 +36,18 @@ MODES = ("simple", "projected")
 
 @dataclass
 class AmpTrace:
+    """One run: ``iterates`` is z^0..z^T and ``table`` None, or, for a run
+    given sigma, ``iterates`` is [z^T] and ``table`` its (T, 6) rows
+    ``metrics.observable_row(z^{t-1}, z^t, sigma[t])``."""
+
     N: int
     T: int
-    iterates: list            # z^0 .. z^T
+    iterates: list
     mode: str
     seed: int
     ensemble_label: str
     alphas: list = field(default_factory=list)  # projected mode only
+    table: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -61,12 +71,17 @@ def _check_finite(z: np.ndarray, t: int):
 
 def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
             z0: np.ndarray, T: int, mode: str = "simple",
-            *, seed: int = -1) -> AmpTrace:
-    """Run T steps from z0 and record every iterate.
+            *, seed: int = -1, sigma=None) -> AmpTrace:
+    """Run T steps from z0.
 
     ``nonlins[t]`` is applied at step t+1 and must be present for all
     t < T.  In projected mode the per-step coefficient alpha_t is recorded;
     a zero-norm iterate there is an error (the projection is undefined).
+
+    Without ``sigma`` the trace keeps every iterate.  With ``sigma`` (the
+    scales sigma_0..sigma_T) it keeps z^T and the observable table, filled
+    step by step; both forms make the same operator queries in the same
+    order and give the same z^T bit for bit.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -74,14 +89,19 @@ def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
         raise ValueError(f"T must be >= 1, got {T}")
     if len(nonlins) < T:
         raise ValueError(f"need {T} nonlinearities, got {len(nonlins)}")
+    if sigma is not None and len(sigma) < T + 1:
+        raise ValueError(f"need sigma_0..sigma_T ({T + 1} values), "
+                         f"got {len(sigma)}")
     z = np.asarray(z0, dtype=np.float64)
+    del z0  # with sigma, z^0 is freed after step 1 unless the caller holds it
     if z.shape != (op.dim,):
         raise ValueError(f"z0 has shape {z.shape}, operator dim is {op.dim}")
     _check_finite(z, 0)
 
-    iterates = [z.copy()]
-    alphas = []
+    iterates = [z.copy()] if sigma is None else None
+    alphas, rows = [], []
     for t in range(T):
+        prev = z
         fz = np.asarray(nonlins[t].eval(z), dtype=np.float64)
         if mode == "projected":
             norm_sq = float(z @ z)
@@ -92,6 +112,13 @@ def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
             alphas.append(alpha)
             fz = fz - alpha * z
         z = op.matvec(fz)
+        del fz  # not needed while the row is computed
         _check_finite(z, t + 1)
-        iterates.append(z.copy())
-    return AmpTrace(op.dim, T, iterates, mode, seed, op.label, alphas)
+        if sigma is None:
+            iterates.append(z.copy())
+        else:
+            rows.append(observable_row(prev, z, sigma[t + 1]))
+    if sigma is None:
+        return AmpTrace(op.dim, T, iterates, mode, seed, op.label, alphas)
+    return AmpTrace(op.dim, T, [z], mode, seed, op.label, alphas,
+                    np.array(rows))

@@ -116,10 +116,10 @@ def _tap_experiment(config: ExperimentConfig):
     params, se = _tap_prediction(config.ensemble, config.beta, config.theta,
                                  config.phi, config.T, config.degree)
 
-    def one_seed(seed):
+    def one_seed(seed, sigma):
         return tap.run_tap_amp(config.ensemble, config.beta, config.theta,
                                config.N, config.T, seed, phi=config.phi,
-                               params=params).trace
+                               params=params, sigma=sigma).trace
 
     header = {key: getattr(params, key) for key in (
         "beta", "theta", "q_star", "sigma_star_sq", "lambda_star",
@@ -149,15 +149,22 @@ def _plain_experiment(config: ExperimentConfig):
     else:
         nonlins = [base] * config.T
 
-    def one_seed(seed):
-        op = (sample_op if seed == config.seeds[0]
-              else ensembles.operator_from_spec(config.ensemble, config.N, seed))
-        z0 = amp.gaussian_init(config.N, np.sqrt(config.sigma0_sq), seed)
-        return amp.run_amp(op, nonlins, z0, config.T, config.mode, seed=seed)
-
     header = {"nonlinearity": config.nonlinearity, "mode": config.mode,
               "sigma0_sq": config.sigma0_sq,
               "sigma_psi_sq": sample_op.sigma_psi_sq}
+    # the first seed's operator is handed over once and then dropped, so a
+    # lazy Haar store does not stay resident while later seeds run
+    built = {config.seeds[0]: sample_op}
+
+    def one_seed(seed, sigma):
+        op = built.pop(seed, None)
+        if op is None:
+            op = ensembles.operator_from_spec(config.ensemble, config.N, seed)
+        return amp.run_amp(
+            op, nonlins,
+            amp.gaussian_init(config.N, np.sqrt(config.sigma0_sq), seed),
+            config.T, config.mode, seed=seed, sigma=sigma)
+
     return se, one_seed, header
 
 
@@ -170,12 +177,18 @@ def _run_seeds(fn, seeds):
 
 
 def run_experiment(config: ExperimentConfig):
-    """Build, solve, run all seeds, write the report's CSVs.  Returns it."""
+    """Build, solve, run all seeds, write the report's CSVs.  Returns it.
+
+    Each seed's observables are filled inside its run, which keeps z^T
+    only; a trace dump instead keeps every iterate and builds them after.
+    """
     pipeline = _tap_experiment if config.mode == "tap" else _plain_experiment
     se, one_seed, header = pipeline(config)
-    traces = _run_seeds(one_seed, config.seeds)
+    sigma = np.sqrt(se.sigma_sq)
+    in_loop = None if config.dump_trace else sigma
+    traces = _run_seeds(lambda seed: one_seed(seed, in_loop), config.seeds)
     report = metrics.report_from_traces(
-        traces, np.sqrt(se.sigma_sq), se.succ_diff_prediction(),
+        traces, sigma, se.succ_diff_prediction(),
         beta=config.beta, theta=config.theta,
         params={**header, "seed": _format_seeds(config.seeds)})
     if config.out:

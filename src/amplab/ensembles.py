@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, lapack
 
 from .errors import NumericError, ResourceError
 from .rng import rademacher, substream
@@ -312,10 +311,16 @@ def build_random_orthogonal(n: int, seed: int, *,
     basis = _LazyHaar(n, substream(seed, "haar"), max_directions)
     lam = rademacher(substream(seed, "spectrum"), n)
 
+    def apply_one(v):
+        return basis.forward(lam * basis.backward(v))
+
+    # apply is not recursive: a closure over itself is a reference cycle,
+    # which would keep the store alive until the cyclic collector runs
     def apply(v):
         if v.ndim == 2:
-            return np.stack([apply(v[:, k]) for k in range(v.shape[1])], axis=1)
-        return basis.forward(lam * basis.backward(v))
+            return np.stack([apply_one(v[:, k]) for k in range(v.shape[1])],
+                            axis=1)
+        return apply_one(v)
 
     return MatrixOperator(n, apply, 1.0, "random-orthogonal", seed=seed,
                           trace=float(lam.sum()), involution=True,
@@ -523,6 +528,8 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     supplied by the caller (closed form or algebraic identity for the law
     at hand).
     """
+    # here, not at module level: `amplab se` never loads scipy.linalg
+    from scipy.linalg import LinAlgError, cho_factor, lapack
     n = j_op.dim
     shifted = -dense_form(j_op)
     shifted[np.diag_indices(n)] += lam

@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DegreeOverflowError, NumericError
 
@@ -86,6 +85,7 @@ def hermite_all(max_degree: int, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _gauss_hermite_cached(n: int):
+    from scipy.linalg import eigh_tridiagonal  # `amplab se` never needs it
     if n == 1:
         return np.zeros(1), np.ones(1)
     # Golub-Welsch: Jacobi matrix of the unit-norm recurrence is symmetric

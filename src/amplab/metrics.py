@@ -5,23 +5,41 @@ entries (permutation invariant): successive squared differences, Hermite
 moments of standardized entries, and the Kolmogorov-Smirnov distance to
 the predicted Gaussian.  The standardizing sigma_t always comes from state
 evolution.
+
+``observable_row`` is the one per-step computation: ``amp.run_amp`` calls
+it inside the loop when given sigma, and ``observable_table`` calls it on
+a trace that kept every iterate, so both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .amp import AmpTrace
 from .hermite import hermite_eval, hermite_sequence
+
+if TYPE_CHECKING:  # amp imports this module for its in-loop rows
+    from .amp import AmpTrace
+
+
+def _stored_iterates(trace: AmpTrace) -> list:
+    if len(trace.iterates) != trace.T + 1:
+        raise ValueError("the trace kept only z^T (run_amp was given sigma); "
+                         "its observables are in trace.table")
+    return trace.iterates
+
+
+def _mean_sq_diff(prev: np.ndarray, z: np.ndarray) -> float:
+    return float(np.mean((z - prev) ** 2))
 
 
 def successive_diff(trace: AmpTrace) -> np.ndarray:
-    """||z^t - z^{t-1}||^2 / N for t = 1..T."""
-    its = trace.iterates
-    return np.array([float(np.mean((its[t] - its[t - 1]) ** 2))
+    """||z^t - z^{t-1}||^2 / N for t = 1..T of a trace with every iterate."""
+    its = _stored_iterates(trace)
+    return np.array([_mean_sq_diff(its[t - 1], its[t])
                      for t in range(1, trace.T + 1)])
 
 
@@ -37,29 +55,41 @@ def ks_statistic(v: np.ndarray, sigma: float) -> float:
     from scipy.special import ndtr  # here: `amplab se` never loads scipy.special
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    x = np.sort(np.asarray(v, dtype=np.float64))
-    n = x.size
-    cdf = ndtr(x / sigma)
-    upper = np.max(np.arange(1, n + 1) / n - cdf)
-    lower = np.max(cdf - np.arange(0, n) / n)
-    return float(max(upper, lower))
+    cdf = np.sort(np.asarray(v, dtype=np.float64))
+    cdf /= sigma
+    ndtr(cdf, out=cdf)
+    # one grid i/n for i = 1..n; the lower gaps use i/n for i = 0..n-1,
+    # which is the same grid shifted by one with 0 in front
+    grid = np.arange(1, cdf.size + 1) / cdf.size
+    lower = np.max(cdf[1:] - grid[:-1], initial=cdf[0])
+    grid -= cdf
+    return float(max(np.max(grid), lower))
+
+
+def observable_row(prev: np.ndarray, z: np.ndarray, sigma_t: float) -> list:
+    """One step's observables: succ_diff, Hermite moments 1..4, KS.
+
+    ``prev`` and ``z`` are z^{t-1} and z^t; the four moments of
+    z^t / sigma_t come from one pass of the Hermite recurrence and each
+    equals ``hermite_moment(z, k, sigma_t)`` bit for bit.
+    """
+    if sigma_t <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma_t}")
+    hs = islice(hermite_sequence(4, np.asarray(z) / sigma_t), 1, None)
+    return ([_mean_sq_diff(prev, z)] + [float(np.mean(h)) for h in hs]
+            + [ks_statistic(z, sigma_t)])
 
 
 def observable_table(trace: AmpTrace, sigma) -> np.ndarray:
-    """Per-step observables of one trace as a (T, 6) array.
+    """Per-step observables of a trace with every iterate, as a (T, 6) array.
 
-    Row t-1 holds succ_diff, the Hermite moments k = 1..4 of z^t / sigma[t]
-    and the KS distance of z^t to N(0, sigma[t]^2).  The four moments come
-    from one pass of the Hermite recurrence per step; each equals
-    ``hermite_moment(z, k, sigma[t])`` bit for bit.
+    Row t-1 is ``observable_row(z^{t-1}, z^t, sigma[t])``: succ_diff, the
+    Hermite moments k = 1..4 of z^t / sigma[t] and the KS distance of z^t
+    to N(0, sigma[t]^2).
     """
-    rows = []
-    for t, z in enumerate(trace.iterates[1:], start=1):
-        if sigma[t] <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma[t]}")
-        hs = islice(hermite_sequence(4, np.asarray(z) / sigma[t]), 1, None)
-        rows.append([float(np.mean(h)) for h in hs] + [ks_statistic(z, sigma[t])])
-    return np.column_stack([successive_diff(trace), rows])
+    its = _stored_iterates(trace)
+    return np.array([observable_row(its[t - 1], its[t], sigma[t])
+                     for t in range(1, trace.T + 1)])
 
 
 @dataclass
@@ -68,7 +98,7 @@ class ObservableReport:
 
     Arrays are indexed by t = 1..T (entry 0 is t = 1).  ``hermite`` has
     shape (T, 4) holding moments k = 1..4 of z^t standardized by sigma_t.
-    ``seed_tables`` holds each averaged trace's ``observable_table``.
+    ``seed_tables`` holds each averaged trace's (T, 6) observable table.
     """
 
     ensemble: str
@@ -109,13 +139,16 @@ def report_from_traces(traces, sigma, d_pred, *, beta=0.0, theta=0.0,
 
     ``sigma`` gives the standardizing scale per step (length T+1, from
     state evolution); ``d_pred`` the predicted successive differences.
-    The averages are the trace-order means of the ``observable_table``s.
+    The averages are the trace-order means of the per-trace tables: the
+    ``table`` a trace carries when ``run_amp`` filled it with this sigma,
+    else its ``observable_table``.
     """
     first = traces[0]
     for trace in traces:
         if trace.T != first.T or trace.N != first.N:
             raise ValueError("traces have mismatched shapes")
-    tables = [observable_table(trace, sigma) for trace in traces]
+    tables = [trace.table if trace.table is not None
+              else observable_table(trace, sigma) for trace in traces]
     mean = sum(tables) / len(tables)
     return ObservableReport(first.ensemble_label, beta, theta, first.N,
                             first.T, len(tables), mean[:, 0],

@@ -238,12 +238,15 @@ def tap_residual(m: np.ndarray, coupling: MatrixOperator,
 
 def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
                 seed: int, *, phi: float = 1.0,
-                params: TapParameters | None = None) -> TapRunResult:
+                params: TapParameters | None = None,
+                sigma=None) -> TapRunResult:
     """Full TAP pipeline: solve parameters, build J and M(lambda*), iterate.
 
     The iteration is the simple memory-free run with f_t = g for all t and
-    z^0 ~ N(0, sigma*^2 I); the trace is labelled with ``ensemble``.  No
-    TAP residual is computed: ``tap_residual(np.tanh(theta + z),
+    z^0 ~ N(0, sigma*^2 I); the trace is labelled with ``ensemble``.
+    ``sigma`` goes to ``run_amp``: given the state-evolution scales, the
+    trace carries its observable table and keeps z^T only.  No TAP
+    residual is computed: ``tap_residual(np.tanh(theta + z),
     result.coupling, result.params)`` gives one for an iterate z.
     """
     if params is None:
@@ -251,8 +254,9 @@ def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
     coupling = build_coupling(ensemble, n, seed, phi)
     operator = resolvent_operator(coupling, params)
     g = g_nonlinearity(params)
-    z0 = gaussian_init(n, np.sqrt(params.sigma_star_sq), seed)
-    trace = run_amp(operator, [g] * T, z0, T, "simple", seed=seed)
+    trace = run_amp(operator, [g] * T,
+                    gaussian_init(n, np.sqrt(params.sigma_star_sq), seed), T,
+                    "simple", seed=seed, sigma=sigma)
     return TapRunResult(replace(trace, ensemble_label=ensemble), params,
                         coupling)
 

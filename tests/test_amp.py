@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from amplab.amp import gaussian_init, run_amp
-from amplab.ensembles import (build_signed_hadamard, build_signed_sine,
-                              power_iteration_norm)
+from amplab.ensembles import (build_random_orthogonal, build_signed_hadamard,
+                              build_signed_sine, power_iteration_norm)
 from amplab.errors import NumericError
-from amplab.metrics import hermite_moment
+from amplab.metrics import hermite_moment, observable_table
 from amplab.state_evolution import Nonlinearity, preset_nonlinearity
 
 SQUARE = preset_nonlinearity("square")
@@ -114,6 +114,49 @@ class TestRunAmp:
             run_amp(op, [SQUARE], z0[:32], 1)  # wrong length
         with pytest.raises(ValueError):
             run_amp(op, [SQUARE], z0, 1, "mystery")
+
+
+class TestStreamedRun:
+    """``run_amp(..., sigma=...)`` keeps z^T and fills the table in the loop."""
+
+    BUILDERS = {"signed-sine": build_signed_sine,
+                "random-orthogonal": build_random_orthogonal}
+
+    @pytest.mark.parametrize("mode", ["simple", "projected"])
+    @pytest.mark.parametrize("ensemble", sorted(BUILDERS))
+    def test_equals_the_stored_trace_bit_for_bit(self, ensemble, mode):
+        n, T = 512, 5
+        sigma = np.array([1.0, 1.1, 0.9, 1.3, 0.8, 1.2])
+        nonlins = [Nonlinearity(np.tanh, "tanh")] * T
+        runs, ops = [], []
+        for keep in (None, sigma):
+            # a fresh operator per run: the lazy Haar store must see the
+            # same queries in the same order in both forms
+            op = self.BUILDERS[ensemble](n, seed=3)
+            runs.append(run_amp(op, nonlins, gaussian_init(n, 1.0, 3), T,
+                                mode, seed=3, sigma=keep))
+            ops.append(op)
+        stored, streamed = runs
+        assert stored.table is None and len(stored.iterates) == T + 1
+        assert len(streamed.iterates) == 1
+        assert np.array_equal(streamed.iterates[0], stored.iterates[T])
+        assert np.array_equal(streamed.table, observable_table(stored, sigma))
+        assert streamed.alphas == stored.alphas
+        if ensemble == "random-orthogonal":
+            assert np.array_equal(ops[0].haar_basis.q, ops[1].haar_basis.q)
+            assert np.array_equal(ops[0].haar_basis.p, ops[1].haar_basis.p)
+
+    def test_needs_sigma_0_to_T(self):
+        op = build_signed_sine(64, seed=7)
+        with pytest.raises(ValueError, match="sigma_0..sigma_T"):
+            run_amp(op, [SQUARE] * 3, gaussian_init(64, 1.0, 1), 3,
+                    sigma=np.ones(3))
+
+    def test_nonpositive_sigma_rejected(self):
+        op = build_signed_sine(64, seed=7)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            run_amp(op, [SQUARE] * 2, gaussian_init(64, 1.0, 1), 2,
+                    sigma=np.array([1.0, 0.0, 1.0]))
 
 
 class TestGaussianity:

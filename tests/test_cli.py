@@ -163,6 +163,59 @@ class TestRunExperiment:
             first = (tmp_path / f"sk.seed{seed}.csv").read_text().splitlines()[0]
             assert f"# seed={seed} ensemble=sk " in first
 
+    @pytest.mark.parametrize("mode, ensemble", [
+        ("tap", "signed-sine"), ("tap", "random-orthogonal"),
+        ("projected", "random-orthogonal"), ("simple", "signed-hadamard")])
+    def test_trace_dump_leaves_the_observables_unchanged(self, tmp_path,
+                                                         mode, ensemble):
+        # with a dump the tables are built after the run from every
+        # iterate; without one they are filled inside the loop
+        written = []
+        for dump in (False, True):
+            out = tmp_path / f"dump{dump}" / "r.csv"
+            out.parent.mkdir()
+            run_experiment(ExperimentConfig(
+                ensemble, N=256, T=4, seeds=(1, 2), mode=mode,
+                nonlinearity="square", out=str(out), degree=24,
+                dump_trace=dump))
+            written.append({name: (out.parent / name).read_bytes()
+                            for name in ("r.csv", "r.seed1.csv",
+                                         "r.seed2.csv")})
+        assert written[0] == written[1]
+
+    def test_first_seed_operator_released(self, monkeypatch):
+        # the operator built for the state-evolution scale serves the first
+        # seed and is then dropped; its lazy Haar store is freed at once,
+        # without waiting for the cyclic collector
+        import gc
+        import weakref
+
+        from amplab import amp, ensembles
+
+        built, alive_at_start = [], []
+        real_build, real_run = ensembles.operator_from_spec, amp.run_amp
+
+        def tracking_build(*args, **kwargs):
+            op = real_build(*args, **kwargs)
+            built.append(weakref.ref(op.haar_basis))
+            return op
+
+        def tracking_run(op, *args, **kwargs):
+            alive_at_start.append(sum(ref() is not None for ref in built))
+            return real_run(op, *args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "operator_from_spec", tracking_build)
+        monkeypatch.setattr(amp, "run_amp", tracking_run)
+        monkeypatch.setenv("AMP_LAB_THREADS", "1")
+        gc.disable()
+        try:
+            run_experiment(ExperimentConfig(
+                "random-orthogonal", N=256, T=3, seeds=(1, 2, 3),
+                mode="projected", nonlinearity="square", degree=24))
+        finally:
+            gc.enable()
+        assert alive_at_start == [1, 1, 1]
+
     def test_trace_dump_gated(self, tmp_path):
         out = tmp_path / "tr.csv"
         config = ExperimentConfig("signed-sine", N=64, T=2, seeds=(1,),
@@ -279,12 +332,13 @@ class TestMainEntry:
         assert "zero variance" in record["message"]
 
     def test_import_loads_neither_fft_nor_special(self):
-        # `amplab se` only imports amplab.cli; the sine FFT and the KS CDF
-        # load their scipy modules on first use
+        # `amplab se` only imports amplab.cli; the sine FFT, the KS CDF,
+        # the dense Cholesky resolvent and the Gauss rule load their scipy
+        # modules on first use
         proc = subprocess.run(
             [sys.executable, "-c",
              "import amplab.cli, sys; print(sorted({'scipy.fft', "
-             "'scipy.special'} & set(sys.modules)))"],
+             "'scipy.special', 'scipy.linalg'} & set(sys.modules)))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

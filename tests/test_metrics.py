@@ -85,6 +85,30 @@ class TestKsStatistic:
         v = rng.standard_normal(512)
         assert ks_statistic(v, 1.0) == ks_statistic(v[::-1], 1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 65536])
+    def test_equals_the_two_grid_formula_bit_for_bit(self, n):
+        # reference: fresh grids i/n for i = 1..n and for i = 0..n-1
+        from scipy.special import ndtr
+
+        def two_grid(v, sigma):
+            x = np.sort(v)
+            cdf = ndtr(x / sigma)
+            upper = np.max(np.arange(1, n + 1) / n - cdf)
+            lower = np.max(cdf - np.arange(0, n) / n)
+            return float(max(upper, lower))
+
+        rng = np.random.default_rng(n)
+        for sigma in (0.7, 1.0, 2.3):
+            v = 1.1 * rng.standard_normal(n)
+            assert ks_statistic(v, sigma) == two_grid(v, sigma)
+        assert ks_statistic(np.zeros(n), 1.0) == two_grid(np.zeros(n), 1.0)
+
+    def test_leaves_its_input_unchanged(self):
+        v = np.random.default_rng(9).standard_normal(256)
+        before = v.copy()
+        ks_statistic(v, 1.3)
+        assert np.array_equal(v, before)
+
 
 def small_report(label="a", seed_base=0, n=256, t_max=3):
     rng = np.random.default_rng(seed_base)
@@ -112,6 +136,35 @@ class TestObservableTable:
         trace = make_trace(list(np.random.default_rng(7).standard_normal((3, 64))))
         with pytest.raises(ValueError, match="sigma must be positive"):
             observable_table(trace, np.array([1.0, 1.0, 0.0]))
+
+
+def streamed_trace(iterates, sigma):
+    """The form ``run_amp(..., sigma=sigma)`` returns: z^T and the table."""
+    full = make_trace(iterates)
+    return AmpTrace(full.N, full.T, [full.iterates[-1]], "simple", 0, "test",
+                    table=observable_table(full, sigma))
+
+
+class TestStreamedTrace:
+    def test_report_averages_the_carried_tables(self):
+        rng = np.random.default_rng(10)
+        sigma = np.array([1.0, 1.2, 0.9, 1.1])
+        runs = [list(rng.standard_normal((4, 128))) for _ in range(3)]
+        d = np.ones(3)
+        stored = report_from_traces([make_trace(r) for r in runs], sigma, d)
+        mixed = report_from_traces([streamed_trace(runs[0], sigma),
+                                    make_trace(runs[1]),
+                                    streamed_trace(runs[2], sigma)], sigma, d)
+        for name in ("succ_diff", "hermite", "ks"):
+            assert np.array_equal(getattr(mixed, name), getattr(stored, name))
+
+    def test_iterate_functions_refuse_a_streamed_trace(self):
+        rng = np.random.default_rng(11)
+        trace = streamed_trace(list(rng.standard_normal((3, 64))), np.ones(3))
+        with pytest.raises(ValueError, match="kept only z"):
+            successive_diff(trace)
+        with pytest.raises(ValueError, match="kept only z"):
+            observable_table(trace, np.ones(3))
 
 
 class TestReports:

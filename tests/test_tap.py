@@ -7,6 +7,7 @@ from amplab import tap
 from amplab.ensembles import ENSEMBLES, MatrixOperator, hutchinson_trace_square
 from amplab.errors import ConvergenceError
 from amplab.hermite import gaussian_expectation
+from amplab.metrics import observable_table
 from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, resolvent_variance
 from amplab.tap import (build_coupling, ensemble_law, g_nonlinearity,
@@ -159,6 +160,19 @@ class TestRunTapAmp:
         result = run_tap_amp("signed-sine", 2.0, 2.0, 256, 6, seed=1)
         assert result.trace.T == 6
         assert len(calls) == 6
+
+    @pytest.mark.parametrize("ensemble", ["signed-hadamard",
+                                          "random-orthogonal", "sk"])
+    def test_streamed_run_equals_the_stored_one(self, ensemble):
+        params = solve_q_star(1.0, 1.0, ensemble_law(ensemble))
+        sigma = np.full(5, np.sqrt(params.sigma_star_sq))
+        stored, streamed = (
+            run_tap_amp(ensemble, 1.0, 1.0, 256, 4, seed=2, params=params,
+                        sigma=keep).trace for keep in (None, sigma))
+        assert len(streamed.iterates) == 1
+        assert np.array_equal(streamed.iterates[0], stored.iterates[4])
+        assert np.array_equal(streamed.table, observable_table(stored, sigma))
+        assert streamed.ensemble_label == stored.ensemble_label == ensemble
 
     def test_trace_carries_the_ensemble_name(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())

@@ -46,3 +46,16 @@ def test_run_amp_counts_reads_the_haar_store():
     counts = load_tracer()._run_amp_counts((op,), {}, trace)
     assert counts["steps"] == T
     assert counts["haar_directions"] == op.haar_basis.q.shape[0] == 2 * T
+
+
+def test_run_amp_counts_on_a_streamed_trace():
+    # a run given sigma keeps z^T only: trace_bytes is one N-vector
+    n, T = 256, 4
+    op = build_random_orthogonal(n, seed=3)
+    trace = run_amp(op, [Nonlinearity(np.tanh, "tanh")] * T,
+                    gaussian_init(n, 1.0, 3), T, "simple", seed=3,
+                    sigma=np.ones(T + 1))
+    counts = load_tracer()._run_amp_counts((op,), {}, trace)
+    assert counts["steps"] == T
+    assert counts["haar_directions"] == 2 * T
+    assert counts["trace_bytes"] == n * 8
