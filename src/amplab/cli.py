@@ -93,10 +93,11 @@ def load_config_file(path: str) -> dict:
 
 
 def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("AMP_LAB_THREADS")
-    if cap is not None:
+    cap = os.environ.get("AMP_LAB_THREADS", str(os.cpu_count() or 1))
+    try:
         return max(1, min(n_jobs, int(cap)))
-    return max(1, min(n_jobs, os.cpu_count() or 1))
+    except ValueError:
+        raise ValueError(f"AMP_LAB_THREADS={cap!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +141,10 @@ def _plain_experiment(config: ExperimentConfig):
             f"{config.nonlinearity!r} with sigma_psi_sq = "
             f"{sample_op.sigma_psi_sq:g}; observables cannot be "
             f"standardized (pick a different preset or operator)")
-    if config.mode == "simple":
-        # The simple iteration tracks state evolution only with
-        # divergence-free steps: center each one at its input scale.
-        sigma = np.sqrt(se.sigma_sq)
-        nonlins = [state_evolution.center_divergence_free(base, sigma[t])
-                   for t in range(config.T)]
-    else:
-        nonlins = [base] * config.T
+    # The simple iteration tracks state evolution only with divergence-free
+    # steps: each one centered at its input scale, as the recursion built it.
+    nonlins = (list(se.centered) if config.mode == "simple"
+               else [base] * config.T)
 
     header = {"nonlinearity": config.nonlinearity, "mode": config.mode,
               "sigma0_sq": config.sigma0_sq,
@@ -168,8 +165,7 @@ def _plain_experiment(config: ExperimentConfig):
     return se, one_seed, header
 
 
-def _run_seeds(fn, seeds):
-    workers = _worker_count(len(seeds))
+def _run_seeds(fn, seeds, workers):
     if workers == 1:
         return [fn(seed) for seed in seeds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -179,14 +175,22 @@ def _run_seeds(fn, seeds):
 def run_experiment(config: ExperimentConfig):
     """Build, solve, run all seeds, write the report's CSVs.  Returns it.
 
-    Each seed's observables are filled inside its run, which keeps z^T
-    only; a trace dump instead keeps every iterate and builds them after.
+    Each seed's observables are filled inside its run, and its z^T is
+    dropped once the run returns; a trace dump instead keeps every iterate
+    and builds them after.
     """
+    workers = _worker_count(len(config.seeds))
     pipeline = _tap_experiment if config.mode == "tap" else _plain_experiment
     se, one_seed, header = pipeline(config)
     sigma = np.sqrt(se.sigma_sq)
-    in_loop = None if config.dump_trace else sigma
-    traces = _run_seeds(lambda seed: one_seed(seed, in_loop), config.seeds)
+
+    def run_seed(seed):
+        trace = one_seed(seed, None if config.dump_trace else sigma)
+        if not config.dump_trace:
+            trace.iterates = []  # z^T: only the table is read from here on
+        return trace
+
+    traces = _run_seeds(run_seed, config.seeds, workers)
     report = metrics.report_from_traces(
         traces, sigma, se.succ_diff_prediction(),
         beta=config.beta, theta=config.theta,
@@ -268,14 +272,10 @@ def emit_trace(trace, path: str) -> None:
 
 
 def emit_state_evolution(se, path_or_stream) -> None:
-    lines = ["t,sigma_sq,rho_prev,d_pred"]
-    d = se.succ_diff_prediction()
-    for t in range(se.T + 1):
-        if t == 0:
-            lines.append(f"0,{_fmt(se.sigma_sq[0])},,")
-        else:
-            rho = se.rho.get((t - 1, t), 0.0)
-            lines.append(f"{t},{_fmt(se.sigma_sq[t])},{_fmt(rho)},{_fmt(d[t - 1])}")
+    cov, d = se.cov, se.succ_diff_prediction()
+    lines = ["t,sigma_sq,rho_prev,d_pred", f"0,{_fmt(cov[0, 0])},,"]
+    lines += [f"{t},{_fmt(cov[t, t])},{_fmt(cov[t - 1, t])},{_fmt(d[t - 1])}"
+              for t in range(1, se.T + 1)]
     if hasattr(path_or_stream, "write"):
         path_or_stream.write("\n".join(lines) + "\n")
     else:
@@ -351,6 +351,9 @@ def _build_parser():
 def _merged(args, defaults: dict) -> dict:
     """Flag value if given, else config-file value, else hard default."""
     file_conf = load_config_file(args.config) if getattr(args, "config", None) else {}
+    if unknown := sorted(file_conf.keys() - defaults.keys()):
+        raise ValueError(f"{args.config}: unknown key {unknown[0]!r} for "
+                         f"{args.command}; valid keys: {', '.join(defaults)}")
     out = {}
     for key, fallback in defaults.items():
         flag = getattr(args, key, None)
@@ -361,6 +364,9 @@ def _merged(args, defaults: dict) -> dict:
             if key == "seeds":
                 out[key] = raw
             elif isinstance(fallback, bool):
+                if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    raise ValueError(f"{args.config}: {key}={raw!r} is not a "
+                                     f"boolean (1/true/yes or 0/false/no)")
                 out[key] = raw.lower() in ("1", "true", "yes")
             elif isinstance(fallback, int):
                 out[key] = int(raw)

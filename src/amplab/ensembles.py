@@ -423,19 +423,18 @@ def build_wishart_coupling(n: int, phi: float, seed: int,
 # iterative linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def power_iteration_norm(op: MatrixOperator, *, iters: int = 200,
-                         tol: float = 1e-8, seed: int = 7) -> float:
+def power_iteration_norm(op: MatrixOperator) -> float:
     """Operator (spectral) norm of a symmetric operator by power iteration."""
-    rng = substream(seed, "power", op.label)
+    rng = substream(7, "power", op.label)
     v = rng.standard_normal(op.dim)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         w = op.matvec(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
-        if abs(norm - est) <= tol * max(norm, 1.0):
+        if abs(norm - est) <= 1e-8 * max(norm, 1.0):
             return float(norm)
         est = norm
         v = w / norm
@@ -590,7 +589,6 @@ class EnsembleDiagnostics:
     max_diag_gram_dev: float
     dim: int
     mode: str
-    sampled_columns: int
 
     def __post_init__(self):
         for name in ("psi_inf_norm", "psi_op_norm", "max_offdiag_gram",
@@ -609,7 +607,7 @@ class EnsembleDiagnostics:
 
 
 def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
-                      pairs: int = 256, seed: int = 101) -> EnsembleDiagnostics:
+                      pairs: int = 256) -> EnsembleDiagnostics:
     """Measure the delocalization / near-orthogonality diagnostics of M.
 
     Since M = S Psi S with S a sign diagonal, |Psi_ij| = |M_ij| and
@@ -633,9 +631,8 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
         inf_norm = float(np.max(np.abs(m)))
         max_off = float(np.max(np.abs(off)))
         max_diag = float(np.max(np.abs(diag - op.sigma_psi_sq)))
-        cols = n
     elif mode == "probe":
-        rng = substream(seed, "diagnostics", op.label)
+        rng = substream(101, "diagnostics", op.label)
         ncols = max(8, int(np.ceil((1 + np.sqrt(1 + 8 * pairs)) / 2)))
         ncols = min(ncols, n)
         idx = rng.choice(n, size=ncols, replace=False)
@@ -652,12 +649,10 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
                             for c in chosen))
         inf_norm = float(np.max(np.abs(cols_mat)))
         max_diag = float(np.max(np.abs(np.diag(gram) - op.sigma_psi_sq)))
-        cols = ncols
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    op_norm = power_iteration_norm(op, tol=1e-8)
-    return EnsembleDiagnostics(inf_norm, op_norm, max_off, max_diag, n,
-                               mode, cols)
+    op_norm = power_iteration_norm(op)
+    return EnsembleDiagnostics(inf_norm, op_norm, max_off, max_diag, n, mode)
 
 
 # ---------------------------------------------------------------------------

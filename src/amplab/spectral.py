@@ -148,12 +148,12 @@ def sup_cauchy(law: SpectralLaw) -> float:
     return np.inf  # the two-point and empirical laws have an atom at the edge
 
 
-def inverse_cauchy(law: SpectralLaw, y: float, *, tol: float = 1e-14) -> float:
+def inverse_cauchy(law: SpectralLaw, y: float) -> float:
     """z = G^{-1}(y), by safeguarded Newton on (lambda_plus, inf).
 
-    Accurate to |G(z) - y| <= tol (default well inside the contracted
-    1e-12).  The initial bracket upper end lambda_plus + 1/y + 1 works
-    because G(z) < 1/(z - lambda_plus).
+    Stops at |G(z) - y| <= 1e-14, well inside the contracted 1e-12.  The
+    initial bracket upper end lambda_plus + 1/y + 1 works because
+    G(z) < 1/(z - lambda_plus).
     """
     sup = sup_cauchy(law)
     if not 0.0 < y < sup:
@@ -166,7 +166,7 @@ def inverse_cauchy(law: SpectralLaw, y: float, *, tol: float = 1e-14) -> float:
     z = hi
     for _ in range(200):
         g = cauchy_transform(law, z) - y
-        if abs(g) <= tol:
+        if abs(g) <= 1e-14:
             return float(z)
         if g > 0:
             lo = z

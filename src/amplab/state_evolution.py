@@ -1,7 +1,8 @@
 """Deterministic state evolution for the memory-free iteration.
 
-The recursion tracks the limiting Gaussian process (Z_0, ..., Z_T) of the
-iterates z^t = M f_t(z^{t-1}):
+The recursion fills the covariance (cov[t, t] = sigma_t^2, cov[s, t] =
+rho_{s,t}) of the limiting Gaussian process (Z_0, ..., Z_T) of the iterates
+z^t = M f_t(z^{t-1}):
 
     sigma_{t+1}^2 = sigma_psi^2 * E[fbar_{t+1}(Z_t)^2]
     rho_{s,t+1}   = sigma_psi^2 * E[fbar_s(Z_{s-1}) fbar_{t+1}(Z_t)],  s <= t,
@@ -50,18 +51,16 @@ class Nonlinearity:
 
     eval: Callable
     label: str = "f"
-    derivative: Callable | None = None
 
     def __call__(self, x):
         return self.eval(x)
 
 
-def linear_coefficient(f: Nonlinearity | Callable, sigma: float) -> float:
+def linear_coefficient(f: Nonlinearity, sigma: float) -> float:
     """E[Z f(sigma Z)] / sigma: the coefficient of the H_1 component."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    func = f.eval if isinstance(f, Nonlinearity) else f
-    moment = gaussian_expectation(lambda y: (y / sigma) * func(y), sigma)
+    moment = gaussian_expectation(lambda y: (y / sigma) * f.eval(y), sigma)
     return moment / sigma
 
 
@@ -78,30 +77,33 @@ def center_divergence_free(f: Nonlinearity, sigma: float) -> Nonlinearity:
     def centered(x):
         return func(x) - coeff * x
 
-    deriv = None
-    if f.derivative is not None:
-        fprime = f.derivative
-        deriv = lambda x: fprime(x) - coeff
-    return Nonlinearity(centered, f"{f.label}-centered", deriv)
+    return Nonlinearity(centered, f"{f.label}-centered")
 
 
 @dataclass(frozen=True)
 class SECovariance:
-    """Output of the recursion: variances, covariances and predictions."""
+    """Covariance of the limiting Gaussian process (Z_0, ..., Z_T).
 
-    T: int
-    sigma_sq: np.ndarray               # length T+1, sigma_t^2
-    rho: dict                          # (s, t) -> rho_{s,t} for 0 <= s < t <= T
+    ``cov`` is the read-only (T+1) x (T+1) matrix with cov[t, t] =
+    sigma_t^2 and cov[s, t] = cov[t, s] = rho_{s,t}.  After a degenerate
+    step (``degenerate``) every later entry is zero.  ``centered[t]`` is
+    fbar_{t+1}, the step-(t+1) nonlinearity centered at sigma_t, for each
+    step the recursion reached.
+    """
+
+    cov: np.ndarray
     sigma_psi_sq: float
     degenerate: bool = False
-    series: tuple = field(default=(), repr=False)  # standardized Hermite series
+    centered: tuple = field(default=(), repr=False)
 
-    def covariance_matrix(self) -> np.ndarray:
-        """Assemble the (T+1) x (T+1) covariance of (Z_0, ..., Z_T)."""
-        out = np.diag(self.sigma_sq.copy())
-        for (s, u), value in self.rho.items():
-            out[s, u] = out[u, s] = value
-        return out
+    @property
+    def T(self) -> int:
+        return self.cov.shape[0] - 1
+
+    @property
+    def sigma_sq(self) -> np.ndarray:
+        """sigma_0^2, ..., sigma_T^2: a read-only view of the diagonal."""
+        return np.diag(self.cov)
 
     def succ_diff_prediction(self) -> np.ndarray:
         """d_t = sigma_t^2 + sigma_{t-1}^2 - 2 rho_{t-1,t} for t = 1..T.
@@ -109,22 +111,19 @@ class SECovariance:
         This is E[(Z_t - Z_{t-1})^2] under the limiting Gaussian: the
         prediction for the successive-difference observable.
         """
-        return np.array([
-            self.sigma_sq[t] + self.sigma_sq[t - 1]
-            - 2.0 * self.rho.get((t - 1, t), 0.0)
-            for t in range(1, self.T + 1)])
+        diag = self.sigma_sq
+        return diag[1:] + diag[:-1] - 2.0 * np.diag(self.cov, 1)
 
 
 def run_state_evolution(nonlins: Sequence[Nonlinearity], sigma0_sq: float,
                         sigma_psi_sq: float, T: int,
-                        degree: int = DEFAULT_DEGREE, *,
-                        coeff_method: str = "trapezoid") -> SECovariance:
+                        degree: int = DEFAULT_DEGREE) -> SECovariance:
     """Run T steps of the recursion for the given per-step nonlinearities.
 
     ``nonlins[t]`` is the function applied at step t+1.  ``degree`` caps
-    the Hermite expansion used for cross moments (exposed as a knob; 24 is
-    ample for smooth nonlinearities at unit scale, saturating functions at
-    large scale benefit from more).
+    the Hermite expansion used for cross moments (24 is ample for smooth
+    nonlinearities at unit scale; saturating functions at large scale
+    benefit from more).
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -135,62 +134,45 @@ def run_state_evolution(nonlins: Sequence[Nonlinearity], sigma0_sq: float,
     if degree < 4:
         raise ValueError("degree must be at least 4")
 
-    sigma_sq = np.empty(T + 1)
-    sigma_sq[0] = sigma0_sq
-    rho: dict = {}
-    series: list[HermiteSeries | None] = [None] * T
+    cov = np.zeros((T + 1, T + 1))
+    cov[0, 0] = sigma0_sq
+    centered: list[Nonlinearity] = []
+    series: list[HermiteSeries] = []
     degenerate = False
 
     for t in range(T):
-        if degenerate:
-            sigma_sq[t + 1] = 0.0
-            for s in range(t + 1):
-                rho.setdefault((s, t + 1), 0.0)
-            continue
-        sig_t = float(np.sqrt(sigma_sq[t]))
+        sig_t = float(np.sqrt(cov[t, t]))
         fbar = center_divergence_free(nonlins[t], sig_t)
+        centered.append(fbar)
         # Expansion against the standardized input Z_t / sigma_t, so the
         # bivariate identity below applies with unit marginals.
-        coeffs = hermite_coefficients(fbar.eval, degree, sig_t,
-                                      method=coeff_method)
-        series[t] = coeffs
+        series.append(hermite_coefficients(fbar.eval, degree, sig_t,
+                                           method="trapezoid"))
         var = sigma_psi_sq * gaussian_expectation(
             lambda y: fbar.eval(y) ** 2, sig_t)
-        sigma_sq[t + 1] = var
         if var <= _DEGENERATE_VAR:
             warnings.warn(
                 f"nonlinearity {nonlins[t].label!r} is degenerate at step "
                 f"{t + 1}: downstream variances are zero", stacklevel=2)
             degenerate = True
-            sigma_sq[t + 1] = 0.0
-            rho[(0, t + 1)] = 0.0
-            for s in range(1, t + 1):
-                rho[(s, t + 1)] = 0.0
-            continue
-        rho[(0, t + 1)] = 0.0
+            break
+        cov[t + 1, t + 1] = var
         for s in range(1, t + 1):
-            denom = np.sqrt(sigma_sq[s - 1] * sigma_sq[t])
-            r = rho.get((s - 1, t), 0.0) / denom
+            r = cov[s - 1, t] / np.sqrt(cov[s - 1, s - 1] * cov[t, t])
             if abs(r) > 1.0 + 1e-8:
                 raise NumericError(
                     f"normalized correlation rho_({s - 1},{t}) = {r} exceeds 1; "
                     "state evolution is inconsistent")
             r = float(np.clip(r, -1.0, 1.0))
-            rho[(s, t + 1)] = sigma_psi_sq * bivariate_gaussian_moment(
-                series[s - 1], series[t], r)
+            cov[s, t + 1] = cov[t + 1, s] = sigma_psi_sq * \
+                bivariate_gaussian_moment(series[s - 1], series[t], r)
 
-    result = SECovariance(T, sigma_sq, rho, sigma_psi_sq, degenerate,
-                          tuple(series))
-    _check_psd(result)
-    return result
-
-
-def _check_psd(se: SECovariance, floor: float = -1e-10):
-    cov = se.covariance_matrix()
     lo = float(np.linalg.eigvalsh(cov)[0])
-    if lo < floor:
+    if lo < -1e-10:
         raise NumericError(
             f"state-evolution covariance is not PSD (min eigenvalue {lo:.3e})")
+    cov.setflags(write=False)
+    return SECovariance(cov, sigma_psi_sq, degenerate, tuple(centered))
 
 
 def cross_moment_quadrature(f1: Callable, sigma1: float, f2: Callable,
@@ -228,10 +210,8 @@ PRESETS = {
     "square": Nonlinearity(_square, "square"),
     # Centered per-step by the engine (the run pipeline removes the linear
     # component at the running scale before iterating).
-    "tanh-centered": Nonlinearity(np.tanh, "tanh-centered",
-                                  lambda x: 1.0 - np.tanh(x) ** 2),
-    "cubic-centered": Nonlinearity(_cubic, "cubic-centered",
-                                   lambda x: 3.0 * x ** 2 / np.sqrt(15.0)),
+    "tanh-centered": Nonlinearity(np.tanh, "tanh-centered"),
+    "cubic-centered": Nonlinearity(_cubic, "cubic-centered"),
 }
 
 

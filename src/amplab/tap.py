@@ -49,6 +49,9 @@ from .state_evolution import Nonlinearity
 # loses accuracy next to a square-root edge such as the semicircle's.
 EDGE_MARGIN = 1e-3
 
+Q_STAR_TOL = 1e-12
+Q_STAR_MAX_ITER = 10_000
+
 
 @dataclass(frozen=True)
 class TapParameters:
@@ -95,16 +98,15 @@ def build_coupling(ensemble: str, n: int, seed: int,
     return _entry(ensemble).build(n, seed, phi)
 
 
-def solve_q_star(beta: float, theta: float, law: SpectralLaw,
-                 quad_order: int = 4097, *, tol: float = 1e-12,
-                 max_iter: int = 10_000) -> TapParameters:
+def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
     """Damped fixed-point solve of the overlap equation.
 
     Iterates q <- (1 - eta) q + eta E[tanh^2(theta + sigma*(q) G)] with
     eta = 0.5 (halved automatically when the residual oscillates without
-    shrinking) until the fixed-point residual is <= tol.  Uniqueness is
-    only guaranteed at high temperature; the returned parameters describe
-    the fixed point actually reached from the standard start.
+    shrinking) until the fixed-point residual is <= ``Q_STAR_TOL``, for at
+    most ``Q_STAR_MAX_ITER`` steps.  Uniqueness is only guaranteed at high
+    temperature; the returned parameters describe the fixed point actually
+    reached from the standard start.
 
     The equation needs y = beta (1 - q) < sup G.  The standard start
     (q = 0.5, or 0.01 without a field) is kept where it meets that, else
@@ -112,10 +114,9 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw,
     (within ``EDGE_MARGIN``), and one pinned at its lower end raises
     ConvergenceError.
 
-    ``quad_order`` is the node count of the dense Gaussian grid used for
-    the expectation (a Gauss rule of admissible order cannot deliver
-    1e-12 accuracy for tanh^2 at the large input scales that occur at low
-    temperature; the dense grid can).
+    The expectation uses the dense grid of ``gaussian_expectation``, which
+    reaches 1e-12 for tanh^2 at the large input scales of low temperature,
+    where no Gauss rule of admissible order can.
     """
     if beta < 0 or theta < 0:
         raise ValueError("beta and theta must be nonnegative")
@@ -132,8 +133,7 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw,
         if s2 < 0:
             raise ValueError(f"sigma*^2(q) = {s2} negative at q = {q}")
         return gaussian_expectation(
-            lambda yv: np.tanh(theta + yv) ** 2, np.sqrt(s2),
-            points=quad_order)
+            lambda yv: np.tanh(theta + yv) ** 2, np.sqrt(s2))
 
     sup = sup_cauchy(law)
     q_lo = max(0.0, 1.0 - (1.0 - EDGE_MARGIN) * sup / beta) if beta > 0 else 0.0
@@ -143,9 +143,9 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw,
     eta = 0.5
     prev_resid = None
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, Q_STAR_MAX_ITER + 1):
         resid = phi_of(q) - q
-        if abs(resid) <= tol:
+        if abs(resid) <= Q_STAR_TOL:
             break
         if prev_resid is not None and resid * prev_resid < 0 \
                 and abs(resid) >= abs(prev_resid):
@@ -160,7 +160,7 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw,
         q = float(np.clip(q, q_lo, 1.0 - 1e-12))
     else:
         raise ConvergenceError(
-            f"q* iteration did not converge in {max_iter} steps "
+            f"q* iteration did not converge in {Q_STAR_MAX_ITER} steps "
             f"(last residual {resid:.3e})", residual=resid)
 
     sigma_star_sq = sigma_sq_of(q)
@@ -195,10 +195,7 @@ def g_nonlinearity(params: TapParameters, h=1.0) -> Nonlinearity:
     def g(z):
         return (np.tanh(shift + z) / one_minus_q - z) / scale
 
-    def g_prime(z):
-        return ((1.0 - np.tanh(shift + z) ** 2) / one_minus_q - 1.0) / scale
-
-    return Nonlinearity(g, "tap-g", g_prime)
+    return Nonlinearity(g, "tap-g")
 
 
 def resolvent_operator(coupling: MatrixOperator,

@@ -327,7 +327,7 @@ class TestCriterion10:
         checks.append(("haar orthogonality", ok_haar))
 
         # covariance PSD for every experiment beta
-        ok_psd = all(np.linalg.eigvalsh(se.covariance_matrix())[0] >= -1e-10
+        ok_psd = all(np.linalg.eigvalsh(se.cov)[0] >= -1e-10
                      for se in tap_se.values())
         checks.append(("state-evolution covariance PSD", ok_psd))
 

@@ -10,6 +10,34 @@ from amplab.cli import (ExperimentConfig, load_config_file, main, parse_seeds,
                         run_experiment)
 
 
+# `amplab se` outputs that must stay byte-identical
+SE_DEFAULT = """\
+t,sigma_sq,rho_prev,d_pred
+0,1.9265898624153825,,
+1,1.9265898624202469,0,3.8531797248356296
+2,1.9265898624189144,1.7302233363892945,0.39273305206057207
+3,1.9265898624192797,1.8801765918254094,0.092826541187374989
+4,1.9265898624191795,1.9145651991626436,0.024049326513172264
+5,1.9265898624192066,1.9234028048541052,0.0063741151301757171
+6,1.9265898624191995,1.9257400697113702,0.0016995854156656165
+7,1.9265898624192017,1.9263628950539387,0.00045393473052390831
+8,1.9265898624192008,1.9265291978596042,0.0001213291191941579
+9,1.926589862419201,1.9265736268530227,3.2471132356270971e-05
+10,1.926589862419201,1.9265854980846009,8.728669200319672e-06
+"""
+
+SE_PLAIN_DEGENERATE = """\
+t,sigma_sq,rho_prev,d_pred
+0,1,,
+1,0.50000000000000011,0,1.5
+2,0.12500000000000006,0.083333333333333343,0.45833333333333354
+3,0.0078125000000000087,0.012731481481481489,0.10734953703703708
+4,3.0517578125000068e-05,0.00021679062357110232,0.0074094363309828038
+5,4.6566128730774153e-10,5.540248800637635e-08,3.0407238810274624e-05
+6,0,0,4.6566128730774153e-10
+"""
+
+
 class TestParsing:
     def test_seed_range_inclusive(self):
         assert parse_seeds("1..8") == tuple(range(1, 9))
@@ -216,6 +244,66 @@ class TestRunExperiment:
             gc.enable()
         assert alive_at_start == [1, 1, 1]
 
+    @pytest.mark.parametrize("mode", ["projected", "tap"])
+    def test_each_seed_final_iterate_released(self, monkeypatch, mode):
+        # a streamed run returns z^T in its trace; the pipeline drops it as
+        # soon as the run returns, so it is freed before the next seed runs,
+        # without waiting for the cyclic collector
+        import gc
+        import weakref
+
+        from amplab import amp, tap
+
+        finals, alive_at_start = [], []
+        real_run = amp.run_amp
+
+        def tracking_run(*args, **kwargs):
+            alive_at_start.append(sum(ref() is not None for ref in finals))
+            trace = real_run(*args, **kwargs)
+            finals.append(weakref.ref(trace.iterates[-1]))
+            return trace
+
+        monkeypatch.setattr(amp, "run_amp", tracking_run)
+        monkeypatch.setattr(tap, "run_amp", tracking_run)
+        monkeypatch.setenv("AMP_LAB_THREADS", "1")
+        gc.disable()
+        try:
+            run_experiment(ExperimentConfig(
+                "signed-hadamard", N=256, T=3, seeds=(1, 2, 3), mode=mode,
+                nonlinearity="square", degree=24))
+        finally:
+            gc.enable()
+        assert alive_at_start == [0, 0, 0]
+
+    def test_simple_mode_iterates_the_recursion_centered_steps(self,
+                                                                tmp_path):
+        # oracle: each step's nonlinearity built by centering the preset at
+        # the state-evolution scale sigma_t, then run seed by seed
+        from amplab.amp import gaussian_init, run_amp
+        from amplab.ensembles import operator_from_spec
+        from amplab.state_evolution import (center_divergence_free,
+                                            preset_nonlinearity,
+                                            run_state_evolution)
+
+        spectrum = tmp_path / "pm10.txt"
+        spectrum.write_text("10\n-10\n" * 128)
+        spec, n, T, seeds = f"sign-perm:spectrum={spectrum}", 256, 6, (1, 2)
+        report = run_experiment(ExperimentConfig(
+            spec, N=n, T=T, seeds=seeds, mode="simple",
+            nonlinearity="tanh-centered", degree=24))
+
+        base = preset_nonlinearity("tanh-centered")
+        se = run_state_evolution([base] * T, 1.0,
+                                 operator_from_spec(spec, n, 1).sigma_psi_sq,
+                                 T, 24)
+        sigma = np.sqrt(se.sigma_sq)
+        nonlins = [center_divergence_free(base, sigma[t]) for t in range(T)]
+        for seed, table in zip(seeds, report.seed_tables):
+            trace = run_amp(operator_from_spec(spec, n, seed), nonlins,
+                            gaussian_init(n, 1.0, seed), T, "simple",
+                            seed=seed, sigma=sigma)
+            assert np.array_equal(trace.table, table), seed
+
     def test_trace_dump_gated(self, tmp_path):
         out = tmp_path / "tr.csv"
         config = ExperimentConfig("signed-sine", N=64, T=2, seeds=(1,),
@@ -241,6 +329,19 @@ class TestMainEntry:
         values = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert len(values) == 6
         assert np.ptp(values) <= 1e-6  # sigma_t^2 constant across t
+
+    def test_se_default_output_bytes(self, capsys):
+        assert main(["se"]) == 0
+        assert capsys.readouterr().out == SE_DEFAULT
+
+    def test_se_degenerate_tail_output_bytes(self, capsys):
+        # sigma_{t+1}^2 = sigma_psi^2 sigma_t^4 falls below the degenerate
+        # floor at step 6, whose row of the covariance stays zero
+        with pytest.warns(UserWarning, match="degenerate at step 6"):
+            rc = main(["se", "--preset", "plain", "--nonlinearity", "square",
+                       "--sigma-psi-sq", "0.5", "--T", "6"])
+        assert rc == 0
+        assert capsys.readouterr().out == SE_PLAIN_DEGENERATE
 
     def test_check_ensemble_subcommand(self, capsys):
         rc = main(["check-ensemble", "--ensemble", "signed-sine",
@@ -276,22 +377,48 @@ class TestMainEntry:
         assert "q_star=" in out
         assert "ensemble,beta,theta" in out
 
-    @pytest.mark.parametrize("spec, named", [
-        ("mystery-ensemble", "mystery-ensemble"),
-        ("wigner-resolvent", "lambda="),
-        ("wishart-resolvent:lambda=4.5", "phi="),
-        ("sign-perm:base=hadamard", "spectrum="),
-        ("wishart-resolvent:phi=abc,lambda=4.5", "phi='abc' is not a finite"),
-        ("wigner-resolvent:lambda=inf", "lambda='inf' is not a finite"),
+    @pytest.mark.parametrize("spec, config, named", [
+        ("mystery-ensemble", None, "mystery-ensemble"),
+        ("wigner-resolvent", None, "lambda="),
+        ("wishart-resolvent:lambda=4.5", None, "phi="),
+        ("sign-perm:base=hadamard", None, "spectrum="),
+        ("wishart-resolvent:phi=abc,lambda=4.5", None,
+         "phi='abc' is not a finite"),
+        ("wigner-resolvent:lambda=inf", None, "lambda='inf' is not a finite"),
+        ("signed-sine", "mode=simple\nbeta_=3\n",
+         "unknown key 'beta_' for run; valid keys: ensemble, N, T, seeds"),
+        ("signed-sine", "dump_trace=ture\n",
+         "dump_trace='ture' is not a boolean"),
     ], ids=["unknown", "no-lambda", "no-phi", "no-spectrum", "phi-not-number",
-            "lambda-infinite"])
-    def test_error_record_on_stderr(self, capsys, spec, named):
-        rc = main(["run", "--ensemble", spec, "--N", "64",
-                   "--T", "2", "--seeds", "1"])
+            "lambda-infinite", "config-unknown-key", "config-bad-boolean"])
+    def test_error_record_on_stderr(self, capsys, tmp_path, spec, config,
+                                    named):
+        argv = ["run", "--ensemble", spec, "--N", "64", "--T", "2",
+                "--seeds", "1"]
+        if config is not None:
+            (tmp_path / "exp.conf").write_text(config)
+            argv += ["--config", str(tmp_path / "exp.conf")]
+        rc = main(argv)
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValueError"
         assert named in record["message"]
+
+    def test_bad_thread_count_refused_before_any_work(self, monkeypatch,
+                                                      capsys):
+        from amplab import ensembles
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("operator built before AMP_LAB_THREADS "
+                                 "was checked")
+
+        monkeypatch.setattr(ensembles, "operator_from_spec", no_build)
+        monkeypatch.setenv("AMP_LAB_THREADS", "abc")
+        rc = main(["run", "--N", "64", "--T", "2", "--seeds", "1..2"])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError", "message":
+                          "AMP_LAB_THREADS='abc' is not an integer"}
 
     def test_config_file_merging(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"

@@ -49,7 +49,7 @@ class TestRecursion:
     def test_rho_zero_row(self):
         se = run_state_evolution([SQUARE] * 5, 1.0, 1.0, 5)
         for t in range(1, 6):
-            assert se.rho[(0, t)] == 0.0
+            assert se.cov[0, t] == 0.0
 
     def test_tap_constant_variance(self):
         # deep pipeline identity: sigma_psi^2 E[g^2(sigma* Z)] = sigma*^2
@@ -81,12 +81,11 @@ class TestRecursion:
         spsi = 1.0 / gaussian_expectation(lambda y: fbar0.eval(y) ** 2, 1.0)
         se = run_state_evolution([f] * 5, 1.0, spsi, 5, degree=12)
         sig = np.sqrt(se.sigma_sq)
-        for (s, t), value in se.rho.items():
+        for s, t in zip(*np.triu_indices(se.T + 1, 1)):
             if s == 0:
                 continue
-            r = se.rho.get((s - 1, t - 1), se.sigma_sq[s - 1]
-                           if s - 1 == t - 1 else 0.0)
-            r = r / (sig[s - 1] * sig[t - 1])
+            value = se.cov[s, t]
+            r = se.cov[s - 1, t - 1] / (sig[s - 1] * sig[t - 1])
             fbar_s = center_divergence_free(f, sig[s - 1])
             fbar_t = center_divergence_free(f, sig[t - 1])
             oracle = se.sigma_psi_sq * cross_moment_quadrature(
@@ -105,7 +104,7 @@ class TestRecursion:
                                               1.0)
             se = run_state_evolution([nonlin] * 8, 1.0, spsi, 8)
             assert not se.degenerate
-            eig = np.linalg.eigvalsh(se.covariance_matrix())
+            eig = np.linalg.eigvalsh(se.cov)
             assert eig[0] >= -1e-10
 
     def test_succ_diff_prediction_shape(self):
@@ -122,6 +121,22 @@ class TestRecursion:
         assert se.degenerate
         assert se.sigma_sq[1] == 0.0
         assert se.sigma_sq[3] == 0.0
+
+    def test_covariance_is_one_read_only_matrix(self):
+        # a degenerate third step leaves every later row and column zero
+        linear = Nonlinearity(lambda x: 2.0 * x, "linear")
+        with pytest.warns(UserWarning, match="degenerate at step 3"):
+            se = run_state_evolution([SQUARE, SQUARE, linear, SQUARE],
+                                     1.0, 1.0, 4)
+        assert se.T == 4 and se.cov.shape == (5, 5)
+        np.testing.assert_array_equal(se.cov, se.cov.T)
+        np.testing.assert_array_equal(se.sigma_sq, np.diag(se.cov))
+        assert np.all(se.cov[3:] == 0.0) and se.cov[2, 2] > 0.0
+        assert len(se.centered) == 3
+        with pytest.raises(ValueError):
+            se.cov[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            se.sigma_sq[0] = 2.0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
