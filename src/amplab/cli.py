@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -349,34 +350,29 @@ def _build_parser():
 
 
 def _merged(args, defaults: dict) -> dict:
-    """Flag value if given, else config-file value, else hard default."""
-    file_conf = load_config_file(args.config) if getattr(args, "config", None) else {}
+    """Flag value if given, else config-file value, else hard default.
+    Each file value takes its default's type, even where a flag wins."""
+    path = getattr(args, "config", None)
+    file_conf = load_config_file(path) if path else {}
     if unknown := sorted(file_conf.keys() - defaults.keys()):
-        raise ValueError(f"{args.config}: unknown key {unknown[0]!r} for "
+        raise ValueError(f"{path}: unknown key {unknown[0]!r} for "
                          f"{args.command}; valid keys: {', '.join(defaults)}")
-    out = {}
-    for key, fallback in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in file_conf:
-            raw = file_conf[key]
-            if key == "seeds":
-                out[key] = raw
-            elif isinstance(fallback, bool):
-                if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
-                    raise ValueError(f"{args.config}: {key}={raw!r} is not a "
-                                     f"boolean (1/true/yes or 0/false/no)")
-                out[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(fallback, int):
-                out[key] = int(raw)
-            elif isinstance(fallback, float):
-                out[key] = float(raw)
-            else:
-                out[key] = raw
-        else:
-            out[key] = fallback
-    return out
+    for key, raw in file_conf.items():
+        fallback = defaults[key]
+        if isinstance(fallback, bool):
+            if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise ValueError(f"{path}: {key}={raw!r} is not a "
+                                 f"boolean (1/true/yes or 0/false/no)")
+            file_conf[key] = raw.lower() in ("1", "true", "yes")
+        elif isinstance(fallback, (int, float)):
+            try:
+                file_conf[key] = type(fallback)(raw)
+            except ValueError:
+                kind = "an integer" if isinstance(fallback, int) else "a number"
+                raise ValueError(f"{path}: {key}={raw!r} is not {kind}") from None
+    flags = {key: getattr(args, key, None) for key in defaults}
+    return {**defaults, **file_conf,
+            **{key: flag for key, flag in flags.items() if flag is not None}}
 
 
 def _experiment_command(args, defaults: dict, **fixed) -> int:
@@ -441,14 +437,22 @@ _COMMANDS = {"run": _cmd_run, "tap": _cmd_tap, "se": _cmd_se,
              "check-ensemble": _cmd_check}
 
 
+def _warning_record(message, category, *_):
+    """A shown warning's stderr text: one JSON line like the error record."""
+    return json.dumps({"warning": category.__name__, "message": str(message)}) + "\n"
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    previous, warnings.formatwarning = warnings.formatwarning, _warning_record
     try:
         return _COMMANDS[args.command](args)
     except (AmpLabError, ValueError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = previous
 
 
 if __name__ == "__main__":

@@ -357,6 +357,14 @@ def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
                           trace=float(lam.sum()))
 
 
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy a's strict upper triangle below its diagonal, 64 rows a step."""
+    for i in range(0, len(a), 64):
+        rows, tile = slice(i, i + 64), a[i:i + 64, i:i + 64]
+        a[rows, :i] = a[:i, rows].T
+        np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
+
+
 def _check_cap(n):
     if n > MATERIALIZATION_CAP:
         raise ValueError(
@@ -370,20 +378,21 @@ def build_wigner_coupling(n: int, seed: int,
     Entries are symmetric random variables: "rademacher" gives +/-1 off the
     diagonal and +/-sqrt(2) on it; "gaussian_symmetric" gives N(0,1) and
     N(0,2).  The limiting spectrum is the semicircle on [-2, 2] and the
-    stored sigma_psi_sq is its second moment, 1.
+    stored sigma_psi_sq is its second moment, 1.  J is the draw's own N x N
+    buffer, its upper triangle mirrored below the diagonal; only a +/-1
+    draw briefly holds its N x N integers as well.
     """
     _check_cap(n)
     rng = substream(seed, "wigner", entry_kind)
     if entry_kind == "rademacher":
-        w = rademacher(rng, n * n).reshape(n, n)
+        j = rademacher(rng, n * n).reshape(n, n)
         diag = np.sqrt(2.0) * rademacher(rng, n)
     elif entry_kind == "gaussian_symmetric":
-        w = rng.standard_normal((n, n))
+        j = rng.standard_normal((n, n))
         diag = np.sqrt(2.0) * rng.standard_normal(n)
     else:
         raise ValueError(f"unknown entry kind {entry_kind!r}")
-    j = np.triu(w, 1)
-    j = j + j.T
+    _mirror_upper(j)
     np.fill_diagonal(j, diag)
     j /= np.sqrt(n)
     return MatrixOperator(n, lambda v: j @ v, 1.0, "wigner", seed=seed,
@@ -519,18 +528,19 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
                        sigma_psi_sq: float) -> MatrixOperator:
     """M(lam) = (lam I - J)^{-1} - (Tr (lam I - J)^{-1} / N) I as an operator.
 
-    One Cholesky factorization of lam I - J proves lam is above the
-    spectrum of J (a failed one raises ValueError); the inverse is formed
-    from the factor, its diagonal gives the centering constant, and each
-    matvec is one dense product.  A coupling without a ``dense`` form is
-    materialized from matvecs (see ``dense_form``).  ``sigma_psi_sq`` is
-    supplied by the caller (closed form or algebraic identity for the law
-    at hand).
+    The one N x N buffer held beyond J is Fortran-ordered: it takes
+    lam I - J, whose Cholesky factorization, made in place, proves lam is
+    above the spectrum of J (a failed one raises ValueError); LAPACK then
+    inverts it in place too, and it becomes the operator's ``dense``.  Its
+    diagonal gives the centering constant, and each matvec is one dense
+    product.  A coupling without a ``dense`` form is materialized from
+    matvecs (see ``dense_form``).  ``sigma_psi_sq`` is supplied by the
+    caller (closed form or algebraic identity for the law at hand).
     """
     # here, not at module level: `amplab se` never loads scipy.linalg
     from scipy.linalg import LinAlgError, cho_factor, lapack
     n = j_op.dim
-    shifted = -dense_form(j_op)
+    shifted = np.negative(dense_form(j_op), out=np.empty((n, n), order="F"))
     shifted[np.diag_indices(n)] += lam
     try:
         factor, _ = cho_factor(shifted, lower=True, overwrite_a=True)
@@ -540,8 +550,8 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     inverse, info = lapack.dpotri(factor, lower=True, overwrite_c=True)
     if info:
         raise NumericError(f"inverting the Cholesky factor failed (info {info})")
-    # dpotri writes the lower triangle only: mirror it above the diagonal
-    np.copyto(inverse, inverse.T, where=~np.tri(n, dtype=bool))
+    # dpotri fills the lower triangle, the upper one of inverse.T: mirror it
+    _mirror_upper(inverse.T)
     inverse[np.diag_indices(n)] -= np.trace(inverse) / n
 
     return MatrixOperator(n, lambda v: inverse @ v, sigma_psi_sq,
@@ -625,11 +635,11 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
                 f"directions, above the lazy store's cap of "
                 f"{op.haar_basis.cap}; use probe mode (--mode probe)")
         m = dense_form(op)
-        gram = m @ m.T
-        diag = np.diag(gram)
-        off = gram - np.diag(diag)
         inf_norm = float(np.max(np.abs(m)))
-        max_off = float(np.max(np.abs(off)))
+        gram = m @ m.T
+        diag = np.diag(gram).copy()
+        np.fill_diagonal(gram, 0.0)
+        max_off = float(np.max(np.abs(gram, out=gram)))
         max_diag = float(np.max(np.abs(diag - op.sigma_psi_sq)))
     elif mode == "probe":
         rng = substream(101, "diagnostics", op.label)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,41 @@ class TestMainEntry:
         assert rc == 0
         assert capsys.readouterr().out == SE_PLAIN_DEGENERATE
 
+    def test_se_degenerate_warning_is_one_json_record(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "amplab.cli", "se", "--preset", "plain",
+             "--nonlinearity", "square", "--sigma-psi-sq", "0.5", "--T", "6"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == SE_PLAIN_DEGENERATE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0]) == {
+            "warning": "UserWarning",
+            "message": "nonlinearity 'square' is degenerate at step 6: "
+                       "downstream variances are zero"}
+
+    def test_main_restores_the_warning_format(self, monkeypatch):
+        def own_format(*args):
+            return "own\n"
+
+        monkeypatch.setattr(warnings, "formatwarning", own_format)
+        assert main(["se", "--T", "2"]) == 0
+        assert warnings.formatwarning is own_format
+
+    def test_run_degenerate_warning_precedes_the_error_record(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "amplab.cli", "run", "--ensemble",
+             "signed-hadamard", "--N", "256", "--T", "3", "--seeds", "1",
+             "--mode", "simple", "--nonlinearity", "tanh-centered"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        warning, error = map(json.loads, proc.stderr.splitlines())
+        assert warning["warning"] == "UserWarning"
+        assert "degenerate" in warning["message"]
+        assert error["error"] == "ValueError"
+        assert "zero variance" in error["message"]
+
     def test_check_ensemble_subcommand(self, capsys):
         rc = main(["check-ensemble", "--ensemble", "signed-sine",
                    "--N", "512"])
@@ -389,8 +425,15 @@ class TestMainEntry:
          "unknown key 'beta_' for run; valid keys: ensemble, N, T, seeds"),
         ("signed-sine", "dump_trace=ture\n",
          "dump_trace='ture' is not a boolean"),
+        # the flags --T 2 and --N 64 win, yet the file values are refused
+        ("signed-sine", "T=abc\n", "exp.conf: T='abc' is not an integer"),
+        ("signed-sine", "N=1e3\n", "exp.conf: N='1e3' is not an integer"),
+        ("signed-sine", "sigma0_sq=one\n",
+         "exp.conf: sigma0_sq='one' is not a number"),
     ], ids=["unknown", "no-lambda", "no-phi", "no-spectrum", "phi-not-number",
-            "lambda-infinite", "config-unknown-key", "config-bad-boolean"])
+            "lambda-infinite", "config-unknown-key", "config-bad-boolean",
+            "config-not-integer", "config-float-for-integer",
+            "config-not-number"])
     def test_error_record_on_stderr(self, capsys, tmp_path, spec, config,
                                     named):
         argv = ["run", "--ensemble", spec, "--N", "64", "--T", "2",

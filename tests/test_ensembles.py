@@ -1,16 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, lapack
 
 from amplab.ensembles import (ENSEMBLES, MATERIALIZATION_CAP, MatrixOperator,
                               build_random_orthogonal, build_sign_perm,
                               build_signed_hadamard, build_signed_sine,
                               build_wigner_coupling, build_wishart_coupling,
                               centered_resolvent, check_semi_random,
-                              conjugate_gradient, dst_matvec, fwht,
+                              conjugate_gradient, dense_form, dst_matvec, fwht,
                               hutchinson_trace_square,
                               involution_resolvent,
                               operator_from_spec, power_iteration_norm)
 from amplab.errors import NumericError, ResourceError
+from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, resolvent_variance
 from amplab.tap import gauge_conjugate
 
@@ -269,6 +273,25 @@ class TestWignerCoupling:
         est = hutchinson_trace_square(op, probes=64) / op.dim
         assert est == pytest.approx(frob, abs=0.1)
 
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian_symmetric"])
+    def test_bit_identical_to_the_copying_recipe(self, kind):
+        # the earlier recipe: triu(W, 1) plus its transpose, two full copies
+        n = 200
+        rng = substream(12, "wigner", kind)
+        if kind == "rademacher":
+            w = rademacher(rng, n * n).reshape(n, n)
+            diag = np.sqrt(2.0) * rademacher(rng, n)
+        else:
+            w = rng.standard_normal((n, n))
+            diag = np.sqrt(2.0) * rng.standard_normal(n)
+        want = np.triu(w, 1)
+        want = want + want.T
+        np.fill_diagonal(want, diag)
+        want /= np.sqrt(n)
+        got = build_wigner_coupling(n, seed=12, entry_kind=kind)
+        assert np.array_equal(got.dense, want)
+        assert got.dense.flags.c_contiguous
+
     def test_gaussian_entries(self):
         op = build_wigner_coupling(512, seed=4, entry_kind="gaussian_symmetric")
         offdiag = op.dense[np.triu_indices(512, 1)] * np.sqrt(512)
@@ -328,6 +351,41 @@ class TestConjugateGradient:
             conjugate_gradient(lambda v: indefinite @ v, b, max_iter=5)
 
 
+def copied_resolvent(j_op, lam):
+    # the earlier recipe, kept as an oracle: a C-ordered -J, which f2py
+    # copies to Fortran order for the factorization, and a mirror through
+    # a full transposed temporary
+    n = j_op.dim
+    shifted = -dense_form(j_op)
+    shifted[np.diag_indices(n)] += lam
+    factor, _ = cho_factor(shifted, lower=True, overwrite_a=True)
+    inverse, info = lapack.dpotri(factor, lower=True, overwrite_c=True)
+    assert info == 0
+    np.copyto(inverse, inverse.T, where=~np.tri(n, dtype=bool))
+    inverse[np.diag_indices(n)] -= np.trace(inverse) / n
+    return inverse
+
+
+def traced_peak(fn):
+    """Run fn(); return its result and its traced allocation peak in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+DENSE_COUPLINGS = {
+    "sk": (lambda: build_wigner_coupling(256, seed=11), 2.5),
+    "hopfield": (lambda: build_wishart_coupling(256, 1.0, seed=11), 4.5),
+    # materialized from matvecs: M_ij and M_ji differ in the last bits, so
+    # reading the upper triangle instead of the lower one changes the result
+    "signed-sine": (lambda: build_signed_sine(256, seed=11), 2.0),
+}
+
+
 def zero_operator(n):
     return MatrixOperator(n, lambda v: np.zeros_like(v), 1.0, "zero",
                           trace=0.0)
@@ -352,6 +410,28 @@ class TestCenteredResolvent:
         assert abs(np.trace(centered)) <= 1e-8
         v = np.random.default_rng(24).standard_normal(256)
         np.testing.assert_allclose(m.matvec(v), centered @ v, atol=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(DENSE_COUPLINGS))
+    def test_bit_identical_to_the_copying_recipe(self, name):
+        build, lam = DENSE_COUPLINGS[name]
+        j = build()
+        if name == "signed-sine":
+            sampled = dense_form(j)
+            assert not np.array_equal(sampled, sampled.T)
+        m = centered_resolvent(j, lam, 1.0)
+        assert np.array_equal(m.dense, copied_resolvent(j, lam))
+        assert m.dense.flags.f_contiguous
+
+    @pytest.mark.parametrize("name", ["sk", "hopfield"])
+    def test_coupling_dense_left_unchanged(self, name):
+        build, lam = DENSE_COUPLINGS[name]
+        j = build()
+        before = j.dense.copy()
+        centered_resolvent(j, lam, 1.0)
+        assert np.array_equal(j.dense, before)
+        with pytest.raises(ValueError, match="spectrum"):
+            centered_resolvent(j, 1.0, 1.0)
+        assert np.array_equal(j.dense, before)
 
     def test_lambda_inside_spectrum_rejected(self):
         j = build_wigner_coupling(256, seed=6)
@@ -429,6 +509,21 @@ class TestCheckSemiRandom:
         assert diag.max_diag_gram_dev <= 1e-10
         assert diag.psi_op_norm == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("spec", ["wigner-resolvent:lambda=2.5",
+                                      "wishart-resolvent:phi=1,lambda=4.5",
+                                      "signed-sine"])
+    def test_dense_mode_equals_the_copying_recipe(self, spec):
+        op = operator_from_spec(spec, 256, 3)
+        m = dense_form(op)
+        gram = m @ m.T
+        diag = np.diag(gram)
+        off = gram - np.diag(diag)
+        got = check_semi_random(op, "dense")
+        assert got.psi_inf_norm == float(np.max(np.abs(m)))
+        assert got.max_offdiag_gram == float(np.max(np.abs(off)))
+        assert got.max_diag_gram_dev == float(
+            np.max(np.abs(diag - op.sigma_psi_sq)))
+
     def test_identity_operator_fails_delocalization(self):
         op = MatrixOperator(128, lambda v: v.copy(), 1.0, "identity")
         diag = check_semi_random(op, "dense")
@@ -456,6 +551,28 @@ class TestCheckSemiRandom:
             op = build_signed_sine(n, seed=4)
             probe = check_semi_random(op, "probe", pairs=64)
             assert probe.psi_inf_norm * np.sqrt(n) <= 2.0 + 1e-9
+
+
+class TestDenseWorkingMemory:
+    """Traced allocation peaks at N = 512, in units of one N x N float64."""
+
+    N = 512
+    SQUARE = N * N * 8
+
+    def test_resolvent_holds_one_buffer_beyond_the_coupling(self):
+        j = build_wigner_coupling(self.N, seed=13)
+        _, peak = traced_peak(lambda: centered_resolvent(j, 2.5, 1.0))
+        assert peak <= 1.2 * self.SQUARE
+
+    def test_wigner_build_holds_the_draw_only(self):
+        # the +/-1 draw's integers and floats; J is built in the floats
+        _, peak = traced_peak(lambda: build_wigner_coupling(self.N, seed=13))
+        assert peak <= 2.05 * self.SQUARE
+
+    def test_dense_check_holds_one_gram(self):
+        j = build_wigner_coupling(self.N, seed=13)
+        _, peak = traced_peak(lambda: check_semi_random(j, "dense"))
+        assert peak <= 1.2 * self.SQUARE
 
 
 class TestOperatorSpecs:
