@@ -65,6 +65,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"trace dump is gated to N <= {TRACE_DUMP_CAP} (got {self.N})")
 
+    @property
+    def haar_budget(self) -> int:  # directions T matvecs can reveal
+        return min(2 * self.T, self.N)
+
 
 def parse_seeds(text: str) -> tuple:
     """"a..b" (inclusive) or comma-separated integers."""
@@ -121,7 +125,8 @@ def _tap_experiment(config: ExperimentConfig):
     def one_seed(seed, sigma):
         return tap.run_tap_amp(config.ensemble, config.beta, config.theta,
                                config.N, config.T, seed, phi=config.phi,
-                               params=params, sigma=sigma).trace
+                               params=params, sigma=sigma,
+                               max_directions=config.haar_budget).trace
 
     header = {key: getattr(params, key) for key in (
         "beta", "theta", "q_star", "sigma_star_sq", "lambda_star",
@@ -131,8 +136,9 @@ def _tap_experiment(config: ExperimentConfig):
 
 def _plain_experiment(config: ExperimentConfig):
     base = state_evolution.preset_nonlinearity(config.nonlinearity)
-    sample_op = ensembles.operator_from_spec(config.ensemble, config.N,
-                                             config.seeds[0])
+    sample_op = ensembles.operator_from_spec(
+        config.ensemble, config.N, config.seeds[0],
+        max_directions=config.haar_budget)
     se = state_evolution.run_state_evolution(
         [base] * config.T, config.sigma0_sq, sample_op.sigma_psi_sq,
         config.T, config.degree)
@@ -155,9 +161,8 @@ def _plain_experiment(config: ExperimentConfig):
     built = {config.seeds[0]: sample_op}
 
     def one_seed(seed, sigma):
-        op = built.pop(seed, None)
-        if op is None:
-            op = ensembles.operator_from_spec(config.ensemble, config.N, seed)
+        op = built.pop(seed, None) or ensembles.operator_from_spec(
+            config.ensemble, config.N, seed, max_directions=config.haar_budget)
         return amp.run_amp(
             op, nonlins,
             amp.gaussian_init(config.N, np.sqrt(config.sigma0_sq), seed),

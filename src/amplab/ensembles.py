@@ -35,6 +35,13 @@ from .spectral import SpectralLaw, resolvent_variance
 # builders).  All shipped experiments fit under it.
 MATERIALIZATION_CAP = 8192
 
+# Haar directions of a random-orthogonal store whose caller gives no budget
+HAAR_CAP = 512
+
+# Columns of I per matvec in dense_form.  A signed-sine block's FFT work
+# arrays come to about 7 blocks: 0.22 N x N at N = 1024.
+DENSE_BLOCK = 32
+
 
 class MatrixOperator:
     """Symmetric operator known only through products w = M v.
@@ -224,7 +231,8 @@ class _LazyHaar:
     conditional law of a Haar matrix given its action so far.  U^T swaps
     the roles of the two bases.  The store mutates on first touch of each
     new direction, so a given instance must not be used from two threads
-    at once.
+    at once.  Its (max_directions, dim) row buffers are allocated once.  T
+    matvecs fill min(2T, N) rows: callers at N >= 2^20 should pass that budget.
     """
 
     _DROP = 1e-13  # relative residual below which a direction is not spawned
@@ -234,8 +242,8 @@ class _LazyHaar:
         self.rng = rng
         self.cap = max_directions
         self._count = 0
-        self._q = np.zeros((0, dim))
-        self._p = np.zeros((0, dim))
+        self._q = np.empty((max_directions, dim))
+        self._p = np.empty((max_directions, dim))
 
     @property
     def q(self):  # (k, dim): the revealed q_i as rows
@@ -269,10 +277,9 @@ class _LazyHaar:
                     f"lazy Haar store exceeded {self.cap} directions")
             new_src = resid / rnorm
             new_dst = self._fresh(dst)
-            if forward:
-                self._append(new_src, new_dst)
-            else:
-                self._append(new_dst, new_src)
+            pair = (new_src, new_dst) if forward else (new_dst, new_src)
+            self._q[self._count], self._p[self._count] = pair
+            self._count += 1
             out += rnorm * new_dst
         return out
 
@@ -282,25 +289,18 @@ class _LazyHaar:
     def backward(self, w):  # U^T w
         return self._apply(w, self.p, self.q, False)
 
-    def _append(self, qn, pn):
-        k = self._count
-        if k == self._q.shape[0]:  # full: 16 rows, then doubling, up to the cap
-            rows = min(self.cap, max(16, 2 * k))
-            q, p = self._q, self._p
-            self._q, self._p = np.empty((rows, self.dim)), np.empty((rows, self.dim))
-            self._q[:k], self._p[:k] = q, p
-        self._q[k], self._p[k] = qn, pn
-        self._count = k + 1
-
 
 def build_random_orthogonal(n: int, seed: int, *,
-                            max_directions: int = 512) -> MatrixOperator:
+                            max_directions: int = HAAR_CAP) -> MatrixOperator:
     """M = U diag(lam) U^T with U Haar and lam i.i.d. +/-1.
 
-    U is applied through a lazily grown orthonormal-pair store keyed to the
-    seed, so memory scales with the number of distinct directions touched
-    (two per AMP step), not with N.  Exceeding ``max_directions`` raises a
-    ResourceError.  The store mutates on first touch of a new direction:
+    U is applied through a lazily revealed orthonormal-pair store keyed to
+    the seed.  Each matvec reveals at most two directions (one through U^T,
+    one through U), so T matvecs need a budget of min(2T, N), which ``run``
+    and ``tap`` pass; revealing more raises a ResourceError.  The store
+    reserves 2 ``max_directions`` N-vectors up front, resident once written
+    (8 GB at the default 512 and N = 2^20): callers at N >= 2^20 should
+    pass a budget.  The store mutates on first touch of a new direction:
     this is the single operator that is not re-entrant during a matvec.
     A column block is applied one column at a time, in order, so it
     reveals the same directions in the same order as separate matvecs.
@@ -403,9 +403,10 @@ def build_wishart_coupling(n: int, phi: float, seed: int,
                            entry_kind: str = "rademacher") -> MatrixOperator:
     """PSD coupling J = X^T X / sqrt(M N), M = round(phi N).
 
-    The matvec uses the Gram form X^T(X v), which keeps every quadratic
-    form nonnegative exactly; ``dense`` holds J for its resolvents.
-    sigma_psi_sq stores the limiting spectral second moment 1 + phi.
+    J, the coupling's ``dense`` form, is the one N x N array it keeps: X is
+    dropped once its Gram matrix and trace are formed, J is scaled in
+    place, and the matvec is J v.  sigma_psi_sq stores the limiting
+    spectral second moment 1 + phi.
     """
     _check_cap(n)
     if phi <= 0:
@@ -419,13 +420,11 @@ def build_wishart_coupling(n: int, phi: float, seed: int,
     else:
         raise ValueError(f"unknown entry kind {entry_kind!r}")
     scale = np.sqrt(m * n)
-
-    def apply(v):
-        return x.T @ (x @ v) / scale
-
-    return MatrixOperator(n, apply, 1.0 + phi, "wishart", seed=seed,
-                          trace=float(np.sum(x * x)) / scale,
-                          dense=(x.T @ x) / scale)
+    trace = float(np.sum(x * x)) / scale
+    j = x.T @ x
+    j /= scale
+    return MatrixOperator(n, lambda v: j @ v, 1.0 + phi, "wishart", seed=seed,
+                          trace=trace, dense=j)
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +513,19 @@ def hutchinson_trace_square(op: MatrixOperator, *, probes: int = 64,
 # ---------------------------------------------------------------------------
 
 def dense_form(op: MatrixOperator) -> np.ndarray:
-    """The N x N matrix of ``op``: its ``dense`` field, else ``matvec(I)``.
-
-    Materializing is refused before any matvec above MATERIALIZATION_CAP.
+    """The N x N matrix of ``op``: its ``dense`` field, else ``matvec(I)``
+    taken DENSE_BLOCK columns at a time.  Materializing is refused before
+    any matvec above MATERIALIZATION_CAP.
     """
     if op.dense is not None:
         return op.dense
-    _check_cap(op.dim)
-    return op.matvec(np.eye(op.dim))
+    n = op.dim
+    _check_cap(n)
+    out = np.empty((n, n))
+    for start in range(0, n, DENSE_BLOCK):
+        eye = np.eye(n, min(DENSE_BLOCK, n - start), -start)
+        out[:, start:start + eye.shape[1]] = op.matvec(eye)
+    return out
 
 
 def centered_resolvent(j_op: MatrixOperator, lam: float,
@@ -672,37 +676,40 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
 class Ensemble(NamedTuple):
     """A named coupling family: its builder and its limiting spectral law."""
 
-    build: Callable[[int, int, float], MatrixOperator]   # (n, seed, phi)
+    # (n, seed, phi) and, read by random-orthogonal only, a Haar budget
+    build: Callable[..., MatrixOperator]
     law: Callable[[float], SpectralLaw]                  # (phi)
 
 
 ENSEMBLES = {
     "signed-sine": Ensemble(
-        lambda n, seed, phi: build_signed_sine(n, seed),
+        lambda n, seed, phi, *_: build_signed_sine(n, seed),
         lambda phi: SpectralLaw.rademacher()),
     "signed-hadamard": Ensemble(
-        lambda n, seed, phi: build_signed_hadamard(n, seed),
+        lambda n, seed, phi, *_: build_signed_hadamard(n, seed),
         lambda phi: SpectralLaw.rademacher()),
     "random-orthogonal": Ensemble(
-        lambda n, seed, phi: build_random_orthogonal(n, seed),
+        lambda n, seed, phi, dirs=HAAR_CAP: build_random_orthogonal(
+            n, seed, max_directions=dirs),
         lambda phi: SpectralLaw.rademacher()),
     "sk": Ensemble(
-        lambda n, seed, phi: build_wigner_coupling(n, seed),
+        lambda n, seed, phi, *_: build_wigner_coupling(n, seed),
         lambda phi: SpectralLaw.semicircle()),
     "hopfield": Ensemble(
-        lambda n, seed, phi: build_wishart_coupling(n, phi, seed),
+        lambda n, seed, phi, *_: build_wishart_coupling(n, phi, seed),
         SpectralLaw.marchenko_pastur),
 }
 
 
-def operator_from_spec(spec: str, n: int, seed: int) -> MatrixOperator:
+def operator_from_spec(spec: str, n: int, seed: int, *,
+                       max_directions: int = HAAR_CAP) -> MatrixOperator:
     """Build an operator from its command line spec string.
 
     Recognized forms: ``signed-sine``, ``signed-hadamard``,
-    ``random-orthogonal``, ``wigner-resolvent:lambda=<x>`` (the ``sk``
-    entry of ``ENSEMBLES``), ``wishart-resolvent:phi=<x>,lambda=<y>`` (the
-    ``hopfield`` entry, law included), and
-    ``sign-perm:base=hadamard,spectrum=<file>``.
+    ``random-orthogonal`` (the only one that reads ``max_directions``),
+    ``wigner-resolvent:lambda=<x>`` (the ``sk`` entry of ``ENSEMBLES``),
+    ``wishart-resolvent:phi=<x>,lambda=<y>`` (the ``hopfield`` entry, law
+    included), and ``sign-perm:base=hadamard,spectrum=<file>``.
     """
     name, _, argstr = spec.partition(":")
     args = {}
@@ -730,7 +737,7 @@ def operator_from_spec(spec: str, n: int, seed: int) -> MatrixOperator:
         return value
 
     if name in ("signed-sine", "signed-hadamard", "random-orthogonal"):
-        return ENSEMBLES[name].build(n, seed, 1.0)
+        return ENSEMBLES[name].build(n, seed, 1.0, max_directions)
     if name in ("wigner-resolvent", "wishart-resolvent"):
         entry, phi = ((ENSEMBLES["sk"], 1.0) if name == "wigner-resolvent"
                       else (ENSEMBLES["hopfield"], number("phi")))

@@ -45,8 +45,8 @@ def hermite_sequence(max_degree: int, x):
 
     Uses the normalized three-term recurrence
     H_{k+1} = (x H_k - sqrt(k) H_{k-1}) / sqrt(k+1), which keeps every
-    intermediate at unit Gaussian norm.  Only the last two values are kept;
-    H_1 is ``x`` itself (as float64), so callers must not modify it.
+    intermediate at unit Gaussian norm.  The generator reuses three buffers:
+    a yielded H_k stays valid only until H_{k+2} is computed.
     """
     if max_degree < 0:
         raise ValueError(f"degree must be nonnegative, got {max_degree}")
@@ -57,10 +57,15 @@ def hermite_sequence(max_degree: int, x):
     yield h_prev
     if max_degree == 0:
         return
-    h = x
+    h = x.copy()
     yield h
+    spare = np.empty_like(x)
     for j in range(1, max_degree):
-        h, h_prev = (x * h - np.sqrt(j) * h_prev) / np.sqrt(j + 1), h
+        np.multiply(x, h, out=spare)
+        h_prev *= np.sqrt(j)
+        spare -= h_prev
+        spare /= np.sqrt(j + 1)
+        h_prev, h, spare = h, spare, h_prev
         yield h
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .amp import AmpTrace, gaussian_init, run_amp
-from .ensembles import (ENSEMBLES, Ensemble, MatrixOperator,
+from .ensembles import (ENSEMBLES, HAAR_CAP, Ensemble, MatrixOperator,
                         centered_resolvent, involution_resolvent, scale_rows)
 from .errors import ConvergenceError
 from .hermite import gaussian_expectation
@@ -92,10 +92,10 @@ def ensemble_law(ensemble: str, phi: float = 1.0) -> SpectralLaw:
     return _entry(ensemble).law(phi)
 
 
-def build_coupling(ensemble: str, n: int, seed: int,
-                   phi: float = 1.0) -> MatrixOperator:
+def build_coupling(ensemble: str, n: int, seed: int, phi: float = 1.0, *,
+                   max_directions: int = HAAR_CAP) -> MatrixOperator:
     """Build the coupling named in ``ENSEMBLES`` at size n for one seed."""
-    return _entry(ensemble).build(n, seed, phi)
+    return _entry(ensemble).build(n, seed, phi, max_directions)
 
 
 def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
@@ -235,20 +235,22 @@ def tap_residual(m: np.ndarray, coupling: MatrixOperator,
 
 def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
                 seed: int, *, phi: float = 1.0,
-                params: TapParameters | None = None,
-                sigma=None) -> TapRunResult:
+                params: TapParameters | None = None, sigma=None,
+                max_directions: int = HAAR_CAP) -> TapRunResult:
     """Full TAP pipeline: solve parameters, build J and M(lambda*), iterate.
 
     The iteration is the simple memory-free run with f_t = g for all t and
     z^0 ~ N(0, sigma*^2 I); the trace is labelled with ``ensemble``.
     ``sigma`` goes to ``run_amp``: given the state-evolution scales, the
-    trace carries its observable table and keeps z^T only.  No TAP
+    trace carries its observable table and keeps z^T only.  A
+    random-orthogonal coupling reveals at most ``max_directions``.  No TAP
     residual is computed: ``tap_residual(np.tanh(theta + z),
     result.coupling, result.params)`` gives one for an iterate z.
     """
     if params is None:
         params = solve_q_star(beta, theta, ensemble_law(ensemble, phi))
-    coupling = build_coupling(ensemble, n, seed, phi)
+    coupling = build_coupling(ensemble, n, seed, phi,
+                              max_directions=max_directions)
     operator = resolvent_operator(coupling, params)
     g = g_nonlinearity(params)
     trace = run_amp(operator, [g] * T,

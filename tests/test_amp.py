@@ -159,6 +159,26 @@ class TestStreamedRun:
                     sigma=np.array([1.0, 0.0, 1.0]))
 
 
+class TestHaarBudget:
+    """A random-orthogonal operator built with the budget 2T that ``run``
+    and ``tap`` pass for a T-step run (see also test_tap and test_cli)."""
+
+    N, T = 512, 6
+    SIGMA = np.array([1.0, 1.1, 0.9, 1.3, 0.8, 1.2, 1.0])
+
+    @pytest.mark.parametrize("mode", ["simple", "projected"])
+    def test_store_is_allocated_once_at_2T_rows(self, mode):
+        op = build_random_orthogonal(self.N, seed=5,
+                                     max_directions=2 * self.T)
+        basis = op.haar_basis
+        buffers = (basis.q.base, basis.p.base)
+        assert [b.shape for b in buffers] == [(2 * self.T, self.N)] * 2
+        run_amp(op, [SQUARE] * self.T, gaussian_init(self.N, 1.0, 5), self.T,
+                mode, seed=5, sigma=self.SIGMA)
+        assert basis.q.shape[0] == 2 * self.T  # the budget is used up
+        assert basis.q.base is buffers[0] and basis.p.base is buffers[1]
+
+
 class TestGaussianity:
     def test_standardized_hermite_moments_decay(self):
         # iterates stay empirically Gaussian: standardized Hermite moments

@@ -276,6 +276,56 @@ class TestRunExperiment:
             gc.enable()
         assert alive_at_start == [0, 0, 0]
 
+    @pytest.mark.parametrize("mode,T,n", [("projected", 3, 256),
+                                          ("tap", 3, 256), ("tap", 5, 8)])
+    def test_haar_store_sized_to_the_run(self, monkeypatch, mode, T, n):
+        # every seed's store is allocated once at min(2T, N) rows and is
+        # still that buffer when the run is over
+        from amplab import ensembles
+
+        stores = []
+        real_build = ensembles.build_random_orthogonal
+
+        def tracking_build(*args, **kwargs):
+            op = real_build(*args, **kwargs)
+            basis = op.haar_basis
+            stores.append((basis, basis.q.base, basis.p.base))
+            return op
+
+        monkeypatch.setattr(ensembles, "build_random_orthogonal",
+                            tracking_build)
+        monkeypatch.setenv("AMP_LAB_THREADS", "1")
+        run_experiment(ExperimentConfig(
+            "random-orthogonal", N=n, T=T, seeds=(1, 2), mode=mode,
+            nonlinearity="square", degree=24))
+        assert len(stores) == 2
+        for basis, q, p in stores:
+            assert q.shape == p.shape == (min(2 * T, n), n)
+            assert basis.q.base is q and basis.p.base is p
+
+    def test_orthogonal_run_peak_holds_no_store_growth(self, monkeypatch,
+                                                       tmp_path):
+        # the store's 2T rows of q and p are 40 N-vectors at T = 10; the
+        # doubling store peaked near 106 when it grew from 16 to 32 rows.
+        # At N = 2^14 state evolution's own quadrature tables (about 1 MB,
+        # whatever N is) stay under 8 N-vectors.
+        import tracemalloc
+
+        n = 2 ** 14
+        argv = ["run", "--ensemble", "random-orthogonal", "--N", str(n),
+                "--T", "10", "--seeds", "1..2", "--out",
+                str(tmp_path / "r.csv")]
+        monkeypatch.setenv("AMP_LAB_THREADS", "1")
+        assert main(argv) == 0  # caches and lazy imports filled
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * n * 8
+
     def test_simple_mode_iterates_the_recursion_centered_steps(self,
                                                                 tmp_path):
         # oracle: each step's nonlinearity built by centering the preset at

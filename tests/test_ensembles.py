@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, lapack
 
+from amplab import ensembles
 from amplab.ensembles import (ENSEMBLES, MATERIALIZATION_CAP, MatrixOperator,
                               build_random_orthogonal, build_sign_perm,
                               build_signed_hadamard, build_signed_sine,
@@ -573,6 +574,42 @@ class TestDenseWorkingMemory:
         j = build_wigner_coupling(self.N, seed=13)
         _, peak = traced_peak(lambda: check_semi_random(j, "dense"))
         assert peak <= 1.2 * self.SQUARE
+
+    def test_wishart_coupling_keeps_j_only(self):
+        # X is dropped once J = X^T X / sqrt(M N) and its trace are formed;
+        # J is scaled in place, so the build holds two N x N arrays at most
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            op = build_wishart_coupling(self.N, 1.0, seed=13)
+            held, peak = np.subtract(tracemalloc.get_traced_memory(), start)
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.05 * self.SQUARE
+        assert peak <= 2.05 * self.SQUARE
+        assert op.dense.flags.owndata
+
+    def test_dense_form_works_in_column_blocks(self):
+        # one N x N result plus one block's FFT work arrays, not the
+        # whole identity's
+        n = 1024
+        op = build_signed_sine(n, seed=13)
+        op.matvec(np.ones(n))  # scipy.fft loaded and its plan cached
+        m, peak = traced_peak(lambda: dense_form(op))
+        assert peak <= 1.3 * n * n * 8
+        assert np.array_equal(m, op.matvec(np.eye(n)))
+
+    @pytest.mark.parametrize("name", ["signed-sine", "signed-hadamard",
+                                      "random-orthogonal"])
+    def test_dense_form_equals_the_single_block_at_any_width(self, name,
+                                                              monkeypatch):
+        # 48 does not divide 256: the last block is narrower
+        single = operator_from_spec(name, 256, 3).matvec(np.eye(256))
+        for block in (1, 48, 256):
+            monkeypatch.setattr(ensembles, "DENSE_BLOCK", block)
+            m = dense_form(operator_from_spec(name, 256, 3))
+            assert m.flags.c_contiguous
+            assert np.array_equal(m, single), block
 
 
 class TestOperatorSpecs:

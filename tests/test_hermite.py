@@ -40,11 +40,21 @@ class TestHermiteEval:
     def test_one_recurrence_serves_eval_and_all(self):
         x = np.random.default_rng(0).standard_normal(257)
         table = hermite_all(10, x)
-        seq = list(hermite_sequence(10, x))
+        # a yielded value lives in a reused buffer: keep copies
+        seq = [h.copy() for h in hermite_sequence(10, x)]
         assert len(seq) == 11
         for k in range(11):
             assert np.array_equal(hermite_eval(k, x), table[k])
             assert np.array_equal(seq[k], table[k])
+
+    def test_a_yielded_value_holds_until_two_more_are_computed(self):
+        x = np.random.default_rng(1).standard_normal(257)
+        table = hermite_all(12, x)
+        window = []
+        for k, h in enumerate(hermite_sequence(12, x)):
+            window = [*window[-1:], (k, h)]
+            for j, kept in window:  # H_{k-1} and H_k
+                assert np.array_equal(kept, table[j])
 
     def test_eval_returns_a_new_array(self):
         x = np.linspace(-1.0, 1.0, 5)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from amplab.amp import AmpTrace
 from amplab.metrics import (ObservableReport, hermite_moment, ks_statistic,
-                            observable_table, report_from_traces,
-                            successive_diff, universality_compare)
+                            observable_row, observable_table,
+                            report_from_traces, successive_diff,
+                            universality_compare)
 
 
 def make_trace(iterates, seed=0, label="test"):
@@ -131,6 +134,21 @@ class TestObservableTable:
               + [ks_statistic(z, sigma[t])]
               for t, z in enumerate(trace.iterates[1:], start=1)]])
         assert np.array_equal(observable_table(trace, sigma), expected)
+
+    def test_row_holds_at_most_four_vectors_above_its_inputs(self):
+        # z / sigma and the Hermite recurrence's three buffers; a few KB of
+        # Python objects ride along
+        n = 2 ** 14
+        prev, z = np.random.default_rng(8).standard_normal((2, n))
+        observable_row(prev, z, 1.1)  # scipy.special loaded, grid cached
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            observable_row(prev, z, 1.1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * 8 + 8192
 
     def test_requires_positive_sigma(self):
         trace = make_trace(list(np.random.default_rng(7).standard_normal((3, 64))))

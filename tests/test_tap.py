@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from amplab.cli import _build_parser
 from amplab import tap
 from amplab.ensembles import ENSEMBLES, MatrixOperator, hutchinson_trace_square
-from amplab.errors import ConvergenceError
+from amplab.errors import ConvergenceError, ResourceError
 from amplab.hermite import gaussian_expectation
 from amplab.metrics import observable_table
 from amplab.rng import rademacher, substream
@@ -145,8 +145,8 @@ class TestRunTapAmp:
     def test_one_coupling_matvec_per_step(self, monkeypatch):
         calls = []
 
-        def counting_build(ensemble, n, seed, phi=1.0):
-            j = build_coupling(ensemble, n, seed, phi)
+        def counting_build(ensemble, n, seed, phi=1.0, **budget):
+            j = build_coupling(ensemble, n, seed, phi, **budget)
 
             def apply(v):
                 calls.append(v.shape)
@@ -173,6 +173,24 @@ class TestRunTapAmp:
         assert np.array_equal(streamed.iterates[0], stored.iterates[4])
         assert np.array_equal(streamed.table, observable_table(stored, sigma))
         assert streamed.ensemble_label == stored.ensemble_label == ensemble
+
+    def test_haar_budget_of_2T_gives_the_default_run(self):
+        params = solve_q_star(1.0, 1.0, RADEMACHER)
+        sigma = np.full(7, np.sqrt(params.sigma_star_sq))
+        budgeted, default = (
+            run_tap_amp("random-orthogonal", 1.0, 1.0, 256, 6, seed=2,
+                        params=params, sigma=sigma, **budget)
+            for budget in ({"max_directions": 12}, {}))
+        assert budgeted.coupling.haar_basis.q.shape[0] == 12
+        assert np.array_equal(budgeted.trace.iterates[0],
+                              default.trace.iterates[0])
+        assert np.array_equal(budgeted.trace.table, default.trace.table)
+
+    def test_haar_budget_one_short_of_2T_raises(self):
+        params = solve_q_star(1.0, 1.0, RADEMACHER)
+        with pytest.raises(ResourceError, match="exceeded 11 directions"):
+            run_tap_amp("random-orthogonal", 1.0, 1.0, 256, 6, seed=2,
+                        params=params, max_directions=11)
 
     def test_trace_carries_the_ensemble_name(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
