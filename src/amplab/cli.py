@@ -425,8 +425,9 @@ def _cmd_se(args) -> int:
 def _cmd_check(args) -> int:
     merged = _merged(args, dict(ensemble="signed-sine", N=512, seed=1,
                                 mode="dense"))
-    op = ensembles.operator_from_spec(merged["ensemble"], merged["N"],
-                                      merged["seed"])
+    op = ensembles.operator_from_spec(
+        merged["ensemble"], merged["N"], merged["seed"],
+        max_directions=ensembles.check_haar_budget(merged["N"], merged["mode"]))
     diag = ensembles.check_semi_random(op, merged["mode"])
     print(f"ensemble={merged['ensemble']} N={diag.dim} mode={diag.mode} "
           f"psi_inf_norm={_fmt(diag.psi_inf_norm)} "
@@ -452,7 +453,7 @@ def main(argv=None) -> int:
     previous, warnings.formatwarning = warnings.formatwarning, _warning_record
     try:
         return _COMMANDS[args.command](args)
-    except (AmpLabError, ValueError, OSError) as exc:
+    except (AmpLabError, ValueError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1

@@ -35,8 +35,7 @@ from .spectral import SpectralLaw, resolvent_variance
 # builders).  All shipped experiments fit under it.
 MATERIALIZATION_CAP = 8192
 
-# Haar directions of a random-orthogonal store whose caller gives no budget
-HAAR_CAP = 512
+HAAR_CAP = 512  # Haar store directions when the caller gives no budget
 
 # Columns of I per matvec in dense_form.  A signed-sine block's FFT work
 # arrays come to about 7 blocks: 0.22 N x N at N = 1024.
@@ -231,8 +230,8 @@ class _LazyHaar:
     conditional law of a Haar matrix given its action so far.  U^T swaps
     the roles of the two bases.  The store mutates on first touch of each
     new direction, so a given instance must not be used from two threads
-    at once.  Its (max_directions, dim) row buffers are allocated once.  T
-    matvecs fill min(2T, N) rows: callers at N >= 2^20 should pass that budget.
+    at once.  Its (max_directions, dim) row buffers are allocated once; T
+    matvecs fill min(2T, N) rows, the budget to pass at N >= 2^20.
     """
 
     _DROP = 1e-13  # relative residual below which a direction is not spawned
@@ -294,19 +293,16 @@ def build_random_orthogonal(n: int, seed: int, *,
                             max_directions: int = HAAR_CAP) -> MatrixOperator:
     """M = U diag(lam) U^T with U Haar and lam i.i.d. +/-1.
 
-    U is applied through a lazily revealed orthonormal-pair store keyed to
-    the seed.  Each matvec reveals at most two directions (one through U^T,
-    one through U), so T matvecs need a budget of min(2T, N), which ``run``
-    and ``tap`` pass; revealing more raises a ResourceError.  The store
-    reserves 2 ``max_directions`` N-vectors up front, resident once written
-    (8 GB at the default 512 and N = 2^20): callers at N >= 2^20 should
-    pass a budget.  The store mutates on first touch of a new direction:
-    this is the single operator that is not re-entrant during a matvec.
-    A column block is applied one column at a time, in order, so it
-    reveals the same directions in the same order as separate matvecs.
-    The matvec of a vector outside the revealed span therefore depends on
-    the vectors queried before it: the same v gives a different (equally
-    Haar-distributed) image after a different query history.
+    U is a lazily revealed orthonormal-pair store keyed to the seed, with
+    2 ``max_directions`` N-vectors reserved up front.  A matvec reveals at
+    most two directions (one through U^T, one through U), so T matvecs
+    need min(2T, N), the budget ``run`` and ``tap`` pass; callers at
+    N >= 2^20 should pass one too.  Revealing more raises a ResourceError.
+    The store mutates on first touch of a new direction: this is the one
+    operator not re-entrant during a matvec.  A column block is applied a
+    column at a time, in order, revealing what separate matvecs would; the
+    image of a vector outside the revealed span depends on the queries
+    made before it (each history gives an equally Haar-distributed image).
     """
     basis = _LazyHaar(n, substream(seed, "haar"), max_directions)
     lam = rademacher(substream(seed, "spectrum"), n)
@@ -403,10 +399,9 @@ def build_wishart_coupling(n: int, phi: float, seed: int,
                            entry_kind: str = "rademacher") -> MatrixOperator:
     """PSD coupling J = X^T X / sqrt(M N), M = round(phi N).
 
-    J, the coupling's ``dense`` form, is the one N x N array it keeps: X is
-    dropped once its Gram matrix and trace are formed, J is scaled in
-    place, and the matvec is J v.  sigma_psi_sq stores the limiting
-    spectral second moment 1 + phi.
+    J, scaled in place, is its ``dense`` form and the one N x N array it
+    keeps (X is dropped once J and the trace are formed); the matvec is
+    J v.  sigma_psi_sq stores the limiting spectral second moment 1 + phi.
     """
     _check_cap(n)
     if phi <= 0:
@@ -647,8 +642,7 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
         max_diag = float(np.max(np.abs(diag - op.sigma_psi_sq)))
     elif mode == "probe":
         rng = substream(101, "diagnostics", op.label)
-        ncols = max(8, int(np.ceil((1 + np.sqrt(1 + 8 * pairs)) / 2)))
-        ncols = min(ncols, n)
+        ncols = _probe_columns(n, pairs)
         idx = rng.choice(n, size=ncols, replace=False)
         cols_mat = np.zeros((n, ncols))
         for k, i in enumerate(idx):
@@ -669,6 +663,19 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
     return EnsembleDiagnostics(inf_norm, op_norm, max_off, max_diag, n, mode)
 
 
+def _probe_columns(n, pairs):  # sampled columns enough for `pairs` pairs
+    return min(n, max(8, int(np.ceil((1 + np.sqrt(1 + 8 * pairs)) / 2))))
+
+
+def check_haar_budget(n: int, mode: str, pairs: int = 256) -> int:
+    """Haar directions ``check_semi_random`` reveals: all N in dense mode
+    (refused above HAAR_CAP), else two per sampled column and two per power
+    step; the power iteration on an orthogonal M stops at its second step."""
+    if mode == "dense":
+        return min(n, HAAR_CAP)
+    return min(n, 2 * _probe_columns(n, pairs) + 4)
+
+
 # ---------------------------------------------------------------------------
 # the ensemble table and CLI operator spec strings
 # ---------------------------------------------------------------------------
@@ -676,27 +683,26 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
 class Ensemble(NamedTuple):
     """A named coupling family: its builder and its limiting spectral law."""
 
-    # (n, seed, phi) and, read by random-orthogonal only, a Haar budget
-    build: Callable[..., MatrixOperator]
-    law: Callable[[float], SpectralLaw]                  # (phi)
+    build: Callable[[int, int, float, int], MatrixOperator]  # (n, seed, phi, dirs)
+    law: Callable[[float], SpectralLaw]                      # (phi)
 
 
 ENSEMBLES = {
     "signed-sine": Ensemble(
-        lambda n, seed, phi, *_: build_signed_sine(n, seed),
+        lambda n, seed, phi, dirs: build_signed_sine(n, seed),
         lambda phi: SpectralLaw.rademacher()),
     "signed-hadamard": Ensemble(
-        lambda n, seed, phi, *_: build_signed_hadamard(n, seed),
+        lambda n, seed, phi, dirs: build_signed_hadamard(n, seed),
         lambda phi: SpectralLaw.rademacher()),
     "random-orthogonal": Ensemble(
-        lambda n, seed, phi, dirs=HAAR_CAP: build_random_orthogonal(
+        lambda n, seed, phi, dirs: build_random_orthogonal(
             n, seed, max_directions=dirs),
         lambda phi: SpectralLaw.rademacher()),
     "sk": Ensemble(
-        lambda n, seed, phi, *_: build_wigner_coupling(n, seed),
+        lambda n, seed, phi, dirs: build_wigner_coupling(n, seed),
         lambda phi: SpectralLaw.semicircle()),
     "hopfield": Ensemble(
-        lambda n, seed, phi, *_: build_wishart_coupling(n, phi, seed),
+        lambda n, seed, phi, dirs: build_wishart_coupling(n, phi, seed),
         SpectralLaw.marchenko_pastur),
 }
 
@@ -742,7 +748,7 @@ def operator_from_spec(spec: str, n: int, seed: int, *,
         entry, phi = ((ENSEMBLES["sk"], 1.0) if name == "wigner-resolvent"
                       else (ENSEMBLES["hopfield"], number("phi")))
         lam = number("lambda")
-        return centered_resolvent(entry.build(n, seed, phi), lam,
+        return centered_resolvent(entry.build(n, seed, phi, max_directions), lam,
                                   resolvent_variance(entry.law(phi), lam))
     if name == "sign-perm":
         base = args.get("base", "hadamard")

@@ -33,7 +33,8 @@ def _stored_iterates(trace: AmpTrace) -> list:
 
 
 def _mean_sq_diff(prev: np.ndarray, z: np.ndarray) -> float:
-    return float(np.mean((z - prev) ** 2))
+    d = np.subtract(z, prev)
+    return float(np.mean(np.square(d, out=d)))
 
 
 def successive_diff(trace: AmpTrace) -> np.ndarray:

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from amplab.cli import (ExperimentConfig, load_config_file, main, parse_seeds,
-                        run_experiment)
+from amplab.cli import (ExperimentConfig, _fmt, load_config_file, main,
+                        parse_seeds, run_experiment)
 
 
 # `amplab se` outputs that must stay byte-identical
@@ -445,6 +445,61 @@ class TestMainEntry:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ResourceError"
         assert "--mode probe" in record["message"]
+
+    def test_check_ensemble_probe_haar_store_sized_to_the_check(
+            self, monkeypatch, capsys):
+        # probe mode reveals 50 directions at any N; its store holds the 52
+        # of check_haar_budget, not HAAR_CAP = 512 (1024 N-vectors), and its
+        # line is the one an unbudgeted operator gives
+        import tracemalloc
+
+        from amplab import ensembles
+
+        n = 2 ** 14
+        argv = ["check-ensemble", "--ensemble", "random-orthogonal",
+                "--N", str(n), "--mode", "probe"]
+        stores = []
+        real_build = ensembles.build_random_orthogonal
+
+        def tracking_build(*args, **kwargs):
+            op = real_build(*args, **kwargs)
+            stores.append(op.haar_basis)
+            return op
+
+        monkeypatch.setattr(ensembles, "build_random_orthogonal",
+                            tracking_build)
+        assert main(argv) == 0  # caches and lazy imports filled
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * n * 8
+        basis = stores[-1]
+        assert basis.q.base.shape == (ensembles.check_haar_budget(n, "probe"), n)
+        assert basis.q.base.shape[0] < ensembles.HAAR_CAP
+        unbudgeted = ensembles.check_semi_random(real_build(n, 1), "probe")
+        line = capsys.readouterr().out.splitlines()[-1]
+        for key in ("psi_inf_norm", "psi_op_norm", "max_offdiag_gram"):
+            assert f"{key}={_fmt(getattr(unbudgeted, key))} " in line
+
+    def test_check_ensemble_out_of_memory_is_one_json_record(self,
+                                                            monkeypatch,
+                                                            capsys):
+        from amplab import ensembles
+
+        def failing_build(n, seed, *, max_directions):
+            raise MemoryError(f"cannot allocate {max_directions} Haar rows")
+
+        monkeypatch.setattr(ensembles, "build_random_orthogonal",
+                            failing_build)
+        assert main(["check-ensemble", "--ensemble", "random-orthogonal",
+                     "--N", "4096", "--mode", "probe"]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "MemoryError",
+                          "message": "cannot allocate 52 Haar rows"}
 
     def test_run_subcommand_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import cho_factor, lapack
 
 from amplab import ensembles
-from amplab.ensembles import (ENSEMBLES, MATERIALIZATION_CAP, MatrixOperator,
+from amplab.ensembles import (ENSEMBLES, HAAR_CAP, MATERIALIZATION_CAP,
+                              MatrixOperator,
                               build_random_orthogonal, build_sign_perm,
                               build_signed_hadamard, build_signed_sine,
                               build_wigner_coupling, build_wishart_coupling,
@@ -667,7 +668,7 @@ class TestBuilderInvariants:
 
 class TestMatrixInput:
     @pytest.mark.parametrize("build,rtol", [
-        *[pytest.param(lambda name=name: ENSEMBLES[name].build(64, 34, 1.0),
+        *[pytest.param(lambda name=name: ENSEMBLES[name].build(64, 34, 1.0, HAAR_CAP),
                        1e-12, id=name) for name in ENSEMBLES],
         pytest.param(lambda: build_sign_perm(64, 34, np.linspace(-1, 2, 64)),
                      1e-12, id="sign-perm"),

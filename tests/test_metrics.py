@@ -49,6 +49,23 @@ class TestSuccessiveDiff:
         shuffled = successive_diff(make_trace([a[perm], b[perm]]))[0]
         assert plain == pytest.approx(shuffled, rel=1e-12)
 
+    def test_squares_the_difference_in_place(self):
+        # one N-vector, the difference, squared where it lies; its value is
+        # that of np.mean((b - a) ** 2) bit for bit
+        n = 2 ** 14
+        a, b = np.random.default_rng(4).standard_normal((2, n))
+        trace = make_trace([a, b])
+        successive_diff(trace)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = successive_diff(trace)[0]
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * 8 + 4096
+        assert got == float(np.mean((b - a) ** 2))
+
 
 class TestHermiteMoment:
     def test_degree_zero_is_exactly_one(self):
