@@ -15,8 +15,11 @@ from amplab import (MatrixOperator, build_random_orthogonal,
                     check_semi_random, fwht)
 
 print("involution check M(Mv) = v and norm preservation:")
+# the random-orthogonal store needs a budget: 2 matvecs reveal at most 4
+# Haar directions
 for build, n in ((build_signed_sine, 512), (build_signed_hadamard, 512),
-                 (build_random_orthogonal, 512)):
+                 (lambda n, seed: build_random_orthogonal(
+                     n, seed, max_directions=4), 512)):
     op = build(n, seed=1)
     v = np.random.default_rng(0).standard_normal(n)
     err = np.linalg.norm(op.matvec(op.matvec(v)) - v) / np.linalg.norm(v)
@@ -45,7 +48,7 @@ print(f"  fwht involution error at N=4096: "
 print(f"  fwht norm ratio: {np.linalg.norm(w) / np.linalg.norm(v):.15f}")
 
 print("\nlazy Haar conjugation touches directions on demand:")
-op = build_random_orthogonal(4096, seed=7)
+op = build_random_orthogonal(4096, seed=7, max_directions=6)
 for k in range(3):
     op.matvec(np.random.default_rng(k).standard_normal(4096))
 print(f"  directions stored after 3 matvecs: {op.haar_basis.q.shape[0]} "

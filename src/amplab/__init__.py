@@ -19,8 +19,7 @@ from .hermite import (HermiteSeries, bivariate_gaussian_moment,
                       gauss_hermite_rule, gaussian_expectation, hermite_eval,
                       hermite_coefficients)
 from .metrics import (ObservableReport, hermite_moment, ks_statistic,
-                      report_from_traces, successive_diff,
-                      universality_compare)
+                      report_from_traces, successive_diff)
 from .spectral import (SpectralLaw, cauchy_derivative, cauchy_transform,
                        inverse_cauchy, r_transform, resolvent_variance)
 from .state_evolution import (Nonlinearity, SECovariance,

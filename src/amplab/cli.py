@@ -73,13 +73,16 @@ class ExperimentConfig:
 def parse_seeds(text: str) -> tuple:
     """"a..b" (inclusive) or comma-separated integers."""
     text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        first, last = int(lo), int(hi)
-        if last < first:
-            raise ValueError(f"empty seed range {text!r}")
-        return tuple(range(first, last + 1))
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    lo, dots, hi = text.partition("..")
+    try:
+        seeds = (tuple(range(int(lo), int(hi) + 1)) if dots else
+                 tuple(int(part) for part in text.split(",") if part.strip()))
+    except ValueError:
+        raise ValueError(f"seeds {text!r}: expected a..b or comma-separated "
+                         f"integers") from None
+    if dots and not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    return seeds
 
 
 def load_config_file(path: str) -> dict:
@@ -125,8 +128,7 @@ def _tap_experiment(config: ExperimentConfig):
     def one_seed(seed, sigma):
         return tap.run_tap_amp(config.ensemble, config.beta, config.theta,
                                config.N, config.T, seed, phi=config.phi,
-                               params=params, sigma=sigma,
-                               max_directions=config.haar_budget).trace
+                               params=params, sigma=sigma).trace
 
     header = {key: getattr(params, key) for key in (
         "beta", "theta", "q_star", "sigma_star_sq", "lambda_star",

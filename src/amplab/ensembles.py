@@ -35,7 +35,7 @@ from .spectral import SpectralLaw, resolvent_variance
 # builders).  All shipped experiments fit under it.
 MATERIALIZATION_CAP = 8192
 
-HAAR_CAP = 512  # Haar store directions when the caller gives no budget
+HAAR_CAP = 512  # Haar directions a dense check may reveal (dim <= HAAR_CAP)
 
 # Columns of I per matvec in dense_form.  A signed-sine block's FFT work
 # arrays come to about 7 blocks: 0.22 N x N at N = 1024.
@@ -143,38 +143,24 @@ def _butterflies(src, dst):
     return src, dst
 
 
-def dst_matvec(v: np.ndarray, method: str = "direct") -> np.ndarray:
+def dst_matvec(v: np.ndarray) -> np.ndarray:
     """Apply the symmetric orthogonal sine kernel C, C_ij = 2 sin(2 pi i j / L) / sqrt(L)
     with L = 2N + 1 and i, j = 1..N.  C is an involution: C(Cv) = v.
 
-    ``method="direct"`` evaluates rows in blocks (O(N^2), reference path);
-    ``method="fft"`` uses the odd extension of length L and a real FFT
-    (O(N log N)).  The two paths agree to machine precision and the test
-    suite compares them.
+    O(N log N): one real FFT of the odd extension of length L, taken along
+    axis 0, so (N,) vectors and (N, K) column blocks both work.
     """
+    import scipy.fft  # here, not at module level: `amplab se` never needs it
     a = np.asarray(v, dtype=np.float64)
     n = a.shape[0]
     length = 2 * n + 1
-    if method == "fft":
-        import scipy.fft  # here, not at module level: `amplab se` never needs it
-        w = np.zeros((length,) + a.shape[1:], dtype=np.float64)
-        w[1:n + 1] = a
-        w[n + 1:] = -a[::-1]
-        # odd extension: hat(w)_k = -2i sum_j sin(2 pi k j / L) v_j;
-        # scipy.fft caches the plan of this odd length across calls
-        spec = scipy.fft.rfft(w, axis=0)
-        return -spec.imag[1:] / np.sqrt(length)
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    out = np.empty_like(a)
-    cols = np.arange(1, n + 1)
-    block = max(1, 2 ** 22 // max(n, 1))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = np.arange(start + 1, stop + 1)
-        kernel = np.sin((2.0 * np.pi / length) * np.outer(rows, cols))
-        out[start:stop] = kernel @ a
-    return out * (2.0 / np.sqrt(length))
+    w = np.zeros((length,) + a.shape[1:], dtype=np.float64)
+    w[1:n + 1] = a
+    w[n + 1:] = -a[::-1]
+    # odd extension: hat(w)_k = -2i sum_j sin(2 pi k j / L) v_j;
+    # scipy.fft caches the plan of this odd length across calls
+    spec = scipy.fft.rfft(w, axis=0)
+    return -spec.imag[1:] / np.sqrt(length)
 
 
 def _dst_diagonal_sum(n: int) -> float:
@@ -198,7 +184,7 @@ def build_signed_sine(n: int, seed: int) -> MatrixOperator:
     signs = rademacher(substream(seed, "signs"), n)
 
     def apply(v):
-        return scale_rows(signs, dst_matvec(scale_rows(signs, v), method="fft"))
+        return scale_rows(signs, dst_matvec(scale_rows(signs, v)))
 
     return MatrixOperator(n, apply, 1.0, "signed-sine", seed=seed,
                           trace=_dst_diagonal_sum(n), involution=True)
@@ -230,8 +216,7 @@ class _LazyHaar:
     conditional law of a Haar matrix given its action so far.  U^T swaps
     the roles of the two bases.  The store mutates on first touch of each
     new direction, so a given instance must not be used from two threads
-    at once.  Its (max_directions, dim) row buffers are allocated once; T
-    matvecs fill min(2T, N) rows, the budget to pass at N >= 2^20.
+    at once.  Its (max_directions, dim) row buffers are allocated once.
     """
 
     _DROP = 1e-13  # relative residual below which a direction is not spawned
@@ -290,20 +275,23 @@ class _LazyHaar:
 
 
 def build_random_orthogonal(n: int, seed: int, *,
-                            max_directions: int = HAAR_CAP) -> MatrixOperator:
+                            max_directions: int) -> MatrixOperator:
     """M = U diag(lam) U^T with U Haar and lam i.i.d. +/-1.
 
     U is a lazily revealed orthonormal-pair store keyed to the seed, with
     2 ``max_directions`` N-vectors reserved up front.  A matvec reveals at
     most two directions (one through U^T, one through U), so T matvecs
-    need min(2T, N), the budget ``run`` and ``tap`` pass; callers at
-    N >= 2^20 should pass one too.  Revealing more raises a ResourceError.
+    need the budget min(2T, N); revealing more raises a ResourceError, and
+    a budget of None a ValueError before anything is allocated.
     The store mutates on first touch of a new direction: this is the one
     operator not re-entrant during a matvec.  A column block is applied a
     column at a time, in order, revealing what separate matvecs would; the
     image of a vector outside the revealed span depends on the queries
     made before it (each history gives an equally Haar-distributed image).
     """
+    if max_directions is None:
+        raise ValueError("random-orthogonal needs max_directions, its Haar "
+                         "budget: T matvecs reveal up to min(2T, N) directions")
     basis = _LazyHaar(n, substream(seed, "haar"), max_directions)
     lam = rademacher(substream(seed, "spectrum"), n)
 
@@ -367,27 +355,19 @@ def _check_cap(n):
             f"dense coupling of size {n} exceeds cap {MATERIALIZATION_CAP}")
 
 
-def build_wigner_coupling(n: int, seed: int,
-                          entry_kind: str = "rademacher") -> MatrixOperator:
+def build_wigner_coupling(n: int, seed: int) -> MatrixOperator:
     """Dense symmetric J = W / sqrt(N), E W_ij^2 = 1 + delta_ij.
 
-    Entries are symmetric random variables: "rademacher" gives +/-1 off the
-    diagonal and +/-sqrt(2) on it; "gaussian_symmetric" gives N(0,1) and
-    N(0,2).  The limiting spectrum is the semicircle on [-2, 2] and the
-    stored sigma_psi_sq is its second moment, 1.  J is the draw's own N x N
-    buffer, its upper triangle mirrored below the diagonal; only a +/-1
-    draw briefly holds its N x N integers as well.
+    Entries are +/-1 off the diagonal and +/-sqrt(2) on it.  The limiting
+    spectrum is the semicircle on [-2, 2] and the stored sigma_psi_sq is
+    its second moment, 1.  J is the draw's own N x N buffer, its upper
+    triangle mirrored below the diagonal; the draw briefly holds its
+    N x N integers as well.
     """
     _check_cap(n)
-    rng = substream(seed, "wigner", entry_kind)
-    if entry_kind == "rademacher":
-        j = rademacher(rng, n * n).reshape(n, n)
-        diag = np.sqrt(2.0) * rademacher(rng, n)
-    elif entry_kind == "gaussian_symmetric":
-        j = rng.standard_normal((n, n))
-        diag = np.sqrt(2.0) * rng.standard_normal(n)
-    else:
-        raise ValueError(f"unknown entry kind {entry_kind!r}")
+    rng = substream(seed, "wigner", "rademacher")  # the label keys every SK draw
+    j = rademacher(rng, n * n).reshape(n, n)
+    diag = np.sqrt(2.0) * rademacher(rng, n)
     _mirror_upper(j)
     np.fill_diagonal(j, diag)
     j /= np.sqrt(n)
@@ -395,9 +375,8 @@ def build_wigner_coupling(n: int, seed: int,
                           trace=float(np.trace(j)), dense=j)
 
 
-def build_wishart_coupling(n: int, phi: float, seed: int,
-                           entry_kind: str = "rademacher") -> MatrixOperator:
-    """PSD coupling J = X^T X / sqrt(M N), M = round(phi N).
+def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
+    """PSD coupling J = X^T X / sqrt(M N), M = round(phi N), X of +/-1 entries.
 
     J, scaled in place, is its ``dense`` form and the one N x N array it
     keeps (X is dropped once J and the trace are formed); the matvec is
@@ -407,13 +386,8 @@ def build_wishart_coupling(n: int, phi: float, seed: int,
     if phi <= 0:
         raise ValueError(f"phi must be positive, got {phi}")
     m = int(round(phi * n))
-    rng = substream(seed, "wishart", entry_kind)
-    if entry_kind == "rademacher":
-        x = rademacher(rng, m * n).reshape(m, n)
-    elif entry_kind == "gaussian_symmetric":
-        x = rng.standard_normal((m, n))
-    else:
-        raise ValueError(f"unknown entry kind {entry_kind!r}")
+    # the "rademacher" label keys every Hopfield draw
+    x = rademacher(substream(seed, "wishart", "rademacher"), m * n).reshape(m, n)
     scale = np.sqrt(m * n)
     trace = float(np.sum(x * x)) / scale
     j = x.T @ x
@@ -484,23 +458,6 @@ def conjugate_gradient(apply, b: np.ndarray, *, rtol: float = 1e-10,
     worst = float(np.max(np.sqrt(rs) / bnorm))
     raise NumericError(
         f"conjugate gradient stalled at relative residual {worst:.3e}")
-
-
-def hutchinson_trace_square(op: MatrixOperator, *, probes: int = 64,
-                            seed: int = 29, block: int = 16) -> float:
-    """Estimate Tr(M^2) = E ||M v||^2 over +/-1 probes (M symmetric).
-
-    Probes are drawn one at a time (fixed stream) but applied in blocks of
-    ``block`` columns, so expensive solves batch.
-    """
-    rng = substream(seed, "hutchinson-sq", op.label)
-    draws = [2.0 * rng.integers(0, 2, size=op.dim).astype(np.float64) - 1.0
-             for _ in range(probes)]
-    total = 0.0
-    for start in range(0, probes, block):
-        w = op.matvec(np.stack(draws[start:start + block], axis=1))
-        total += float(np.sum(w * w))
-    return total / probes
 
 
 # ---------------------------------------------------------------------------
@@ -708,11 +665,12 @@ ENSEMBLES = {
 
 
 def operator_from_spec(spec: str, n: int, seed: int, *,
-                       max_directions: int = HAAR_CAP) -> MatrixOperator:
+                       max_directions: int | None = None) -> MatrixOperator:
     """Build an operator from its command line spec string.
 
     Recognized forms: ``signed-sine``, ``signed-hadamard``,
-    ``random-orthogonal`` (the only one that reads ``max_directions``),
+    ``random-orthogonal`` (the only one that reads ``max_directions``, its
+    Haar budget, which it requires),
     ``wigner-resolvent:lambda=<x>`` (the ``sk`` entry of ``ENSEMBLES``),
     ``wishart-resolvent:phi=<x>,lambda=<y>`` (the ``hopfield`` entry, law
     included), and ``sign-perm:base=hadamard,spectrum=<file>``.

@@ -171,11 +171,6 @@ class HermiteSeries:
         """Parseval sum: E[f^2] up to truncation."""
         return float(np.dot(self.coefficients, self.coefficients))
 
-    def __call__(self, x):
-        table = hermite_all(self.max_degree, np.atleast_1d(np.asarray(x, float)))
-        out = self.coefficients @ table
-        return out if np.ndim(x) else float(out[0])
-
 
 def hermite_coefficients(f: Callable, max_degree: int, sigma: float = 1.0,
                          *, order: int | None = None,

@@ -130,9 +130,6 @@ class ObservableReport:
         if np.any((self.ks < 0) | (self.ks > 1)):
             raise ValueError("ks entries must lie in [0, 1]")
 
-    def config_key(self):
-        return (self.beta, self.theta, self.N, self.T)
-
 
 def report_from_traces(traces, sigma, d_pred, *, beta=0.0, theta=0.0,
                        params=None) -> ObservableReport:
@@ -156,28 +153,3 @@ def report_from_traces(traces, sigma, d_pred, *, beta=0.0, theta=0.0,
                             np.asarray(d_pred, float), mean[:, 1:5],
                             mean[:, 5], params or {}, tables)
 
-
-def universality_compare(reports) -> float:
-    """Largest pairwise discrepancy of seed-averaged observables.
-
-    All reports must share (beta, theta, N, T).  Returns the maximum over
-    steps and observables (succ_diff, hermite moments, ks) of the absolute
-    difference between any two reports.
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("need at least one report")
-    key = reports[0].config_key()
-    for rep in reports[1:]:
-        if rep.config_key() != key:
-            raise ValueError(
-                f"mismatched configurations: {rep.config_key()} vs {key}")
-    worst = 0.0
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            a, b = reports[i], reports[j]
-            worst = max(worst,
-                        float(np.max(np.abs(a.succ_diff - b.succ_diff))),
-                        float(np.max(np.abs(a.hermite - b.hermite))),
-                        float(np.max(np.abs(a.ks - b.ks))))
-    return worst

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .amp import AmpTrace, gaussian_init, run_amp
-from .ensembles import (ENSEMBLES, HAAR_CAP, Ensemble, MatrixOperator,
+from .ensembles import (ENSEMBLES, Ensemble, MatrixOperator,
                         centered_resolvent, involution_resolvent, scale_rows)
 from .errors import ConvergenceError
 from .hermite import gaussian_expectation
@@ -93,8 +93,12 @@ def ensemble_law(ensemble: str, phi: float = 1.0) -> SpectralLaw:
 
 
 def build_coupling(ensemble: str, n: int, seed: int, phi: float = 1.0, *,
-                   max_directions: int = HAAR_CAP) -> MatrixOperator:
-    """Build the coupling named in ``ENSEMBLES`` at size n for one seed."""
+                   max_directions: int | None = None) -> MatrixOperator:
+    """Build the coupling named in ``ENSEMBLES`` at size n for one seed.
+
+    ``max_directions`` is the Haar budget that random-orthogonal requires
+    (see ``ensembles.build_random_orthogonal``); the others ignore it.
+    """
     return _entry(ensemble).build(n, seed, phi, max_directions)
 
 
@@ -108,21 +112,24 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
     temperature; the returned parameters describe the fixed point actually
     reached from the standard start.
 
-    The equation needs y = beta (1 - q) < sup G.  The standard start
-    (q = 0.5, or 0.01 without a field) is kept where it meets that, else
-    the iteration starts halfway into the set; iterates are clamped to it
-    (within ``EDGE_MARGIN``), and one pinned at its lower end raises
-    ConvergenceError.
+    beta must be positive, and the equation needs y = beta (1 - q) < sup G.
+    The standard start (q = 0.5, or 0.01 without a field) is kept where it
+    meets that, else the iteration starts halfway into the set; iterates
+    are clamped to it (within ``EDGE_MARGIN``), and one pinned at its lower
+    end raises ConvergenceError.
 
     The expectation uses the dense grid of ``gaussian_expectation``, which
     reaches 1e-12 for tanh^2 at the large input scales of low temperature,
     where no Gauss rule of admissible order can.
     """
-    if beta < 0 or theta < 0:
-        raise ValueError("beta and theta must be nonnegative")
+    if not beta > 0:
+        raise ValueError(f"beta = {beta}: the inverse temperature must be "
+                         f"positive")
+    if theta < 0:
+        raise ValueError(f"theta = {theta} must be nonnegative")
 
     def sigma_sq_of(q):
-        if q == 0.0 or beta == 0.0:
+        if q == 0.0:
             return 0.0
         y = beta * (1.0 - q)
         _, r_prime = r_transform(law, y)
@@ -136,7 +143,7 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
             lambda yv: np.tanh(theta + yv) ** 2, np.sqrt(s2))
 
     sup = sup_cauchy(law)
-    q_lo = max(0.0, 1.0 - (1.0 - EDGE_MARGIN) * sup / beta) if beta > 0 else 0.0
+    q_lo = max(0.0, 1.0 - (1.0 - EDGE_MARGIN) * sup / beta)
     q = 0.5 if theta > 0 else 0.01
     if q <= q_lo:
         q = 0.5 * (q_lo + 1.0)
@@ -235,22 +242,24 @@ def tap_residual(m: np.ndarray, coupling: MatrixOperator,
 
 def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
                 seed: int, *, phi: float = 1.0,
-                params: TapParameters | None = None, sigma=None,
-                max_directions: int = HAAR_CAP) -> TapRunResult:
+                params: TapParameters | None = None,
+                sigma=None) -> TapRunResult:
     """Full TAP pipeline: solve parameters, build J and M(lambda*), iterate.
 
     The iteration is the simple memory-free run with f_t = g for all t and
     z^0 ~ N(0, sigma*^2 I); the trace is labelled with ``ensemble``.
     ``sigma`` goes to ``run_amp``: given the state-evolution scales, the
     trace carries its observable table and keeps z^T only.  A
-    random-orthogonal coupling reveals at most ``max_directions``.  No TAP
-    residual is computed: ``tap_residual(np.tanh(theta + z),
-    result.coupling, result.params)`` gives one for an iterate z.
+    random-orthogonal coupling gets the Haar budget of its T matvecs,
+    min(2T, n), so a later matvec on ``result.coupling`` that reveals a new
+    direction raises ResourceError.  No TAP residual is computed:
+    ``tap_residual(np.tanh(theta + z), result.coupling, result.params)``
+    gives one for an iterate z of a coupling built with room for it.
     """
     if params is None:
         params = solve_q_star(beta, theta, ensemble_law(ensemble, phi))
     coupling = build_coupling(ensemble, n, seed, phi,
-                              max_directions=max_directions)
+                              max_directions=min(2 * T, n))
     operator = resolvent_operator(coupling, params)
     g = g_nonlinearity(params)
     trace = run_amp(operator, [g] * T,

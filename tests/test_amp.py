@@ -120,7 +120,8 @@ class TestStreamedRun:
     """``run_amp(..., sigma=...)`` keeps z^T and fills the table in the loop."""
 
     BUILDERS = {"signed-sine": build_signed_sine,
-                "random-orthogonal": build_random_orthogonal}
+                "random-orthogonal": lambda n, seed: build_random_orthogonal(
+                    n, seed, max_directions=n)}
 
     @pytest.mark.parametrize("mode", ["simple", "projected"])
     @pytest.mark.parametrize("ensemble", sorted(BUILDERS))

@@ -450,7 +450,7 @@ class TestMainEntry:
             self, monkeypatch, capsys):
         # probe mode reveals 50 directions at any N; its store holds the 52
         # of check_haar_budget, not HAAR_CAP = 512 (1024 N-vectors), and its
-        # line is the one an unbudgeted operator gives
+        # line is the one a 512-direction store gives
         import tracemalloc
 
         from amplab import ensembles
@@ -480,10 +480,11 @@ class TestMainEntry:
         basis = stores[-1]
         assert basis.q.base.shape == (ensembles.check_haar_budget(n, "probe"), n)
         assert basis.q.base.shape[0] < ensembles.HAAR_CAP
-        unbudgeted = ensembles.check_semi_random(real_build(n, 1), "probe")
+        roomy = ensembles.check_semi_random(
+            real_build(n, 1, max_directions=ensembles.HAAR_CAP), "probe")
         line = capsys.readouterr().out.splitlines()[-1]
         for key in ("psi_inf_norm", "psi_op_norm", "max_offdiag_gram"):
-            assert f"{key}={_fmt(getattr(unbudgeted, key))} " in line
+            assert f"{key}={_fmt(getattr(roomy, key))} " in line
 
     def test_check_ensemble_out_of_memory_is_one_json_record(self,
                                                             monkeypatch,
@@ -551,6 +552,27 @@ class TestMainEntry:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValueError"
         assert named in record["message"]
+
+    @pytest.mark.parametrize("command", ["tap", "se"])
+    @pytest.mark.parametrize("beta", ["0", "-1"])
+    def test_nonpositive_beta_is_one_error_record(self, capsys, command,
+                                                  beta):
+        argv = [command, "--beta", beta, "--T", "2"]
+        if command == "tap":
+            argv += ["--N", "64", "--seeds", "1"]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError", "message":
+                          f"beta = {float(beta)}: the inverse temperature "
+                          f"must be positive"}
+
+    @pytest.mark.parametrize("seeds", ["1..a", "1,x"])
+    def test_malformed_seeds_named_in_the_error_record(self, capsys, seeds):
+        assert main(["run", "--N", "64", "--T", "2", "--seeds", seeds]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError", "message":
+                          f"seeds {seeds!r}: expected a..b or "
+                          f"comma-separated integers"}
 
     def test_bad_thread_count_refused_before_any_work(self, monkeypatch,
                                                       capsys):

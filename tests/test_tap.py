@@ -4,8 +4,8 @@ from scipy.integrate import quad
 
 from amplab.cli import _build_parser
 from amplab import tap
-from amplab.ensembles import ENSEMBLES, MatrixOperator, hutchinson_trace_square
-from amplab.errors import ConvergenceError, ResourceError
+from amplab.ensembles import ENSEMBLES, MatrixOperator, dense_form
+from amplab.errors import ConvergenceError
 from amplab.hermite import gaussian_expectation
 from amplab.metrics import observable_table
 from amplab.rng import rademacher, substream
@@ -174,23 +174,14 @@ class TestRunTapAmp:
         assert np.array_equal(streamed.table, observable_table(stored, sigma))
         assert streamed.ensemble_label == stored.ensemble_label == ensemble
 
-    def test_haar_budget_of_2T_gives_the_default_run(self):
+    @pytest.mark.parametrize("n, cap", [(256, 12), (8, 8)])
+    def test_haar_budget_is_min_of_2T_and_n(self, n, cap):
+        # T = 6 matvecs reveal at most min(2T, N) directions
         params = solve_q_star(1.0, 1.0, RADEMACHER)
-        sigma = np.full(7, np.sqrt(params.sigma_star_sq))
-        budgeted, default = (
-            run_tap_amp("random-orthogonal", 1.0, 1.0, 256, 6, seed=2,
-                        params=params, sigma=sigma, **budget)
-            for budget in ({"max_directions": 12}, {}))
-        assert budgeted.coupling.haar_basis.q.shape[0] == 12
-        assert np.array_equal(budgeted.trace.iterates[0],
-                              default.trace.iterates[0])
-        assert np.array_equal(budgeted.trace.table, default.trace.table)
-
-    def test_haar_budget_one_short_of_2T_raises(self):
-        params = solve_q_star(1.0, 1.0, RADEMACHER)
-        with pytest.raises(ResourceError, match="exceeded 11 directions"):
-            run_tap_amp("random-orthogonal", 1.0, 1.0, 256, 6, seed=2,
-                        params=params, max_directions=11)
+        result = run_tap_amp("random-orthogonal", 1.0, 1.0, n, 6, seed=2,
+                             params=params)
+        assert result.coupling.haar_basis.cap == cap
+        assert result.trace.T == 6
 
     def test_trace_carries_the_ensemble_name(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
@@ -211,9 +202,9 @@ class TestRunTapAmp:
         # (1/N) Tr M(lambda*)^2 within 5% of the solved constant
         params = solve_q_star(2.0, 2.0, RADEMACHER)
         coupling = build_coupling("signed-sine", 2048, seed=4)
-        m_op = resolvent_operator(coupling, params)
-        est = hutchinson_trace_square(m_op, probes=64) / coupling.dim
-        assert est == pytest.approx(params.sigma_psi_sq, rel=0.05)
+        m = dense_form(resolvent_operator(coupling, params))
+        assert np.vdot(m, m) / coupling.dim == pytest.approx(
+            params.sigma_psi_sq, rel=0.05)
 
     def test_sk_small_run(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
@@ -237,7 +228,7 @@ class TestRunTapAmp:
 class TestEnsembleTable:
     @pytest.mark.parametrize("name", list(ENSEMBLES))
     def test_entry_builds_and_has_a_law(self, name):
-        op = build_coupling(name, 64, seed=1)
+        op = build_coupling(name, 64, seed=1, max_directions=2)
         law = ensemble_law(name)
         assert op.dim == 64
         assert isinstance(law, SpectralLaw)

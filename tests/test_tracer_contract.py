@@ -39,8 +39,8 @@ def test_wrapped_name_is_a_module_function(module_name, attr):
 
 def test_run_amp_counts_reads_the_haar_store():
     # the tracer's haar_directions count reads the lazy store's q rows
-    op = build_random_orthogonal(256, seed=3)
     T = 4
+    op = build_random_orthogonal(256, seed=3, max_directions=2 * T)
     trace = run_amp(op, [Nonlinearity(np.tanh, "tanh")] * T,
                     gaussian_init(256, 1.0, 3), T, "simple", seed=3)
     counts = load_tracer()._run_amp_counts((op,), {}, trace)
@@ -51,7 +51,7 @@ def test_run_amp_counts_reads_the_haar_store():
 def test_run_amp_counts_on_a_streamed_trace():
     # a run given sigma keeps z^T only: trace_bytes is one N-vector
     n, T = 256, 4
-    op = build_random_orthogonal(n, seed=3)
+    op = build_random_orthogonal(n, seed=3, max_directions=2 * T)
     trace = run_amp(op, [Nonlinearity(np.tanh, "tanh")] * T,
                     gaussian_init(n, 1.0, 3), T, "simple", seed=3,
                     sigma=np.ones(T + 1))
