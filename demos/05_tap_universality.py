@@ -11,10 +11,8 @@ Run:  python3 demos/05_tap_universality.py          (about 15 s)
 
 import numpy as np
 
-from amplab import (SpectralLaw, g_nonlinearity, gaussian_init, run_amp,
-                    run_state_evolution, solve_q_star, successive_diff,
-                    tap_residual)
-from amplab.tap import build_coupling, resolvent_operator
+from amplab import (SpectralLaw, g_nonlinearity, run_state_evolution,
+                    run_tap_amp, solve_q_star, successive_diff, tap_residual)
 
 N, T, SEEDS = 4096, 10, (11, 12, 13, 14)
 ENSEMBLES = ("signed-sine", "signed-hadamard", "random-orthogonal")
@@ -34,12 +32,10 @@ for beta in (2.0, 4.0):
     for ens in ENSEMBLES:
         acc = np.zeros(T)
         for seed in SEEDS:
-            # the pipeline of run_tap_amp, with a Haar budget that has room
-            # for the two residual matvecs below: 2T + 4 directions
-            coupling = build_coupling(ens, N, seed, max_directions=2 * T + 4)
-            trace = run_amp(resolvent_operator(coupling, params), [g] * T,
-                            gaussian_init(N, np.sqrt(params.sigma_star_sq),
-                                          seed), T, "simple", seed=seed)
+            # the Haar budget has room for one residual: m^10's below, as
+            # m^1's reveals no new direction
+            result = run_tap_amp(ens, beta, 2.0, N, T, seed, params=params)
+            trace, coupling = result.trace, result.coupling
             acc += successive_diff(trace)
         curves[ens] = acc / len(SEEDS)
         # On random-orthogonal the residual of m^10 depends on the vectors

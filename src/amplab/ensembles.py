@@ -171,7 +171,7 @@ def _dst_diagonal_sum(n: int) -> float:
 
 
 def scale_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """diag(d) v for a vector (N,) or a column block (N, K)."""
+    """diag(d) v for v (N,) or (N, K); an int8 +/-1 d keeps float64 bits."""
     return (d[:, None] if v.ndim == 2 else d) * v
 
 
@@ -181,7 +181,7 @@ def scale_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def build_signed_sine(n: int, seed: int) -> MatrixOperator:
     """M = S C S with i.i.d. +/-1 diagonal S; sigma_psi^2 = 1, M^2 = I."""
-    signs = rademacher(substream(seed, "signs"), n)
+    signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
 
     def apply(v):
         return scale_rows(signs, dst_matvec(scale_rows(signs, v)))
@@ -197,8 +197,8 @@ def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
     """
     if n & (n - 1):
         raise ValueError(f"signed Hadamard needs a power-of-two size, got {n}")
-    signs = rademacher(substream(seed, "signs"), n)
-    lam = rademacher(substream(seed, "spectrum"), n)
+    signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
+    lam = rademacher(substream(seed, "spectrum"), n).astype(np.int8)
 
     def apply(v):
         return scale_rows(signs, fwht(scale_rows(lam, fwht(scale_rows(signs, v)))))
@@ -293,7 +293,7 @@ def build_random_orthogonal(n: int, seed: int, *,
         raise ValueError("random-orthogonal needs max_directions, its Haar "
                          "budget: T matvecs reveal up to min(2T, N) directions")
     basis = _LazyHaar(n, substream(seed, "haar"), max_directions)
-    lam = rademacher(substream(seed, "spectrum"), n)
+    lam = rademacher(substream(seed, "spectrum"), n).astype(np.int8)
 
     def apply_one(v):
         return basis.forward(lam * basis.backward(v))
@@ -328,7 +328,7 @@ def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
     sig2 = float(np.mean(lam * lam))
     if sig2 <= 0:
         raise ValueError("spectrum must not be identically zero")
-    signs = rademacher(substream(seed, "signs"), n)
+    signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
     perm = substream(seed, "perm").permutation(n)
     inv = np.argsort(perm)
 

@@ -233,7 +233,9 @@ def tap_residual(m: np.ndarray, coupling: MatrixOperator,
 
     On a random-orthogonal coupling the value depends on the vectors the
     coupling was applied to before m: its lazy Haar store reveals U in
-    query order (see ``ensembles.build_random_orthogonal``).
+    query order (see ``ensembles.build_random_orthogonal``).  Its one
+    matvec reveals up to two new directions; ``run_tap_amp`` reserves
+    room for one such call.
     """
     rhs = np.tanh(params.theta + params.beta * coupling.matvec(m)
                   - params.r_shift * m)
@@ -250,16 +252,16 @@ def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
     z^0 ~ N(0, sigma*^2 I); the trace is labelled with ``ensemble``.
     ``sigma`` goes to ``run_amp``: given the state-evolution scales, the
     trace carries its observable table and keeps z^T only.  A
-    random-orthogonal coupling gets the Haar budget of its T matvecs,
-    min(2T, n), so a later matvec on ``result.coupling`` that reveals a new
-    direction raises ResourceError.  No TAP residual is computed:
+    random-orthogonal coupling gets the Haar budget of its T matvecs and
+    of one residual, min(2T + 2, n), so after
     ``tap_residual(np.tanh(theta + z), result.coupling, result.params)``
-    gives one for an iterate z of a coupling built with room for it.
+    for any z a further matvec that reveals a new direction raises
+    ResourceError.  No TAP residual is computed here.
     """
     if params is None:
         params = solve_q_star(beta, theta, ensemble_law(ensemble, phi))
     coupling = build_coupling(ensemble, n, seed, phi,
-                              max_directions=min(2 * T, n))
+                              max_directions=min(2 * T + 2, n))
     operator = resolvent_operator(coupling, params)
     g = g_nonlinearity(params)
     trace = run_amp(operator, [g] * T,

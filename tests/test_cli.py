@@ -279,8 +279,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("mode,T,n", [("projected", 3, 256),
                                           ("tap", 3, 256), ("tap", 5, 8)])
     def test_haar_store_sized_to_the_run(self, monkeypatch, mode, T, n):
-        # every seed's store is allocated once at min(2T, N) rows and is
-        # still that buffer when the run is over
+        # every seed's store is allocated once, at min(2T, N) rows for a
+        # plain run and min(2T + 2, N) for TAP, whose coupling has room for
+        # one residual, and is still that buffer when the run is over
         from amplab import ensembles
 
         stores = []
@@ -300,7 +301,8 @@ class TestRunExperiment:
             nonlinearity="square", degree=24))
         assert len(stores) == 2
         for basis, q, p in stores:
-            assert q.shape == p.shape == (min(2 * T, n), n)
+            budget = 2 * T + 2 if mode == "tap" else 2 * T
+            assert q.shape == p.shape == (min(budget, n), n)
             assert basis.q.base is q and basis.p.base is p
 
     def test_orthogonal_run_peak_holds_no_store_growth(self, monkeypatch,
@@ -628,10 +630,10 @@ class TestMainEntry:
         record = json.loads(capsys.readouterr().err.strip())
         assert "zero variance" in record["message"]
 
-    def test_import_loads_neither_fft_nor_special(self):
-        # `amplab se` only imports amplab.cli; the sine FFT, the KS CDF,
-        # the dense Cholesky resolvent and the Gauss rule load their scipy
-        # modules on first use
+    def test_import_loads_neither_fft_nor_special(self, tmp_path):
+        # `amplab se` only imports amplab.cli; the sine FFT, the dense
+        # Cholesky resolvent and the Gauss rule load their scipy modules on
+        # first use, and the Hadamard TAP and orthogonal runs load none
         proc = subprocess.run(
             [sys.executable, "-c",
              "import amplab.cli, sys; print(sorted({'scipy.fft', "
@@ -639,6 +641,19 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+        for argv in (["tap", "--ensemble", "signed-hadamard"],
+                     ["run", "--ensemble", "random-orthogonal"]):
+            argv += ["--N", "256", "--T", "2", "--out",
+                     str(tmp_path / "out.csv")]
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from amplab.cli import main; "
+                 f"assert main({argv!r}) == 0; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))"],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", argv
 
     def test_console_script_invocation(self):
         proc = subprocess.run(

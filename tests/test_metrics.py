@@ -104,9 +104,10 @@ class TestKsStatistic:
         v = rng.standard_normal(512)
         assert ks_statistic(v, 1.0) == ks_statistic(v[::-1], 1.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 65536])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 65536, 2 ** 20])
     def test_equals_the_two_grid_formula_bit_for_bit(self, n):
-        # reference: fresh grids i/n for i = 1..n and for i = 0..n-1
+        # reference: scipy's ndtr on fresh grids i/n for i = 1..n and for
+        # i = 0..n-1
         from scipy.special import ndtr
 
         def two_grid(v, sigma):
@@ -120,7 +121,35 @@ class TestKsStatistic:
         for sigma in (0.7, 1.0, 2.3):
             v = 1.1 * rng.standard_normal(n)
             assert ks_statistic(v, sigma) == two_grid(v, sigma)
-        assert ks_statistic(np.zeros(n), 1.0) == two_grid(np.zeros(n), 1.0)
+        base = rng.standard_normal(n)
+        tails = base.copy()  # erfc's far branch past 8, underflow past 38
+        tails[::3] = rng.choice([-1.0, 1.0], tails[::3].size) * rng.uniform(
+            8.0, 12.0, tails[::3].size)
+        tails[1::3] = rng.choice([-1.0, 1.0], tails[1::3].size) * rng.uniform(
+            38.0, 45.0, tails[1::3].size)
+        infinite = base.copy()
+        infinite[::4], infinite[1::4] = np.inf, -np.inf
+        for v in (np.zeros(n), np.full(n, 0.3), np.round(base, 1), tails,
+                  infinite, 1.05 * base, base + 0.05):
+            assert ks_statistic(v, 1.0) == two_grid(v, 1.0)
+
+    def test_smallest_point_alone_sets_the_supremum(self):
+        # nine points at the quantiles (k + 0.5)/10 keep every other gap at
+        # 0.05, so the supremum is Phi(u0) - 0 itself, taken where ndtr
+        # uses exp; np.exp is an ulp off libm's exp at some of these u0,
+        # where only the exact tier gives scipy's bits
+        from scipy.special import ndtr, ndtri
+
+        rest = ndtri((np.arange(1, 10) + 0.5) / 10)
+        for u0 in np.linspace(-1.6, -1.42, 1000):
+            v = np.concatenate([[u0], rest])
+            assert ks_statistic(v, 1.0) == float(ndtr(u0))
+
+    def test_refuses_nan(self):
+        v = np.random.default_rng(10).standard_normal(64)
+        v[5] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic(v, 1.0)
 
     def test_leaves_its_input_unchanged(self):
         v = np.random.default_rng(9).standard_normal(256)
@@ -151,12 +180,12 @@ class TestObservableTable:
               for t, z in enumerate(trace.iterates[1:], start=1)]])
         assert np.array_equal(observable_table(trace, sigma), expected)
 
-    def test_row_holds_at_most_four_vectors_above_its_inputs(self):
-        # z / sigma and the Hermite recurrence's three buffers; a few KB of
-        # Python objects ride along
+    def test_row_holds_at_most_three_vectors_above_its_inputs(self):
+        # z / sigma, H2 and H3 while the moments run, then the sorted copy
+        # of the KS statistic; a few KB of Python objects ride along
         n = 2 ** 14
         prev, z = np.random.default_rng(8).standard_normal((2, n))
-        observable_row(prev, z, 1.1)  # scipy.special loaded, grid cached
+        observable_row(prev, z, 1.1)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -164,7 +193,7 @@ class TestObservableTable:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n * 8 + 8192
+        assert peak <= 3 * n * 8 + 8192
 
     def test_requires_positive_sigma(self):
         trace = make_trace(list(np.random.default_rng(7).standard_normal((3, 64))))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -174,14 +176,44 @@ class TestRunTapAmp:
         assert np.array_equal(streamed.table, observable_table(stored, sigma))
         assert streamed.ensemble_label == stored.ensemble_label == ensemble
 
-    @pytest.mark.parametrize("n, cap", [(256, 12), (8, 8)])
-    def test_haar_budget_is_min_of_2T_and_n(self, n, cap):
-        # T = 6 matvecs reveal at most min(2T, N) directions
+    @pytest.mark.parametrize("n, cap", [(256, 14), (8, 8)])
+    def test_haar_budget_is_min_of_2T_plus_2_and_n(self, n, cap):
+        # T = 6 matvecs and one residual reveal at most min(2T + 2, N)
+        # directions
         params = solve_q_star(1.0, 1.0, RADEMACHER)
         result = run_tap_amp("random-orthogonal", 1.0, 1.0, n, 6, seed=2,
                              params=params)
         assert result.coupling.haar_basis.cap == cap
         assert result.trace.T == 6
+
+    def test_coupling_has_room_for_the_final_residual(self):
+        params = solve_q_star(2.0, 2.0, RADEMACHER)
+        result = run_tap_amp("random-orthogonal", 2.0, 2.0, 256, 3, seed=1,
+                             params=params)
+        z = result.trace.iterates[-1]
+        resid = tap_residual(np.tanh(2.0 + z), result.coupling, result.params)
+        assert np.isfinite(resid)
+        basis = result.coupling.haar_basis
+        assert basis.q.shape[0] == basis.cap == 8
+
+    def test_hadamard_seed_peaks_below_six_vectors(self):
+        # 5.6 N-vectors, set by the matvec (z^t, g(z^t), a scaled copy and
+        # two fwht buffers) beside int8 diagonals; float64 diagonals and a
+        # row with four Hermite buffers and two KS grids came to 8.0
+        n, T = 2 ** 16, 3
+        params = solve_q_star(2.0, 2.0, RADEMACHER)
+        sigma = np.full(T + 1, np.sqrt(params.sigma_star_sq))
+        run_tap_amp("signed-hadamard", 2.0, 2.0, 1024, T, seed=1,
+                    params=params, sigma=sigma)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_tap_amp("signed-hadamard", 2.0, 2.0, n, T, seed=1,
+                        params=params, sigma=sigma)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * 8
 
     def test_trace_carries_the_ensemble_name(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
