@@ -37,6 +37,9 @@ MATERIALIZATION_CAP = 8192
 
 HAAR_CAP = 512  # Haar directions a dense check may reveal (dim <= HAAR_CAP)
 
+# entries per chunked pass: 512 KB beat 256 KB and 1 MB in fwht at N >= 2^18
+CHUNK = 1 << 16
+
 # Columns of I per matvec in dense_form.  A signed-sine block's FFT work
 # arrays come to about 7 blocks: 0.22 N x N at N = 1024.
 DENSE_BLOCK = 32
@@ -107,26 +110,53 @@ def fwht(v: np.ndarray) -> np.ndarray:
     """Orthonormal Hadamard-Walsh transform, O(N log N), H^2 = I.
 
     Length must be a power of two.  Operates along axis 0, so (N,) vectors
-    and (N, K) column blocks both work.
+    and (N, K) column blocks both work; v is left unchanged.
 
-    Levels h = 1, 2, 4, ... alternate between two buffers.  With i = r b + s
-    and b = 2^floor(log2 N / 2), the levels h < b run on the (b, N/b)
-    transpose and the rest on the (N/b, b) layout: every butterfly adds
-    contiguous rows.
+    The radix-2 butterflies keep their level order, h = 1, 2, 4, ..., so the
+    bits are those of the plain per-level transform, and run in place in
+    the result a chunk at a time: with i = r b + s and b = 2^floor(log2 N / 2),
+    the levels h < b take groups of rows of the (N/b, b) layout, the rest
+    groups of its columns, each copied into one of two per-call scratch
+    buffers of ``CHUNK`` entries so that every butterfly adds contiguous
+    rows.  Seeds run on threads share no scratch.
     """
     a = np.asarray(v, dtype=np.float64)
+    return _fwht(a, np.empty(a.shape))
+
+
+def _fwht(a, out, d_in=None, d_out=None):
+    # out = diag(d_out) H diag(d_in) a, d_in applied at the first copy-in
+    # and d_out at the last write-out; C-ordered ``out`` may be ``a``
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
     b = 1 << ((n.bit_length() - 1) // 2)
     r, k = n // b, a.size // n
-    src = a.reshape(r, b, k).transpose(1, 0, 2).copy()  # C order, never a view
-    dst = np.empty_like(src)
-    src, dst = _butterflies(src.reshape(b, -1), dst.reshape(b, -1))
-    dst.reshape(r, b, k)[...] = src.reshape(b, r, k).transpose(1, 0, 2)
-    src, dst = _butterflies(dst.reshape(r, -1), src.reshape(r, -1))
-    src /= np.sqrt(n)
-    return src.reshape(a.shape)
+    src, dst = a.reshape(r, b, k), out.reshape(r, b, k)
+    rows = max(1, min(r, CHUNK // (b * k)))
+    cols = max(1, min(b, CHUNK // (r * k)))
+    s1, s2 = np.empty((2, max(rows * b, cols * r) * k))
+    for i in range(0, r, rows):
+        m = min(rows, r - i)
+        x = s1[:b * m * k].reshape(b, m, k)
+        part = src[i:i + m].transpose(1, 0, 2)
+        if d_in is None:
+            np.copyto(x, part)
+        else:
+            np.multiply(part, d_in.reshape(r, b)[i:i + m].T[:, :, None], out=x)
+        y, _ = _butterflies(x.reshape(b, -1), s2[:x.size].reshape(b, -1))
+        dst[i:i + m] = y.reshape(b, m, k).transpose(1, 0, 2)
+    for j in range(0, b, cols):
+        m = min(cols, b - j)
+        x = s1[:r * m * k].reshape(r, m, k)
+        np.copyto(x, dst[:, j:j + m])
+        y, _ = _butterflies(x.reshape(r, -1), s2[:x.size].reshape(r, -1))
+        y = y.reshape(x.shape)
+        y /= np.sqrt(n)
+        if d_out is not None:
+            y *= d_out.reshape(r, b)[:, j:j + m, None]
+        dst[:, j:j + m] = y
+    return out
 
 
 def _butterflies(src, dst):
@@ -143,24 +173,31 @@ def _butterflies(src, dst):
     return src, dst
 
 
-def dst_matvec(v: np.ndarray) -> np.ndarray:
+def dst_matvec(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     """Apply the symmetric orthogonal sine kernel C, C_ij = 2 sin(2 pi i j / L) / sqrt(L)
     with L = 2N + 1 and i, j = 1..N.  C is an involution: C(Cv) = v.
 
     O(N log N): one real FFT of the odd extension of length L, taken along
-    axis 0, so (N,) vectors and (N, K) column blocks both work.
+    axis 0, so (N,) vectors and (N, K) column blocks both work.  Given a
+    diagonal d, it returns C diag(d) v, writing d v straight into the
+    extension, which is dropped as soon as its FFT exists.
     """
     import scipy.fft  # here, not at module level: `amplab se` never needs it
     a = np.asarray(v, dtype=np.float64)
     n = a.shape[0]
     length = 2 * n + 1
     w = np.zeros((length,) + a.shape[1:], dtype=np.float64)
-    w[1:n + 1] = a
-    w[n + 1:] = -a[::-1]
+    if d is None:
+        w[1:n + 1] = a
+    else:
+        np.multiply(a, _along_rows(d, a), out=w[1:n + 1])
+    np.negative(w[n:0:-1], out=w[n + 1:])
     # odd extension: hat(w)_k = -2i sum_j sin(2 pi k j / L) v_j;
     # scipy.fft caches the plan of this odd length across calls
     spec = scipy.fft.rfft(w, axis=0)
-    return -spec.imag[1:] / np.sqrt(length)
+    del w
+    # x / -y has the bits of -(x / y): IEEE division is sign-symmetric
+    return np.divide(spec.imag[1:], -np.sqrt(length))
 
 
 def _dst_diagonal_sum(n: int) -> float:
@@ -170,9 +207,13 @@ def _dst_diagonal_sum(n: int) -> float:
                         / np.sqrt(2 * n + 1)))
 
 
+def _along_rows(d, v):  # d shaped to scale the rows of v, (N,) or (N, K)
+    return d[:, None] if v.ndim == 2 else d
+
+
 def scale_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
     """diag(d) v for v (N,) or (N, K); an int8 +/-1 d keeps float64 bits."""
-    return (d[:, None] if v.ndim == 2 else d) * v
+    return _along_rows(d, v) * v
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +225,9 @@ def build_signed_sine(n: int, seed: int) -> MatrixOperator:
     signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
 
     def apply(v):
-        return scale_rows(signs, dst_matvec(scale_rows(signs, v)))
+        out = dst_matvec(v, signs)
+        out *= _along_rows(signs, out)
+        return out
 
     return MatrixOperator(n, apply, 1.0, "signed-sine", seed=seed,
                           trace=_dst_diagonal_sum(n), involution=True)
@@ -193,7 +236,8 @@ def build_signed_sine(n: int, seed: int) -> MatrixOperator:
 def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
     """M = S H diag(lam) H S, H the Hadamard-Walsh matrix, lam, s i.i.d. +/-1.
 
-    Matvec is two fast transforms and three diagonal scalings; M^2 = I.
+    Matvec is two fast transforms and three diagonal scalings, made as the
+    transforms copy their chunks in and out, in one new array; M^2 = I.
     """
     if n & (n - 1):
         raise ValueError(f"signed Hadamard needs a power-of-two size, got {n}")
@@ -201,7 +245,8 @@ def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
     lam = rademacher(substream(seed, "spectrum"), n).astype(np.int8)
 
     def apply(v):
-        return scale_rows(signs, fwht(scale_rows(lam, fwht(scale_rows(signs, v)))))
+        out = _fwht(v, np.empty(v.shape), signs)
+        return _fwht(out, out, lam, signs)
 
     return MatrixOperator(n, apply, 1.0, "signed-hadamard", seed=seed,
                           trace=float(lam.sum()), involution=True)
@@ -333,9 +378,9 @@ def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
     inv = np.argsort(perm)
 
     def apply(v):
-        w = fwht(scale_rows(signs, v))
-        w = scale_rows(lam, w[perm])           # P^T then diag(lam)
-        return scale_rows(signs, fwht(w[inv]))  # P then H then D
+        w = _fwht(v, np.empty(v.shape), signs)
+        w = scale_rows(lam, w[perm])[inv]  # P^T, diag(lam), then P
+        return _fwht(w, w, d_out=signs)    # H then D
 
     return MatrixOperator(n, apply, sig2, "sign-perm", seed=seed,
                           trace=float(lam.sum()))
@@ -533,7 +578,11 @@ def involution_resolvent(j_op: MatrixOperator, lam: float,
         sigma_psi_sq = resolvent_variance(SpectralLaw.rademacher(), lam)
 
     def apply(v):
-        return (j_op.matvec(v) - center * v) / denom
+        out = j_op.matvec(v)  # a new array: (J v - center v) / denom in place
+        for i in range(0, len(v), CHUNK):
+            out[i:i + CHUNK] -= center * v[i:i + CHUNK]
+        out /= denom
+        return out
 
     return MatrixOperator(j_op.dim, apply, sigma_psi_sq,
                           f"{j_op.label}-resolvent", seed=j_op.seed,

@@ -8,10 +8,13 @@ evolution.
 
 ``observable_row`` is the one per-step computation: ``amp.run_amp`` calls
 it inside the loop when given sigma, and ``observable_table`` calls it on
-a trace that kept every iterate, so both give the same bits.  It holds at
-most three N-vectors besides its inputs.  The KS distance evaluates the
-Gaussian CDF with an in-package port of the Cephes ``ndtr`` that
-``scipy.special.ndtr`` runs, bit for bit, so this module loads no scipy.
+a trace that kept every iterate, so both give the same bits.  Its sums
+run over chunks of at most ``LEAF`` entries and rebuild numpy's pairwise
+summation tree from them, so each equals np.mean of the whole N-vector bit
+for bit; only the KS distance's sorted copy is a full N-vector.  The KS
+distance evaluates the Gaussian CDF with an in-package port of the Cephes
+``ndtr`` that ``scipy.special.ndtr`` runs, bit for bit, so this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -36,9 +39,29 @@ def _stored_iterates(trace: AmpTrace) -> list:
     return trace.iterates
 
 
+LEAF = 1 << 15  # entries per chunk of a chunked sum (256 KB of float64)
+
+
+def _chunked_sum(n: int, leaf, lo: int = 0):
+    """np.add.reduce of entries lo..lo+n-1, bit for bit, from ``leaf(a, b)``,
+    the np.add.reduce of entries a..b-1 (of one array or several at once).
+
+    numpy sums a contiguous array pairwise, splitting n > 128 at n/2 rounded
+    down to a multiple of 8; this splits the same way down to pieces of at
+    most ``LEAF`` entries and adds their sums back up the same tree.
+    """
+    if n <= LEAF:
+        return leaf(lo, lo + n)
+    h = n // 2 - n // 2 % 8
+    return _chunked_sum(h, leaf, lo) + _chunked_sum(n - h, leaf, lo + h)
+
+
 def _mean_sq_diff(prev: np.ndarray, z: np.ndarray) -> float:
-    d = np.subtract(z, prev)
-    return float(np.mean(np.square(d, out=d)))
+    def leaf(lo, hi):  # the difference, squared where it lies
+        d = np.subtract(z[lo:hi], prev[lo:hi])
+        return np.add.reduce(np.square(d, out=d))
+
+    return float(_chunked_sum(z.size, leaf) / z.size)
 
 
 def successive_diff(trace: AmpTrace) -> np.ndarray:
@@ -146,19 +169,19 @@ def ks_statistic(v: np.ndarray, sigma: float) -> float:
     return float(_ks_gaps(k, _ndtr(u[k], _libm_exp), n).max())
 
 
-def _hermite_moments(z: np.ndarray, sigma: float) -> list:
-    # hermite_sequence's recurrence in three buffers, x, H2 and H3, with its
-    # exact operations: H2 is formed twice and x H3 in place, as products
-    # commute exactly
-    x = np.divide(z, sigma)
+def _hermite_sums(z, sigma, lo, hi) -> np.ndarray:
+    # sums of H_1..H_4(z[lo:hi] / sigma): hermite_sequence's recurrence in
+    # three buffers, x, H2 and H3, with its exact operations: H2 is formed
+    # twice and x H3 in place, as products commute exactly
+    x = np.divide(z[lo:hi], sigma)
     h2 = np.multiply(x, x)
     h2 -= 1.0
     h2 /= np.sqrt(2)
-    moments = [np.mean(x), np.mean(h2)]
+    sums = [np.add.reduce(x), np.add.reduce(h2)]
     h3 = np.multiply(x, h2)
     h3 -= np.multiply(x, np.sqrt(2), out=h2)
     h3 /= np.sqrt(3)
-    moments.append(np.mean(h3))
+    sums.append(np.add.reduce(h3))
     h3 *= x
     np.multiply(x, x, out=h2)
     h2 -= 1.0
@@ -166,7 +189,8 @@ def _hermite_moments(z: np.ndarray, sigma: float) -> list:
     h2 *= np.sqrt(3)
     h3 -= h2
     h3 /= np.sqrt(4)
-    return [float(m) for m in moments + [np.mean(h3)]]
+    sums.append(np.add.reduce(h3))
+    return np.array(sums)
 
 
 def observable_row(prev: np.ndarray, z: np.ndarray, sigma_t: float) -> list:
@@ -177,7 +201,8 @@ def observable_row(prev: np.ndarray, z: np.ndarray, sigma_t: float) -> list:
     """
     if sigma_t <= 0:
         raise ValueError(f"sigma must be positive, got {sigma_t}")
-    return ([_mean_sq_diff(prev, z)] + _hermite_moments(z, sigma_t)
+    sums = _chunked_sum(z.size, functools.partial(_hermite_sums, z, sigma_t))
+    return ([_mean_sq_diff(prev, z)] + [float(m) for m in sums / z.size]
             + [ks_statistic(z, sigma_t)])
 
 

@@ -200,7 +200,13 @@ def g_nonlinearity(params: TapParameters, h=1.0) -> Nonlinearity:
     one_minus_q = 1.0 - q
 
     def g(z):
-        return (np.tanh(shift + z) / one_minus_q - z) / scale
+        # in one new array; [()] makes the 0-d result of a scalar z a scalar
+        out = np.add(shift, z, out=np.empty(np.broadcast(shift, z).shape))
+        np.tanh(out, out=out)
+        out /= one_minus_q
+        out -= z
+        out /= scale
+        return out[()]
 
     return Nonlinearity(g, "tap-g")
 

@@ -13,7 +13,8 @@ from amplab.ensembles import (ENSEMBLES, MATERIALIZATION_CAP,
                               centered_resolvent, check_semi_random,
                               conjugate_gradient, dense_form, dst_matvec, fwht,
                               involution_resolvent,
-                              operator_from_spec, power_iteration_norm)
+                              operator_from_spec, power_iteration_norm,
+                              scale_rows)
 from amplab.errors import NumericError, ResourceError
 from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, resolvent_variance
@@ -54,7 +55,9 @@ def radix2_fwht(v):
 
 
 class TestFwht:
-    @pytest.mark.parametrize("log2n", range(1, 15))
+    # from 2^17 on (2^15 for three columns) the transform runs in more than
+    # one chunk per phase
+    @pytest.mark.parametrize("log2n", range(1, 21))
     def test_bit_identical_to_radix2_reference(self, log2n):
         rng = np.random.default_rng(log2n)
         n = 2 ** log2n
@@ -129,6 +132,28 @@ class TestDst:
         assert u @ dst_matvec(v) == pytest.approx(dst_matvec(u) @ v,
                                                   abs=1e-10)
 
+    def test_one_call_peaks_at_four_vectors(self):
+        # the odd extension (2N + 1 floats) beside its complex rfft (N + 1
+        # entries); the extension is dropped before the result is formed
+        n = 2 ** 16
+        v = np.random.default_rng(7).standard_normal(n)
+        dst_matvec(v)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            dst_matvec(v)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * 8 + 8192
+
+    def test_diagonal_matches_scaling_first(self):
+        rng = np.random.default_rng(8)
+        d = rademacher(rng, 1001).astype(np.int8)
+        for v in (rng.standard_normal(1001), rng.standard_normal((1001, 3))):
+            assert np.array_equal(dst_matvec(v, d),
+                                  dst_matvec(scale_rows(d, v)))
+
 
 class TestSignedSine:
     def test_involution(self):
@@ -173,6 +198,19 @@ class TestSignedHadamard:
     def test_non_power_of_two(self):
         with pytest.raises(ValueError):
             build_signed_hadamard(48, seed=1)
+
+    def test_fused_matvec_bit_identical_to_reference(self):
+        # S H diag(lam) H S v, each step a separate array, against the
+        # matvec that scales inside the chunked transforms' copies
+        n, seed = 2 ** 18, 6
+        signs = rademacher(substream(seed, "signs"), n)
+        lam = rademacher(substream(seed, "spectrum"), n)
+        op = build_signed_hadamard(n, seed)
+        rng = np.random.default_rng(12)
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            want = scale_rows(signs, radix2_fwht(scale_rows(
+                lam, radix2_fwht(scale_rows(signs, v)))))
+            assert np.array_equal(op.matvec(v), want)
 
     def test_type_invariants(self):
         assert_linear_symmetric(build_signed_hadamard(128, seed=5))

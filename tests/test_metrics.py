@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from amplab.amp import AmpTrace
-from amplab.metrics import (ObservableReport, hermite_moment, ks_statistic,
-                            observable_row, observable_table,
-                            report_from_traces, successive_diff)
+from amplab.metrics import (LEAF, ObservableReport, _chunked_sum,
+                            hermite_moment, ks_statistic, observable_row,
+                            observable_table, report_from_traces,
+                            successive_diff)
 
 
 def make_trace(iterates, seed=0, label="test"):
@@ -64,6 +65,27 @@ class TestSuccessiveDiff:
             tracemalloc.stop()
         assert peak <= n * 8 + 4096
         assert got == float(np.mean((b - a) ** 2))
+
+
+class TestChunkedSum:
+    # the chunked sums of observable_row rebuild numpy's pairwise tree; a
+    # numpy release that blocks its sums differently fails here first
+    @staticmethod
+    def check(n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        total = _chunked_sum(n, lambda lo, hi: np.add.reduce(x[lo:hi]))
+        assert total == np.add.reduce(x), n
+        assert total / n == np.mean(x), n
+
+    def test_small_sizes_equal_add_reduce_and_mean_bit_for_bit(self):
+        for n in range(1, 3000, 7):
+            self.check(n)
+
+    @pytest.mark.parametrize("n", [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 8,
+                                   2 ** 20, 2 ** 20 + 5, 3 * 10 ** 6])
+    def test_equals_add_reduce_and_mean_bit_for_bit(self, n):
+        self.check(n)
 
 
 class TestHermiteMoment:

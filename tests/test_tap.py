@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from amplab.cli import _build_parser
 from amplab import tap
-from amplab.ensembles import ENSEMBLES, MatrixOperator, dense_form
+from amplab.ensembles import ENSEMBLES, MatrixOperator, dense_form, fwht
 from amplab.errors import ConvergenceError
 from amplab.hermite import gaussian_expectation
 from amplab.metrics import observable_table
@@ -123,6 +123,26 @@ class TestGNonlinearity:
         assert g.eval(0.0) == pytest.approx(want, rel=1e-12)
 
 
+def test_g_fwht_and_resolvent_leave_their_inputs_unchanged():
+    # each writes its result over a new array of its own; 2^17 entries
+    # take fwht through more than one chunk per phase
+    n = 2 ** 17
+    params = solve_q_star(2.0, 2.0, RADEMACHER)
+    h = rademacher(substream(1, "field"), n)
+    resolvent = resolvent_operator(build_coupling("signed-hadamard", n, 1),
+                                   params)
+    rng = np.random.default_rng(13)
+    v, block = rng.standard_normal(n), rng.standard_normal((n, 2))
+    for apply, x in ((g_nonlinearity(params).eval, v),
+                     (g_nonlinearity(params, h).eval, v),
+                     (fwht, v), (fwht, block),
+                     (resolvent.matvec, v), (resolvent.matvec, block)):
+        before = x.copy()
+        out = apply(x)
+        assert not np.shares_memory(out, x)
+        assert np.array_equal(x, before)
+
+
 def magnetization(result, t):
     return np.tanh(result.params.theta + result.trace.iterates[t])
 
@@ -196,24 +216,35 @@ class TestRunTapAmp:
         basis = result.coupling.haar_basis
         assert basis.q.shape[0] == basis.cap == 8
 
-    def test_hadamard_seed_peaks_below_six_vectors(self):
-        # 5.6 N-vectors, set by the matvec (z^t, g(z^t), a scaled copy and
-        # two fwht buffers) beside int8 diagonals; float64 diagonals and a
-        # row with four Hermite buffers and two KS grids came to 8.0
-        n, T = 2 ** 16, 3
+    @staticmethod
+    def traced_seed_peak(ensemble, n, T=3):
         params = solve_q_star(2.0, 2.0, RADEMACHER)
         sigma = np.full(T + 1, np.sqrt(params.sigma_star_sq))
-        run_tap_amp("signed-hadamard", 2.0, 2.0, 1024, T, seed=1,
-                    params=params, sigma=sigma)
+        run_tap_amp(ensemble, 2.0, 2.0, 1024, T, seed=1, params=params,
+                    sigma=sigma)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run_tap_amp("signed-hadamard", 2.0, 2.0, n, T, seed=1,
-                        params=params, sigma=sigma)
-            peak = tracemalloc.get_traced_memory()[1] - start
+            run_tap_amp(ensemble, 2.0, 2.0, n, T, seed=1, params=params,
+                        sigma=sigma)
+            return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak < 6 * n * 8
+
+    def test_hadamard_seed_peaks_below_four_vectors(self):
+        # 3.85 N-vectors: z^t, g(z^t) and the matvec's one new array beside
+        # fwht's two 512 KB scratch buffers and int8 diagonals; separate
+        # arrays per scaling and transform, and Hermite moments over whole
+        # N-vectors, came to 5.35
+        n = 2 ** 18
+        assert self.traced_seed_peak("signed-hadamard", n) <= 4 * n * 8 + 8192
+
+    def test_sine_seed_peaks_below_six_and_a_half_vectors(self):
+        # 6.13 N-vectors: z^t and g(z^t) beside the sine kernel's odd
+        # extension and its rfft; a separate d v and a negated copy of the
+        # rfft came to 8.13
+        n = 2 ** 16
+        assert self.traced_seed_peak("signed-sine", n) <= 6.5 * n * 8
 
     def test_trace_carries_the_ensemble_name(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
