@@ -23,6 +23,7 @@ centered resolvent in closed form, (J - (Tr J / N) I) / (lam^2 - 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,8 +41,8 @@ HAAR_CAP = 512  # Haar directions a dense check may reveal (dim <= HAAR_CAP)
 # entries per chunked pass: 512 KB beat 256 KB and 1 MB in fwht at N >= 2^18
 CHUNK = 1 << 16
 
-# Columns of I per matvec in dense_form.  A signed-sine block's FFT work
-# arrays come to about 7 blocks: 0.22 N x N at N = 1024.
+# Columns of I per matvec in dense_form.  A signed-sine block's complex
+# work array and result come to 5 blocks: 0.16 N x N at N = 1024.
 DENSE_BLOCK = 32
 
 
@@ -72,11 +73,14 @@ class MatrixOperator:
         True when M^2 = I; the TAP driver then uses the closed-form resolvent.
     haar_basis : _LazyHaar or None
         The lazily revealed Haar factor of a random-orthogonal operator.
+    signs : int8 ndarray or None
+        S of an operator S K S, passed to ``apply`` as its second argument
+        so that a gauge field can be folded into it.
     """
 
     def __init__(self, dim, apply, sigma_psi_sq, label, *, seed=None,
                  trace=None, dense=None, coupling=None, involution=False,
-                 haar_basis=None):
+                 haar_basis=None, signs=None):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
         if sigma_psi_sq <= 0:
@@ -90,13 +94,16 @@ class MatrixOperator:
         self.coupling = coupling
         self.involution = bool(involution)
         self.haar_basis = haar_basis
+        self.signs = signs
         self._apply = apply
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape[0] != self.dim:
             raise ValueError(f"vector length {v.shape[0]} != dim {self.dim}")
-        return self._apply(v)
+        if self.signs is None:
+            return self._apply(v)
+        return self._apply(v, self.signs)
 
     def __repr__(self):
         return f"MatrixOperator({self.label!r}, dim={self.dim}, seed={self.seed})"
@@ -124,7 +131,7 @@ def fwht(v: np.ndarray) -> np.ndarray:
     return _fwht(a, np.empty(a.shape))
 
 
-def _fwht(a, out, d_in=None, d_out=None):
+def _fwht(a, out, d_in=None, d_out=None, scratch=None):
     # out = diag(d_out) H diag(d_in) a, d_in applied at the first copy-in
     # and d_out at the last write-out; C-ordered ``out`` may be ``a``
     n = a.shape[0]
@@ -135,7 +142,10 @@ def _fwht(a, out, d_in=None, d_out=None):
     src, dst = a.reshape(r, b, k), out.reshape(r, b, k)
     rows = max(1, min(r, CHUNK // (b * k)))
     cols = max(1, min(b, CHUNK // (r * k)))
-    s1, s2 = np.empty((2, max(rows * b, cols * r) * k))
+    need = max(rows * b, cols * r) * k  # min(N, CHUNK) for a vector
+    if scratch is None or scratch.shape[1] < need:
+        scratch = np.empty((2, need))
+    s1, s2 = scratch
     for i in range(0, r, rows):
         m = min(rows, r - i)
         x = s1[:b * m * k].reshape(b, m, k)
@@ -177,34 +187,42 @@ def dst_matvec(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     """Apply the symmetric orthogonal sine kernel C, C_ij = 2 sin(2 pi i j / L) / sqrt(L)
     with L = 2N + 1 and i, j = 1..N.  C is an involution: C(Cv) = v.
 
-    O(N log N): one real FFT of the odd extension of length L, taken along
-    axis 0, so (N,) vectors and (N, K) column blocks both work.  Given a
-    diagonal d, it returns C diag(d) v, writing d v straight into the
-    extension, which is dropped as soon as its FFT exists.
+    O(N log N) as a chirp-z convolution: 2 i j = i^2 + j^2 - (j - i)^2 gives
+    (C v)_i = Im[c_i sum_j c_j v_j conj(c_{j-i})] 2 / sqrt(L), c_m =
+    exp(i pi m^2 / L), which one power-of-two FFT pair of length
+    M >= 2N - 1 makes in one complex work array along axis 0, for (N,)
+    vectors and (N, K) blocks alike.  Given a diagonal d, it returns
+    C diag(d) v, writing d v straight into the work array.
     """
-    import scipy.fft  # here, not at module level: `amplab se` never needs it
     a = np.asarray(v, dtype=np.float64)
     n = a.shape[0]
+    c, kernel = (_along_rows(x, a) for x in _chirp(n))
+    work = np.zeros(kernel.shape[:1] + a.shape[1:], dtype=np.complex128)
+    head = work[:n]
+    np.multiply(a, 1 if d is None else _along_rows(d, a), out=head.real)
+    head *= c
+    np.fft.fft(work, axis=0, out=work)
+    work *= kernel
+    np.fft.ifft(work, axis=0, out=work)
+    head *= c
+    return head.imag.copy()
+
+
+@lru_cache(maxsize=1)
+def _chirp(n: int):
+    # c_1..c_N and the FFT of the kernel conj(c_|m|), |m| < N, laid out
+    # cyclically in M entries and scaled by 2 / sqrt(L).  The phase m^2 mod
+    # 2L is exact in integers.  Read-only: seeds on threads share them.
     length = 2 * n + 1
-    w = np.zeros((length,) + a.shape[1:], dtype=np.float64)
-    if d is None:
-        w[1:n + 1] = a
-    else:
-        np.multiply(a, _along_rows(d, a), out=w[1:n + 1])
-    np.negative(w[n:0:-1], out=w[n + 1:])
-    # odd extension: hat(w)_k = -2i sum_j sin(2 pi k j / L) v_j;
-    # scipy.fft caches the plan of this odd length across calls
-    spec = scipy.fft.rfft(w, axis=0)
-    del w
-    # x / -y has the bits of -(x / y): IEEE division is sign-symmetric
-    return np.divide(spec.imag[1:], -np.sqrt(length))
-
-
-def _dst_diagonal_sum(n: int) -> float:
-    # quadratic Gauss sum: exactly 0 when (2n+1) % 4 == 1, exactly 1 otherwise
-    i = np.arange(1, n + 1, dtype=np.float64)
-    return float(np.sum(2.0 * np.sin(2.0 * np.pi * i * i / (2 * n + 1))
-                        / np.sqrt(2 * n + 1)))
+    m = np.arange(n + 1)
+    chirp = np.exp(1j * np.pi / length * (m * m % (2 * length)))
+    kernel = np.zeros(1 << (2 * n - 2).bit_length(), dtype=np.complex128)
+    kernel[:n] = chirp[:n].conj()
+    kernel[len(kernel) - n + 1:] = kernel[n - 1:0:-1]
+    np.fft.fft(kernel, out=kernel)
+    kernel *= 2.0 / np.sqrt(length)
+    chirp.flags.writeable = kernel.flags.writeable = False
+    return chirp[1:], kernel
 
 
 def _along_rows(d, v):  # d shaped to scale the rows of v, (N,) or (N, K)
@@ -224,13 +242,14 @@ def build_signed_sine(n: int, seed: int) -> MatrixOperator:
     """M = S C S with i.i.d. +/-1 diagonal S; sigma_psi^2 = 1, M^2 = I."""
     signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
 
-    def apply(v):
-        out = dst_matvec(v, signs)
-        out *= _along_rows(signs, out)
+    def apply(v, s):
+        out = dst_matvec(v, s)
+        out *= _along_rows(s, out)
         return out
 
+    # Tr C, a quadratic Gauss sum, is 0 for L = 1 mod 4 (n even), else 1
     return MatrixOperator(n, apply, 1.0, "signed-sine", seed=seed,
-                          trace=_dst_diagonal_sum(n), involution=True)
+                          trace=float(n % 2), involution=True, signs=signs)
 
 
 def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
@@ -244,12 +263,14 @@ def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
     signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
     lam = rademacher(substream(seed, "spectrum"), n).astype(np.int8)
 
-    def apply(v):
-        out = _fwht(v, np.empty(v.shape), signs)
-        return _fwht(out, out, lam, signs)
+    def apply(v, s):  # one scratch pair for both transforms
+        scratch = np.empty((2, min(v.size, CHUNK)))
+        out = _fwht(v, np.empty(v.shape), s, scratch=scratch)
+        return _fwht(out, out, lam, s, scratch)
 
     return MatrixOperator(n, apply, 1.0, "signed-hadamard", seed=seed,
-                          trace=float(lam.sum()), involution=True)
+                          trace=float(lam.sum()), involution=True,
+                          signs=signs)
 
 
 class _LazyHaar:
@@ -377,13 +398,13 @@ def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
     perm = substream(seed, "perm").permutation(n)
     inv = np.argsort(perm)
 
-    def apply(v):
-        w = _fwht(v, np.empty(v.shape), signs)
+    def apply(v, s):
+        w = _fwht(v, np.empty(v.shape), s)
         w = scale_rows(lam, w[perm])[inv]  # P^T, diag(lam), then P
-        return _fwht(w, w, d_out=signs)    # H then D
+        return _fwht(w, w, d_out=s)        # H then D
 
     return MatrixOperator(n, apply, sig2, "sign-perm", seed=seed,
-                          trace=float(lam.sum()))
+                          trace=float(lam.sum()), signs=signs)
 
 
 def _mirror_upper(a: np.ndarray) -> None:

@@ -287,21 +287,24 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
     Conjugation by a sign diagonal is exact in floating point, so the
     iterate identity z^t(J, h) = diag(h) z^t(Jbar, 1) holds entrywise.
     Jbar keeps the spectrum, the trace and the ``involution`` flag of J.
+    For J = S K S (J has ``signs``) it is (h S) K (h S), at J's cost.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (j_op.dim,):
         raise ValueError(f"field has shape {h.shape}, expected ({j_op.dim},)")
     if not np.all(np.abs(h) == 1.0):
         raise ValueError("field entries must be +1 or -1")
+    h = h.astype(np.int8)
+    signs = None if j_op.signs is None else h * j_op.signs
 
     def apply(v):
         return scale_rows(h, j_op.matvec(scale_rows(h, v)))
 
     trace = j_op.trace  # diag(h) J diag(h) has the same diagonal
-    return MatrixOperator(j_op.dim, apply, j_op.sigma_psi_sq,
-                          f"{j_op.label}-gauged", seed=j_op.seed,
-                          trace=trace, coupling=j_op,
-                          involution=j_op.involution)
+    return MatrixOperator(j_op.dim, apply if signs is None else j_op._apply,
+                          j_op.sigma_psi_sq, f"{j_op.label}-gauged",
+                          seed=j_op.seed, trace=trace, coupling=j_op,
+                          involution=j_op.involution, signs=signs)
 
 
 def run_field_iteration(coupling: MatrixOperator, h: np.ndarray,

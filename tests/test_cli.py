@@ -631,9 +631,9 @@ class TestMainEntry:
         assert "zero variance" in record["message"]
 
     def test_import_loads_neither_fft_nor_special(self, tmp_path):
-        # `amplab se` only imports amplab.cli; the sine FFT, the dense
-        # Cholesky resolvent and the Gauss rule load their scipy modules on
-        # first use, and the Hadamard TAP and orthogonal runs load none
+        # `amplab se` only imports amplab.cli; the dense Cholesky resolvent
+        # and the Gauss rule load their scipy modules on first use, and the
+        # sine and Hadamard TAP runs and the sine and orthogonal runs load none
         proc = subprocess.run(
             [sys.executable, "-c",
              "import amplab.cli, sys; print(sorted({'scipy.fft', "
@@ -642,7 +642,9 @@ class TestMainEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         for argv in (["tap", "--ensemble", "signed-hadamard"],
-                     ["run", "--ensemble", "random-orthogonal"]):
+                     ["tap", "--ensemble", "signed-sine"],
+                     ["run", "--ensemble", "random-orthogonal"],
+                     ["run", "--ensemble", "signed-sine"]):
             argv += ["--N", "256", "--T", "2", "--out",
                      str(tmp_path / "out.csv")]
             proc = subprocess.run(
@@ -654,6 +656,29 @@ class TestMainEntry:
                 capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "[]", argv
+
+    def test_sine_tap_resident_peak_near_the_hadamard_one(self, tmp_path):
+        # the resident high-water mark counts the FFT work arrays that
+        # tracemalloc does not see: 8.4 MB apart at N = 2^16, against
+        # 40.7 MB for the odd-length FFT this replaced.  VmHWM, unlike
+        # ru_maxrss, starts afresh at exec instead of at the forking
+        # parent's size.
+        peaks = {}
+        for ensemble in ("signed-sine", "signed-hadamard"):
+            argv = ["tap", "--ensemble", ensemble, "--N", "65536", "--T", "3",
+                    "--out", str(tmp_path / f"{ensemble}.csv")]
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "from amplab.cli import main; "
+                 f"assert main({argv!r}) == 0; "
+                 "print(open('/proc/self/status').read())"],
+                capture_output=True, text=True,
+                env={**os.environ, "AMP_LAB_THREADS": "1"})
+            assert proc.returncode == 0, proc.stderr
+            hwm = next(line for line in proc.stdout.splitlines()
+                       if line.startswith("VmHWM:"))
+            peaks[ensemble] = int(hwm.split()[1])  # kB
+        assert peaks["signed-sine"] - peaks["signed-hadamard"] <= 16 * 1024
 
     def test_console_script_invocation(self):
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -132,9 +133,9 @@ class TestDst:
         assert u @ dst_matvec(v) == pytest.approx(dst_matvec(u) @ v,
                                                   abs=1e-10)
 
-    def test_one_call_peaks_at_four_vectors(self):
-        # the odd extension (2N + 1 floats) beside its complex rfft (N + 1
-        # entries); the extension is dropped before the result is formed
+    def test_one_call_peaks_at_five_vectors(self):
+        # the complex work array (M = 2N entries at N = 2^16) and the result;
+        # the chirp and kernel spectrum are cached by the first call
         n = 2 ** 16
         v = np.random.default_rng(7).standard_normal(n)
         dst_matvec(v)
@@ -145,7 +146,45 @@ class TestDst:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n * 8 + 8192
+        assert peak <= 5 * n * 8 + 8192
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 512, 513, 4096])
+    def test_matches_exact_angle_reference(self, n):
+        # angles reduced in integers, so the reference carries no
+        # large-argument sine error; n = 2^k and 2^k + 1 bracket the jumps
+        # of the power-of-two convolution length
+        length = 2 * n + 1
+        i = np.arange(1, n + 1)
+        c = 2 * np.sin(2 * np.pi * (np.outer(i, i) % length) / length) \
+            / np.sqrt(length)
+        v = np.random.default_rng(n).standard_normal(n)
+        np.testing.assert_allclose(dst_matvec(v), c @ v, rtol=0, atol=1e-13)
+
+    def test_involution_at_2_16(self):
+        v = np.random.default_rng(9).standard_normal(2 ** 16)
+        np.testing.assert_allclose(dst_matvec(dst_matvec(v)), v, rtol=0,
+                                   atol=1e-13)
+
+    def test_cold_cache_threads_agree(self):
+        # two threads racing to fill the per-size cache get the same bits
+        n = 3001
+        v = np.random.default_rng(10).standard_normal(n)
+        dst_matvec(v[:5])  # the cache now holds another size
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def work(k):
+            barrier.wait(timeout=10)
+            results[k] = dst_matvec(v)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert np.array_equal(results[0], results[1])
+        assert np.array_equal(results[0], dst_matvec(v))
 
     def test_diagonal_matches_scaling_first(self):
         rng = np.random.default_rng(8)
@@ -156,6 +195,16 @@ class TestDst:
 
 
 class TestSignedSine:
+    def test_trace_is_the_exact_gauss_sum(self):
+        # against Tr C summed with its angles reduced in integers
+        for n in [*range(2, 4097), 2 ** 20]:
+            length = 2 * n + 1
+            i = np.arange(1, n + 1)
+            direct = np.sum(np.sin(2 * np.pi * (i * i % length) / length))
+            trace = build_signed_sine(n, seed=1).trace
+            assert trace in (0.0, 1.0)
+            assert abs(trace - 2 * direct / np.sqrt(length)) < 1e-12, n
+
     def test_involution(self):
         op = build_signed_sine(512, seed=1)
         v = np.random.default_rng(7).standard_normal(512)
@@ -211,6 +260,15 @@ class TestSignedHadamard:
             want = scale_rows(signs, radix2_fwht(scale_rows(
                 lam, radix2_fwht(scale_rows(signs, v)))))
             assert np.array_equal(op.matvec(v), want)
+
+    def test_wide_block_outgrowing_the_shared_scratch(self):
+        # a (16, 16385) block: one row group of b K entries exceeds CHUNK,
+        # so each transform allocates its own pair; columns keep their bits
+        op = build_signed_hadamard(16, seed=3)
+        block = np.random.default_rng(4).standard_normal((16, 16385))
+        got = op.matvec(block)
+        for j in (0, 1, 16384):
+            assert np.array_equal(got[:, j], op.matvec(block[:, j]))
 
     def test_type_invariants(self):
         assert_linear_symmetric(build_signed_hadamard(128, seed=5))

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from amplab.cli import _build_parser
 from amplab import tap
-from amplab.ensembles import ENSEMBLES, MatrixOperator, dense_form, fwht
+from amplab.ensembles import (ENSEMBLES, MatrixOperator, build_sign_perm,
+                              dense_form, fwht)
 from amplab.errors import ConvergenceError
 from amplab.hermite import gaussian_expectation
 from amplab.metrics import observable_table
@@ -220,8 +221,8 @@ class TestRunTapAmp:
     def traced_seed_peak(ensemble, n, T=3):
         params = solve_q_star(2.0, 2.0, RADEMACHER)
         sigma = np.full(T + 1, np.sqrt(params.sigma_star_sq))
-        run_tap_amp(ensemble, 2.0, 2.0, 1024, T, seed=1, params=params,
-                    sigma=sigma)
+        run_tap_amp(ensemble, 2.0, 2.0, n, T, seed=1, params=params,
+                    sigma=sigma)  # fills the sine kernel's per-size cache
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -239,12 +240,13 @@ class TestRunTapAmp:
         n = 2 ** 18
         assert self.traced_seed_peak("signed-hadamard", n) <= 4 * n * 8 + 8192
 
-    def test_sine_seed_peaks_below_six_and_a_half_vectors(self):
-        # 6.13 N-vectors: z^t and g(z^t) beside the sine kernel's odd
-        # extension and its rfft; a separate d v and a negated copy of the
-        # rfft came to 8.13
+    def test_sine_seed_peaks_below_seven_and_a_half_vectors(self):
+        # 7.13 N-vectors: z^t and g(z^t) beside the sine kernel's complex
+        # work array (2N entries) and its result.  The odd-length FFT this
+        # replaced peaked at 6.13 here, but kept ~20 MB of work arrays
+        # outside tracemalloc's view; test_cli bounds the resident peak.
         n = 2 ** 16
-        assert self.traced_seed_peak("signed-sine", n) <= 6.5 * n * 8
+        assert self.traced_seed_peak("signed-sine", n) <= 7.5 * n * 8
 
     def test_trace_carries_the_ensemble_name(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
@@ -318,6 +320,40 @@ class TestGaugeTransform:
         plain = resolvent_operator(j, params)
         np.testing.assert_array_equal(gauged.matvec(v),
                                       h * plain.matvec(h * v))
+
+    @pytest.mark.parametrize("build", [
+        *[pytest.param(lambda name=name: build_coupling(
+            name, 256, seed=4, max_directions=256), id=name)
+          for name in ("signed-sine", "signed-hadamard", "random-orthogonal")],
+        pytest.param(lambda: build_sign_perm(256, 4, np.linspace(-1, 2, 256)),
+                     id="sign-perm")])
+    def test_equals_conjugating_by_hand_bit_for_bit(self, build):
+        # the field folded into S (sine, Hadamard, sign-perm) or applied
+        # around the matvec (random orthogonal) gives the bits of
+        # diag(h) J diag(h) v; fresh copies, as the Haar store grows
+        h = rademacher(substream(11, "field"), 256)
+        rng = substream(12, "v")
+        for v in (rng.standard_normal(256), rng.standard_normal((256, 3))):
+            hv = h[:, None] if v.ndim == 2 else h
+            assert np.array_equal(gauge_conjugate(build(), h).matvec(v),
+                                  hv * build().matvec(hv * v))
+
+    def test_gauged_hadamard_matvec_peaks_below_three_and_a_half_vectors(self):
+        # 3.38 N-vectors, those of the plain matvec: its one new array and
+        # fwht's two 512 KB scratch buffers; a separate h v came to 4.38
+        n = 2 ** 16
+        j = build_coupling("signed-hadamard", n, seed=1)
+        gauged = gauge_conjugate(j, rademacher(substream(11, "field"), n))
+        v = substream(13, "v").standard_normal(n)
+        gauged.matvec(v)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gauged.matvec(v)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * 8 + 8192
 
     def test_non_sign_entries_rejected(self):
         j = build_coupling("signed-sine", 64, seed=2)
