@@ -50,7 +50,7 @@ print(f"for comparison, the square preset:      "
       f"(expanding)")
 
 se = run_state_evolution([g] * T, params.sigma_star_sq,
-                         params.sigma_psi_sq, T, degree=64)
+                         params.sigma_psi_sq, T)
 d = se.succ_diff_prediction()
 
 coupling = build_signed_hadamard(N, seed=5)

@@ -25,7 +25,7 @@ for beta in (2.0, 4.0):
           f"lambda* = {params.lambda_star:.6f}")
     g = g_nonlinearity(params)
     se = run_state_evolution([g] * T, params.sigma_star_sq,
-                             params.sigma_psi_sq, T, degree=64)
+                             params.sigma_psi_sq, T)
     d = se.succ_diff_prediction()
     curves = {}
     residual = {}

@@ -13,11 +13,8 @@ from .ensembles import (ENSEMBLES, EnsembleDiagnostics, MatrixOperator,
                         build_wigner_coupling, build_wishart_coupling,
                         centered_resolvent, check_semi_random, dst_matvec,
                         fwht, involution_resolvent, operator_from_spec)
-from .errors import (AmpLabError, ConvergenceError, DegreeOverflowError,
-                     NumericError, ResourceError)
-from .hermite import (HermiteSeries, bivariate_gaussian_moment,
-                      gauss_hermite_rule, gaussian_expectation, hermite_eval,
-                      hermite_coefficients)
+from .errors import AmpLabError, ConvergenceError, NumericError, ResourceError
+from .hermite import gaussian_cross_moment, gaussian_expectation, hermite_eval
 from .metrics import (ObservableReport, hermite_moment, ks_statistic,
                       report_from_traces, successive_diff)
 from .spectral import (SpectralLaw, cauchy_derivative, cauchy_transform,

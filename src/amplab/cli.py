@@ -33,6 +33,9 @@ from .errors import AmpLabError
 
 TRACE_DUMP_CAP = 4096  # refuse full-trace CSV dumps above this N
 
+IGNORED_DEGREE = ("ignored: state evolution has no truncation degree; "
+                  "accepted so that older command lines still parse")
+
 
 @dataclass
 class ExperimentConfig:
@@ -46,7 +49,6 @@ class ExperimentConfig:
     mode: str = "tap"
     nonlinearity: str = "square"
     sigma0_sq: float = 1.0
-    degree: int = 64
     out: str | None = None
     dump_trace: bool = False
 
@@ -112,18 +114,18 @@ def _worker_count(n_jobs: int) -> int:
 # experiment pipelines
 # ---------------------------------------------------------------------------
 
-def _tap_prediction(ensemble, beta, theta, phi, T, degree):
+def _tap_prediction(ensemble, beta, theta, phi, T):
     """TAP parameters and their state evolution, shared by ``tap`` and ``se``."""
     params = tap.solve_q_star(beta, theta, tap.ensemble_law(ensemble, phi))
     se = state_evolution.run_state_evolution(
         [tap.g_nonlinearity(params)] * T, params.sigma_star_sq,
-        params.sigma_psi_sq, T, degree)
+        params.sigma_psi_sq, T)
     return params, se
 
 
 def _tap_experiment(config: ExperimentConfig):
     params, se = _tap_prediction(config.ensemble, config.beta, config.theta,
-                                 config.phi, config.T, config.degree)
+                                 config.phi, config.T)
 
     def one_seed(seed, sigma):
         return tap.run_tap_amp(config.ensemble, config.beta, config.theta,
@@ -143,7 +145,7 @@ def _plain_experiment(config: ExperimentConfig):
         max_directions=config.haar_budget)
     se = state_evolution.run_state_evolution(
         [base] * config.T, config.sigma0_sq, sample_op.sigma_psi_sq,
-        config.T, config.degree)
+        config.T)
     if se.degenerate:
         raise ValueError(
             f"state evolution collapses to zero variance for nonlinearity "
@@ -314,7 +316,7 @@ def _build_parser():
         p.add_argument("--N", type=int)
         p.add_argument("--T", type=int)
         p.add_argument("--seeds", type=str)
-        p.add_argument("--degree", type=int)
+        p.add_argument("--degree", type=int, help=IGNORED_DEGREE)
         p.add_argument("--out", help="report CSV path")
         p.add_argument("--dump-trace", action="store_true", default=None)
 
@@ -341,7 +343,7 @@ def _build_parser():
     p_se.add_argument("--theta", type=float)
     p_se.add_argument("--phi", type=float)
     p_se.add_argument("--T", type=int)
-    p_se.add_argument("--degree", type=int)
+    p_se.add_argument("--degree", type=int, help=IGNORED_DEGREE)
     p_se.add_argument("--nonlinearity", choices=sorted(state_evolution.PRESETS))
     p_se.add_argument("--sigma0-sq", type=float)
     p_se.add_argument("--sigma-psi-sq", type=float)
@@ -396,30 +398,29 @@ def _experiment_command(args, defaults: dict, **fixed) -> int:
 def _cmd_run(args) -> int:
     return _experiment_command(args, dict(
         ensemble="signed-sine", N=1024, T=10, seeds="1..8", mode="simple",
-        nonlinearity="square", sigma0_sq=1.0, degree=24, out=None,
+        nonlinearity="square", sigma0_sq=1.0, out=None,
         dump_trace=False), beta=0.0, theta=0.0)
 
 
 def _cmd_tap(args) -> int:
     return _experiment_command(args, dict(
         ensemble="signed-sine", N=1024, T=10, beta=2.0, theta=2.0, phi=1.0,
-        seeds="1..8", degree=64, out=None, dump_trace=False), mode="tap")
+        seeds="1..8", out=None, dump_trace=False), mode="tap")
 
 
 def _cmd_se(args) -> int:
     merged = _merged(args, dict(
         preset="tap", ensemble="signed-sine", beta=2.0, theta=2.0, phi=1.0,
-        T=10, degree=64, nonlinearity="square", sigma0_sq=1.0,
+        T=10, nonlinearity="square", sigma0_sq=1.0,
         sigma_psi_sq=1.0, out=None))
     if merged["preset"] == "tap":
         _, se = _tap_prediction(merged["ensemble"], merged["beta"],
-                                merged["theta"], merged["phi"], merged["T"],
-                                merged["degree"])
+                                merged["theta"], merged["phi"], merged["T"])
     else:
         base = state_evolution.preset_nonlinearity(merged["nonlinearity"])
         se = state_evolution.run_state_evolution(
             [base] * merged["T"], merged["sigma0_sq"],
-            merged["sigma_psi_sq"], merged["T"], merged["degree"])
+            merged["sigma_psi_sq"], merged["T"])
     emit_state_evolution(se, merged["out"] or sys.stdout)
     return 0
 

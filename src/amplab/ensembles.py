@@ -197,6 +197,9 @@ def dst_matvec(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64)
     n = a.shape[0]
     c, kernel = (_along_rows(x, a) for x in _chirp(n))
+    # the result first: made after the FFTs, it could split the hole their
+    # buffers left, and the next call would grow the heap for them
+    out = np.empty(a.shape)
     work = np.zeros(kernel.shape[:1] + a.shape[1:], dtype=np.complex128)
     head = work[:n]
     np.multiply(a, 1 if d is None else _along_rows(d, a), out=head.real)
@@ -205,19 +208,25 @@ def dst_matvec(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     work *= kernel
     np.fft.ifft(work, axis=0, out=work)
     head *= c
-    return head.imag.copy()
+    np.copyto(out, head.imag)
+    return out
 
 
 @lru_cache(maxsize=1)
 def _chirp(n: int):
     # c_1..c_N and the FFT of the kernel conj(c_|m|), |m| < N, laid out
     # cyclically in M entries and scaled by 2 / sqrt(L).  The phase m^2 mod
-    # 2L is exact in integers.  Read-only: seeds on threads share them.
+    # 2L is exact in integers, reduced in place in one array that is gone
+    # before the FFT.  Read-only: seeds on threads share them.
     length = 2 * n + 1
-    m = np.arange(n + 1)
-    chirp = np.exp(1j * np.pi / length * (m * m % (2 * length)))
+    phase = np.arange(n + 1)
+    phase *= phase
+    phase %= 2 * length
+    chirp = np.multiply(1j * np.pi / length, phase, dtype=np.complex128)
+    del phase
+    np.exp(chirp, out=chirp)
     kernel = np.zeros(1 << (2 * n - 2).bit_length(), dtype=np.complex128)
-    kernel[:n] = chirp[:n].conj()
+    np.conjugate(chirp[:n], out=kernel[:n])
     kernel[len(kernel) - n + 1:] = kernel[n - 1:0:-1]
     np.fft.fft(kernel, out=kernel)
     kernel *= 2.0 / np.sqrt(length)
@@ -264,8 +273,11 @@ def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
     lam = rademacher(substream(seed, "spectrum"), n).astype(np.int8)
 
     def apply(v, s):  # one scratch pair for both transforms
+        # the result before the pair: a pair carved from the hole a freed
+        # N-vector left would make malloc grow the heap for this one
+        out = np.empty(v.shape)
         scratch = np.empty((2, min(v.size, CHUNK)))
-        out = _fwht(v, np.empty(v.shape), s, scratch=scratch)
+        _fwht(v, out, s, scratch=scratch)
         return _fwht(out, out, lam, s, scratch)
 
     return MatrixOperator(n, apply, 1.0, "signed-hadamard", seed=seed,
@@ -395,13 +407,13 @@ def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
     if sig2 <= 0:
         raise ValueError("spectrum must not be identically zero")
     signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
-    perm = substream(seed, "perm").permutation(n)
-    inv = np.argsort(perm)
+    # P diag(lam) P^T is the diagonal of lam permuted: entry i is lam[inv[i]]
+    inv = np.argsort(substream(seed, "perm").permutation(n))
+    lam_p = lam[inv]
 
-    def apply(v, s):
-        w = _fwht(v, np.empty(v.shape), s)
-        w = scale_rows(lam, w[perm])[inv]  # P^T, diag(lam), then P
-        return _fwht(w, w, d_out=s)        # H then D
+    def apply(v, s):  # H, diag(lam_p) at the write-out; then H, D
+        w = _fwht(v, np.empty(v.shape), s, lam_p)
+        return _fwht(w, w, d_out=s)
 
     return MatrixOperator(n, apply, sig2, "sign-perm", seed=seed,
                           trace=float(lam.sum()), signs=signs)

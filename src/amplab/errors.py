@@ -28,7 +28,3 @@ class ConvergenceError(AmpLabError):
 
 class ResourceError(AmpLabError):
     """An internal store grew past its configured cap."""
-
-
-class DegreeOverflowError(ValueError):
-    """A polynomial degree above the supported cap was requested."""

@@ -11,33 +11,29 @@ so H_0 = 1, H_1(z) = z, H_2(z) = (z^2 - 1)/sqrt(2).  The classical
 (monic) probabilists' polynomials He_k relate to these by
 He_k = sqrt(k!) * H_k; that conversion is the only place factorials enter.
 
-Two quadratures live here:
+Both quadratures here are trapezoid rules on a fixed grid.  On a
+Gaussian-weighted integrand that is analytic near the real axis the rule
+converges faster than exponentially in the inverse step, so it reaches
+machine precision for bounded analytic integrands (tanh-type
+nonlinearities at large input scale) where a Gauss-Hermite rule of
+practical order cannot, because such integrands are analytic only in a
+narrow strip.
 
-* ``gauss_hermite_rule(n)`` - Gauss nodes/weights for E[f(Z)], exact for
-  polynomials of degree <= 2n - 1.  Ideal for polynomial and mildly
-  nonlinear integrands.
-* ``gaussian_expectation(f, sigma)`` - a dense trapezoid rule on a wide
-  interval.  For bounded analytic integrands (tanh-type nonlinearities at
-  large input scale) this reaches machine precision where a Gauss rule of
-  any permitted order cannot, because such integrands are analytic only in
-  a narrow strip.
+* ``gaussian_expectation(f, sigma)`` - E[f(sigma Z)] on 4097 nodes of
+  [-16, 16].
+* ``gaussian_cross_moment(f, sigma_f, g, sigma_g, r)`` -
+  E[f(sigma_f X) g(sigma_g Y)] for standard normals X, Y of correlation
+  r in [-1, 1], on one tensor grid in sum and difference coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegreeOverflowError, NumericError
-
-# Highest Hermite degree served by hermite_sequence.  The unit-norm recurrence
-# is stable far beyond this; the cap exists to catch runaway callers.
-MAX_DEGREE = 64
-
-MAX_QUAD_ORDER = 256
+from .errors import NumericError
 
 
 def hermite_sequence(max_degree: int, x):
@@ -50,8 +46,6 @@ def hermite_sequence(max_degree: int, x):
     """
     if max_degree < 0:
         raise ValueError(f"degree must be nonnegative, got {max_degree}")
-    if max_degree > MAX_DEGREE:
-        raise DegreeOverflowError(f"degree {max_degree} exceeds cap {MAX_DEGREE}")
     x = np.asarray(x, dtype=np.float64)
     h_prev = np.ones_like(x)
     yield h_prev
@@ -77,48 +71,6 @@ def hermite_eval(k: int, x):
     for h in hermite_sequence(k, np.array(x, dtype=np.float64)):
         pass
     return h if h.ndim else float(h)
-
-
-def hermite_all(max_degree: int, x: np.ndarray) -> np.ndarray:
-    """Stack H_0..H_max_degree evaluated at ``x`` (shape (deg+1, len(x)))."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((max_degree + 1,) + x.shape)
-    for k, h in enumerate(hermite_sequence(max_degree, x)):
-        out[k] = h
-    return out
-
-
-@lru_cache(maxsize=None)
-def _gauss_hermite_cached(n: int):
-    from scipy.linalg import eigh_tridiagonal  # `amplab se` never needs it
-    if n == 1:
-        return np.zeros(1), np.ones(1)
-    # Golub-Welsch: Jacobi matrix of the unit-norm recurrence is symmetric
-    # tridiagonal with zero diagonal and off-diagonal sqrt(1..n-1).
-    off = np.sqrt(np.arange(1, n, dtype=np.float64))
-    nodes, vecs = eigh_tridiagonal(np.zeros(n), off)
-    weights = vecs[0, :] ** 2
-    weights /= weights.sum()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def gauss_hermite_rule(n: int):
-    """Nodes and weights integrating exactly against N(0, 1) up to degree 2n-1.
-
-    Weights sum to one.  Results are cached per order.
-    """
-    if n < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {n}")
-    if n > MAX_QUAD_ORDER:
-        raise ValueError(f"quadrature order {n} exceeds cap {MAX_QUAD_ORDER}")
-    return _gauss_hermite_cached(int(n))
-
-
-def default_quad_order(max_degree: int) -> int:
-    """Default Gauss order for coefficient extraction: overkill is cheap."""
-    return min(MAX_QUAD_ORDER, max(64, 2 * max_degree + 8))
 
 
 @lru_cache(maxsize=None)
@@ -147,74 +99,44 @@ def gaussian_expectation(f: Callable, sigma: float = 1.0) -> float:
     return float(np.sum(vals * mass))
 
 
-@dataclass(frozen=True)
-class HermiteSeries:
-    """Coefficients of a function in the unit-norm Hermite basis.
+# The pair rule: the tensor trapezoid rule of step 0.2 on the plane, without
+# the nodes outside radius 9, whose Gaussian mass together is e^{-40.5}.
+PAIR_STEP = 0.2
+PAIR_RADIUS = 9.0
 
-    ``coefficients[k]`` is E[H_k(Z) f(sigma Z)] for whatever f and sigma the
-    series was extracted from.  By Parseval, sum(coefficients**2) equals
-    E[f(sigma Z)^2] whenever the expansion is exact (polynomial f).
+
+@lru_cache(maxsize=None)
+def _pair_grid(step: float):
+    half = round(PAIR_RADIUS / step)
+    axis = step * np.arange(-half, half + 1)
+    u, v = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    keep = u * u + v * v <= PAIR_RADIUS ** 2
+    u, v = u[keep], v[keep]
+    mass = np.exp(-0.5 * (u * u + v * v)) * (step * step / (2.0 * np.pi))
+    for a in (u, v, mass):
+        a.setflags(write=False)
+    return u, v, mass
+
+
+def gaussian_cross_moment(f: Callable, sigma_f: float, g: Callable,
+                          sigma_g: float, r: float) -> float:
+    """E[f(sigma_f X) g(sigma_g Y)] for standard normals X, Y of correlation r.
+
+    The pair is written in sum and difference coordinates, X = aU + bV and
+    Y = aU - bV with a = sqrt((1 + r)/2), b = sqrt((1 - r)/2) and U, V
+    independent N(0, 1), so one grid in (U, V) serves every r in [-1, 1],
+    the endpoints included.
     """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=np.float64))
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def second_moment(self) -> float:
-        """Parseval sum: E[f^2] up to truncation."""
-        return float(np.dot(self.coefficients, self.coefficients))
-
-
-def hermite_coefficients(f: Callable, max_degree: int, sigma: float = 1.0,
-                         *, order: int | None = None,
-                         method: str = "gauss") -> HermiteSeries:
-    """Expand f against the standard Gaussian: c_k = E[H_k(Z) f(sigma Z)].
-
-    ``method="gauss"`` uses a Gauss rule of the given ``order`` (default
-    ``default_quad_order``); ``method="trapezoid"`` uses the dense grid,
-    which stays accurate for saturating f at large sigma.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if method == "gauss":
-        if order is None:
-            order = default_quad_order(max_degree)
-        if order < max_degree + 4:
-            raise ValueError(
-                f"quadrature order {order} too low for degree {max_degree}")
-        x, w = gauss_hermite_rule(order)
-    elif method == "trapezoid":
-        x, w = _trapezoid_grid()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    vals = np.asarray(f(sigma * x), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        bad = x[np.flatnonzero(~np.isfinite(vals))[0]]
-        raise NumericError(f"nonlinearity not finite at quadrature node {bad!r}")
-    table = hermite_all(max_degree, x)
-    return HermiteSeries(table @ (w * vals))
-
-
-def bivariate_gaussian_moment(a: HermiteSeries, b: HermiteSeries,
-                              rho: float) -> float:
-    """E[f(Z1) g(Z2)] for standardized jointly Gaussian (Z1, Z2).
-
-    Uses E[H_j(Z1) H_k(Z2)] = delta_jk rho^k, valid when both series were
-    expanded against the correct standardized marginals:
-
-        E[f(Z1) g(Z2)] = sum_k a_k b_k rho^k.
-    """
-    if abs(rho) > 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    k = min(a.max_degree, b.max_degree) + 1
-    powers = rho ** np.arange(k)
-    return float(np.sum(a.coefficients[:k] * b.coefficients[:k] * powers))
+    if abs(r) > 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {r}")
+    u, v, mass = _pair_grid(PAIR_STEP)
+    x = np.sqrt(0.5 * (1.0 + r)) * u
+    bv = np.sqrt(0.5 * (1.0 - r)) * v
+    y = x - bv
+    y *= sigma_g
+    x += bv
+    x *= sigma_f
+    moment = float((f(x) * g(y)) @ mass)
+    if not np.isfinite(moment):
+        raise NumericError(f"cross moment not finite at correlation {r!r}")
+    return moment

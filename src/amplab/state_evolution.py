@@ -12,17 +12,16 @@ component at the current input scale removed:
 
     fbar_t(x) = f_t(x) - (E[Z f_t(sigma_{t-1} Z)] / sigma_{t-1}) x.
 
-Cross moments are evaluated in the Hermite basis: each fbar is expanded
-against its standardized input, and for standardized jointly Gaussian
-pairs E[H_j(Z_1) H_k(Z_2)] = delta_jk rho^k, so
-E[fbar_s fbar_t] = sum_k c^{(s)}_k c^{(t)}_k rho^k.  The standardization
-bookkeeping (every series lives at its own sigma) is the correctness
-burden of this module and is tested against two-dimensional quadrature.
+Cross moments are two-dimensional Gaussian expectations on one fixed
+rule (``hermite.gaussian_cross_moment``): a tensor trapezoid grid in the
+sum and difference coordinates of each standardized pair, which serves
+every correlation in [-1, 1] with no truncation degree.  The rule's step
+is checked for convergence in the test suite: halving it moves the
+predicted successive difference by less than 1e-7 relative.
 
-Variances use the dense-grid Gaussian expectation directly rather than the
-truncated Parseval sum: for saturating nonlinearities at large input scale
-the Hermite tail decays too slowly for the 1e-6 constant-variance contract,
-while the direct quadrature is exact to machine precision.
+Variances use the dense one-dimensional grid (``gaussian_expectation``),
+which is exact to machine precision for every nonlinearity used here and
+meets the 1e-6 constant-variance contract of the TAP nonlinearity.
 """
 
 from __future__ import annotations
@@ -34,11 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError
-from .hermite import (HermiteSeries, bivariate_gaussian_moment,
-                      gauss_hermite_rule, gaussian_expectation,
-                      hermite_coefficients)
-
-DEFAULT_DEGREE = 24
+from .hermite import gaussian_cross_moment, gaussian_expectation
 
 # A variance at or below this is treated as a degenerate (effectively
 # linear) nonlinearity; the recursion cannot be standardized past it.
@@ -116,14 +111,10 @@ class SECovariance:
 
 
 def run_state_evolution(nonlins: Sequence[Nonlinearity], sigma0_sq: float,
-                        sigma_psi_sq: float, T: int,
-                        degree: int = DEFAULT_DEGREE) -> SECovariance:
+                        sigma_psi_sq: float, T: int) -> SECovariance:
     """Run T steps of the recursion for the given per-step nonlinearities.
 
-    ``nonlins[t]`` is the function applied at step t+1.  ``degree`` caps
-    the Hermite expansion used for cross moments (24 is ample for smooth
-    nonlinearities at unit scale; saturating functions at large scale
-    benefit from more).
+    ``nonlins[t]`` is the function applied at step t+1.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -131,23 +122,16 @@ def run_state_evolution(nonlins: Sequence[Nonlinearity], sigma0_sq: float,
         raise ValueError(f"need {T} nonlinearities, got {len(nonlins)}")
     if sigma0_sq <= 0 or sigma_psi_sq <= 0:
         raise ValueError("sigma0_sq and sigma_psi_sq must be positive")
-    if degree < 4:
-        raise ValueError("degree must be at least 4")
 
     cov = np.zeros((T + 1, T + 1))
     cov[0, 0] = sigma0_sq
     centered: list[Nonlinearity] = []
-    series: list[HermiteSeries] = []
     degenerate = False
 
     for t in range(T):
         sig_t = float(np.sqrt(cov[t, t]))
         fbar = center_divergence_free(nonlins[t], sig_t)
         centered.append(fbar)
-        # Expansion against the standardized input Z_t / sigma_t, so the
-        # bivariate identity below applies with unit marginals.
-        series.append(hermite_coefficients(fbar.eval, degree, sig_t,
-                                           method="trapezoid"))
         var = sigma_psi_sq * gaussian_expectation(
             lambda y: fbar.eval(y) ** 2, sig_t)
         if var <= _DEGENERATE_VAR:
@@ -158,14 +142,16 @@ def run_state_evolution(nonlins: Sequence[Nonlinearity], sigma0_sq: float,
             break
         cov[t + 1, t + 1] = var
         for s in range(1, t + 1):
-            r = cov[s - 1, t] / np.sqrt(cov[s - 1, s - 1] * cov[t, t])
+            sig_s = float(np.sqrt(cov[s - 1, s - 1]))
+            r = cov[s - 1, t] / (sig_s * sig_t)
             if abs(r) > 1.0 + 1e-8:
                 raise NumericError(
-                    f"normalized correlation rho_({s - 1},{t}) = {r} exceeds 1; "
-                    "state evolution is inconsistent")
-            r = float(np.clip(r, -1.0, 1.0))
-            cov[s, t + 1] = cov[t + 1, s] = sigma_psi_sq * \
-                bivariate_gaussian_moment(series[s - 1], series[t], r)
+                    f"normalized correlation rho_({s - 1},{t}) = {r} exceeds "
+                    "1; state evolution is inconsistent")
+            moment = gaussian_cross_moment(centered[s - 1].eval, sig_s,
+                                           fbar.eval, sig_t,
+                                           float(np.clip(r, -1.0, 1.0)))
+            cov[s, t + 1] = cov[t + 1, s] = sigma_psi_sq * moment
 
     lo = float(np.linalg.eigvalsh(cov)[0])
     if lo < -1e-10:
@@ -173,24 +159,6 @@ def run_state_evolution(nonlins: Sequence[Nonlinearity], sigma0_sq: float,
             f"state-evolution covariance is not PSD (min eigenvalue {lo:.3e})")
     cov.setflags(write=False)
     return SECovariance(cov, sigma_psi_sq, degenerate, tuple(centered))
-
-
-def cross_moment_quadrature(f1: Callable, sigma1: float, f2: Callable,
-                            sigma2: float, rho: float, *,
-                            order: int = 128) -> float:
-    """E[f1(sigma1 Z_1) f2(sigma2 Z_2)] for a correlated standardized pair.
-
-    Debug cross-check for the Hermite-coefficient path: evaluates the
-    two-dimensional Gaussian expectation by a product Gauss rule with
-    Z_2 = rho Z_1 + sqrt(1 - rho^2) W.
-    """
-    if abs(rho) > 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    x, w = gauss_hermite_rule(order)
-    comp = np.sqrt(max(0.0, 1.0 - rho * rho))
-    z2 = rho * x[:, None] + comp * x[None, :]
-    vals = f1(sigma1 * x)[:, None] * f2(sigma2 * z2)
-    return float(w @ vals @ w)
 
 
 # ---------------------------------------------------------------------------

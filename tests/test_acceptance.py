@@ -18,16 +18,20 @@ leave little headroom over the intrinsic seed noise:
   32-seed ratio estimator has ~35% spread, so its base was fixed the same
   way.
 
-A fixed seed set makes every run of this file deterministic; the
-calibration cannot mask a systematic error, since seed search over a few
-thousand candidates absorbs at most ~2 standard deviations of noise while
-the early-t comparisons hold at the percent level for every seed.
+A fixed seed set makes every run of this file deterministic, but the
+search can mask a systematic error of the size of the noise: the base for
+criteria 1 and 2 was found while the prediction was 0.8% high at t = 10
+(a truncated Hermite series), and with the exact prediction criterion 1
+reads 0.0499 on it against its 0.05 tolerance.  At N = 65536 with 8 seeds
+criterion 1 passes on every base tried (worst 0.0325) while criterion 2
+does not (0.061 on one base), so the margins are thin at the late steps.
 """
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 
 from amplab.amp import gaussian_init, run_amp
@@ -36,8 +40,7 @@ from amplab.ensembles import (build_random_orthogonal, build_signed_sine,
                               build_wigner_coupling, build_wishart_coupling,
                               centered_resolvent, dense_form, dst_matvec,
                               fwht)
-from amplab.hermite import (gauss_hermite_rule, gaussian_expectation,
-                            hermite_eval)
+from amplab.hermite import gaussian_expectation, hermite_eval
 from amplab.metrics import hermite_moment, ks_statistic, successive_diff
 from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, resolvent_variance
@@ -80,7 +83,7 @@ def tap_se(tap_params):
     for beta, params in tap_params.items():
         g = g_nonlinearity(params)
         out[beta] = run_state_evolution([g] * 10, params.sigma_star_sq,
-                                        params.sigma_psi_sq, 10, degree=64)
+                                        params.sigma_psi_sq, 10)
     return out
 
 
@@ -286,7 +289,8 @@ class TestCriterion10:
         checks = []
 
         # Hermite orthonormality at 1e-10
-        x, w = gauss_hermite_rule(64)
+        x, w = hermegauss(64)
+        w /= math.sqrt(2 * math.pi)
         gram = np.array([[np.sum(w * hermite_eval(a, x) * hermite_eval(b, x))
                           for b in range(9)] for a in range(9)])
         checks.append(("hermite orthonormality",
@@ -353,7 +357,7 @@ class TestCriterion10:
                 run_experiment(ExperimentConfig(
                     "signed-sine", N=512, T=3, seeds=(1, 2, 3, 4),
                     mode="simple", nonlinearity="square", out=str(out),
-                    beta=0.0, theta=0.0, degree=24))
+                    beta=0.0, theta=0.0))
             finally:
                 del os.environ["AMP_LAB_THREADS"]
             payloads.append(out.read_bytes())

@@ -17,24 +17,24 @@ t,sigma_sq,rho_prev,d_pred
 0,1.9265898624153825,,
 1,1.9265898624202469,0,3.8531797248356296
 2,1.9265898624189144,1.7302233363892945,0.39273305206057207
-3,1.9265898624192797,1.8801765918254094,0.092826541187374989
-4,1.9265898624191795,1.9145651991626436,0.024049326513172264
-5,1.9265898624192066,1.9234028048541052,0.0063741151301757171
-6,1.9265898624191995,1.9257400697113702,0.0016995854156656165
-7,1.9265898624192017,1.9263628950539387,0.00045393473052390831
-8,1.9265898624192008,1.9265291978596042,0.0001213291191941579
-9,1.926589862419201,1.9265736268530227,3.2471132356270971e-05
-10,1.926589862419201,1.9265854980846009,8.728669200319672e-06
+3,1.9265898624192797,1.8801765918388129,0.092826541160567988
+4,1.9265898624191795,1.9145652036864229,0.024049317465613562
+5,1.9265898624192066,1.9234028226253592,0.0063740795876676692
+6,1.9265898624191995,1.9257400975730083,0.001699529692389401
+7,1.9265898624192017,1.9263629277521115,0.00045386933417823627
+8,1.9265898624192008,1.9265292324554748,0.00012125992745293246
+9,1.926589862419201,1.9265736621203551,3.2400597691495392e-05
+10,1.926589862419201,1.9265855335754796,8.6576874429589168e-06
 """
 
 SE_PLAIN_DEGENERATE = """\
 t,sigma_sq,rho_prev,d_pred
 0,1,,
 1,0.50000000000000011,0,1.5
-2,0.12500000000000006,0.083333333333333343,0.45833333333333354
-3,0.0078125000000000087,0.012731481481481489,0.10734953703703708
-4,3.0517578125000068e-05,0.00021679062357110232,0.0074094363309828038
-5,4.6566128730774153e-10,5.540248800637635e-08,3.0407238810274624e-05
+2,0.12500000000000006,0.083333333333333176,0.45833333333333387
+3,0.0078125000000000087,0.012731481481481448,0.10734953703703716
+4,3.0517578125000068e-05,0.00021679062357110135,0.0074094363309828055
+5,4.6566128730774153e-10,5.5402488006376066e-08,3.0407238810274624e-05
 6,0,0,4.6566128730774153e-10
 """
 
@@ -86,8 +86,7 @@ class TestRunExperiment:
         out = tmp_path / "report.csv"
         config = ExperimentConfig("signed-sine", N=256, T=3, seeds=(1, 2),
                                   mode="simple", nonlinearity="square",
-                                  out=str(out), beta=0.0, theta=0.0,
-                                  degree=24)
+                                  out=str(out), beta=0.0, theta=0.0)
         report = run_experiment(config)
         assert report.seed_count == 2
         assert out.exists()
@@ -100,8 +99,7 @@ class TestRunExperiment:
             out = tmp_path / name
             config = ExperimentConfig("signed-sine", N=256, T=3, seeds=(1, 2),
                                       mode="simple", nonlinearity="square",
-                                      out=str(out), beta=0.0, theta=0.0,
-                                      degree=24)
+                                      out=str(out), beta=0.0, theta=0.0)
             run_experiment(config)
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -115,7 +113,7 @@ class TestRunExperiment:
                 config = ExperimentConfig("signed-sine", N=256, T=3,
                                           seeds=(1, 2, 3, 4), mode="simple",
                                           nonlinearity="square", out=str(out),
-                                          beta=0.0, theta=0.0, degree=24)
+                                          beta=0.0, theta=0.0)
                 run_experiment(config)
             finally:
                 del os.environ["AMP_LAB_THREADS"]
@@ -141,8 +139,7 @@ class TestRunExperiment:
         out = tmp_path / "roundtrip.csv"
         config = ExperimentConfig("signed-sine", N=256, T=1, seeds=(1,),
                                   mode="simple", nonlinearity="square",
-                                  out=str(out), beta=0.0, theta=0.0,
-                                  degree=24)
+                                  out=str(out), beta=0.0, theta=0.0)
         report = run_experiment(config)
         rows = [ln for ln in out.read_text().splitlines()
                 if ln and not ln.startswith("#")]
@@ -160,7 +157,7 @@ class TestRunExperiment:
         seeds = (3, 1, 2)
         config = ExperimentConfig("signed-hadamard", N=256, T=3, seeds=seeds,
                                   mode=mode, nonlinearity="square",
-                                  out=str(out), degree=24)
+                                  out=str(out))
         run_experiment(config)
         header, rows = read_rows(out)
         columns = ("succ_diff", "h1", "h2", "h3", "h4", "ks")
@@ -205,7 +202,7 @@ class TestRunExperiment:
             out.parent.mkdir()
             run_experiment(ExperimentConfig(
                 ensemble, N=256, T=4, seeds=(1, 2), mode=mode,
-                nonlinearity="square", out=str(out), degree=24,
+                nonlinearity="square", out=str(out),
                 dump_trace=dump))
             written.append({name: (out.parent / name).read_bytes()
                             for name in ("r.csv", "r.seed1.csv",
@@ -240,7 +237,7 @@ class TestRunExperiment:
         try:
             run_experiment(ExperimentConfig(
                 "random-orthogonal", N=256, T=3, seeds=(1, 2, 3),
-                mode="projected", nonlinearity="square", degree=24))
+                mode="projected", nonlinearity="square"))
         finally:
             gc.enable()
         assert alive_at_start == [1, 1, 1]
@@ -271,7 +268,7 @@ class TestRunExperiment:
         try:
             run_experiment(ExperimentConfig(
                 "signed-hadamard", N=256, T=3, seeds=(1, 2, 3), mode=mode,
-                nonlinearity="square", degree=24))
+                nonlinearity="square"))
         finally:
             gc.enable()
         assert alive_at_start == [0, 0, 0]
@@ -298,7 +295,7 @@ class TestRunExperiment:
         monkeypatch.setenv("AMP_LAB_THREADS", "1")
         run_experiment(ExperimentConfig(
             "random-orthogonal", N=n, T=T, seeds=(1, 2), mode=mode,
-            nonlinearity="square", degree=24))
+            nonlinearity="square"))
         assert len(stores) == 2
         for basis, q, p in stores:
             budget = 2 * T + 2 if mode == "tap" else 2 * T
@@ -309,8 +306,8 @@ class TestRunExperiment:
                                                        tmp_path):
         # the store's 2T rows of q and p are 40 N-vectors at T = 10; the
         # doubling store peaked near 106 when it grew from 16 to 32 rows.
-        # At N = 2^14 state evolution's own quadrature tables (about 1 MB,
-        # whatever N is) stay under 8 N-vectors.
+        # State evolution's own work arrays (about 0.4 MB, whatever N is)
+        # stay under 3 N-vectors at N = 2^14.
         import tracemalloc
 
         n = 2 ** 14
@@ -343,12 +340,12 @@ class TestRunExperiment:
         spec, n, T, seeds = f"sign-perm:spectrum={spectrum}", 256, 6, (1, 2)
         report = run_experiment(ExperimentConfig(
             spec, N=n, T=T, seeds=seeds, mode="simple",
-            nonlinearity="tanh-centered", degree=24))
+            nonlinearity="tanh-centered"))
 
         base = preset_nonlinearity("tanh-centered")
         se = run_state_evolution([base] * T, 1.0,
                                  operator_from_spec(spec, n, 1).sigma_psi_sq,
-                                 T, 24)
+                                 T)
         sigma = np.sqrt(se.sigma_sq)
         nonlins = [center_divergence_free(base, sigma[t]) for t in range(T)]
         for seed, table in zip(seeds, report.seed_tables):
@@ -362,7 +359,7 @@ class TestRunExperiment:
         config = ExperimentConfig("signed-sine", N=64, T=2, seeds=(1,),
                                   mode="simple", nonlinearity="square",
                                   out=str(out), beta=0.0, theta=0.0,
-                                  degree=24, dump_trace=True)
+                                  dump_trace=True)
         run_experiment(config)
         dump = tmp_path / "tr.seed1.trace.csv"
         assert dump.exists()
@@ -386,6 +383,16 @@ class TestMainEntry:
     def test_se_default_output_bytes(self, capsys):
         assert main(["se"]) == 0
         assert capsys.readouterr().out == SE_DEFAULT
+
+    def test_degree_flag_is_parsed_and_ignored(self, capsys, tmp_path):
+        # older command lines pass --degree; it changes nothing, while a
+        # config file's degree key is an unknown key like any other
+        assert main(["se", "--degree", "24"]) == 0
+        assert capsys.readouterr().out == SE_DEFAULT
+        conf = tmp_path / "se.conf"
+        conf.write_text("degree=64\n")
+        assert main(["se", "--config", str(conf)]) == 1
+        assert "unknown key 'degree'" in capsys.readouterr().err
 
     def test_se_degenerate_tail_output_bytes(self, capsys):
         # sigma_{t+1}^2 = sigma_psi^2 sigma_t^4 falls below the degenerate
@@ -632,8 +639,8 @@ class TestMainEntry:
 
     def test_import_loads_neither_fft_nor_special(self, tmp_path):
         # `amplab se` only imports amplab.cli; the dense Cholesky resolvent
-        # and the Gauss rule load their scipy modules on first use, and the
-        # sine and Hadamard TAP runs and the sine and orthogonal runs load none
+        # loads its scipy module on first use, and `se`, the sine and
+        # Hadamard TAP runs and the sine and orthogonal runs load none
         proc = subprocess.run(
             [sys.executable, "-c",
              "import amplab.cli, sys; print(sorted({'scipy.fft', "
@@ -641,12 +648,15 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
-        for argv in (["tap", "--ensemble", "signed-hadamard"],
+        for argv in (["se", "--preset", "tap"],
+                     ["se", "--preset", "plain"],
+                     ["tap", "--ensemble", "signed-hadamard"],
                      ["tap", "--ensemble", "signed-sine"],
                      ["run", "--ensemble", "random-orthogonal"],
                      ["run", "--ensemble", "signed-sine"]):
-            argv += ["--N", "256", "--T", "2", "--out",
-                     str(tmp_path / "out.csv")]
+            argv += ["--T", "2", "--out", str(tmp_path / "out.csv")]
+            if argv[0] != "se":
+                argv += ["--N", "256"]
             proc = subprocess.run(
                 [sys.executable, "-c",
                  "import sys; from amplab.cli import main; "

@@ -186,6 +186,32 @@ class TestDst:
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], dst_matvec(v))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 1001, 2 ** 16])
+    def test_cold_chirp_equals_the_complex_phase_construction(self, n):
+        # the chirp and kernel as built from the complex phase array, with
+        # the integer phases kept alive through the kernel's FFT
+        length = 2 * n + 1
+        m = np.arange(n + 1)
+        chirp = np.exp(1j * np.pi / length * (m * m % (2 * length)))
+        kernel = np.zeros(1 << (2 * n - 2).bit_length(), dtype=np.complex128)
+        kernel[:n] = chirp[:n].conj()
+        kernel[len(kernel) - n + 1:] = kernel[n - 1:0:-1]
+        np.fft.fft(kernel, out=kernel)
+        kernel *= 2.0 / np.sqrt(length)
+        ensembles._chirp.cache_clear()
+        got_chirp, got_kernel = ensembles._chirp(n)
+        assert np.array_equal(got_chirp, chirp[1:])
+        assert np.array_equal(got_kernel, kernel)
+
+    def test_cold_chirp_build_peaks_at_what_it_keeps(self):
+        # the chirp (2 N-vectors) and the kernel spectrum (4 at N = 2^16)
+        # are the build's whole traced peak: the phases are gone before
+        # the FFT; building them beside the complex phases peaked at 9
+        n = 2 ** 16
+        ensembles._chirp.cache_clear()
+        (chirp, kernel), peak = traced_peak(lambda: ensembles._chirp(n))
+        assert peak <= chirp.nbytes + kernel.nbytes + 8192
+
     def test_diagonal_matches_scaling_first(self):
         rng = np.random.default_rng(8)
         d = rademacher(rng, 1001).astype(np.int8)
@@ -360,6 +386,31 @@ class TestSignPerm:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="spectrum"):
             build_sign_perm(64, seed=1, eigenvalues=np.ones(50))
+
+    def test_matvec_equals_the_permutation_by_hand(self):
+        # D H P diag(lam) P^T H D with P^T as a gather and P as its inverse
+        n, seed = 4096, 3
+        lam = np.linspace(-1.0, 2.0, n)
+        signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
+        perm = substream(seed, "perm").permutation(n)
+        op = build_sign_perm(n, seed, lam)
+        rng = np.random.default_rng(12)
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            w = fwht(scale_rows(signs, v))
+            w = scale_rows(lam, w[perm])[np.argsort(perm)]
+            assert np.array_equal(op.matvec(v), scale_rows(signs, fwht(w)))
+
+    @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
+    def test_one_matvec_peaks_at_the_result_and_fwht_scratch(self, n):
+        # the result plus one fwht call's two CHUNK scratch buffers, and
+        # about 0.2 MB of ufunc buffers casting the int8 signs: 3.4
+        # N-vectors at 2^16 and 1.6 at 2^18, where gathering the
+        # permutation into new arrays held 3
+        op = build_sign_perm(n, 5, np.linspace(-1.0, 2.0, n))
+        v = np.random.default_rng(13).standard_normal(n)
+        op.matvec(v)
+        _, peak = traced_peak(lambda: op.matvec(v))
+        assert peak <= 8 * (n + 2 * min(n, ensembles.CHUNK)) + 2 ** 18
 
 
 class TestWignerCoupling:

@@ -1,15 +1,65 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
-from amplab.hermite import gauss_hermite_rule, gaussian_expectation
+from amplab import hermite
+from amplab.hermite import gaussian_expectation
 from amplab.spectral import SpectralLaw
 from amplab.state_evolution import (Nonlinearity, center_divergence_free,
-                                    cross_moment_quadrature,
                                     linear_coefficient, preset_nonlinearity,
                                     run_state_evolution)
 from amplab.tap import g_nonlinearity, solve_q_star
 
 SQUARE = preset_nonlinearity("square")
+
+
+def gauss_rule(order):
+    """Gauss nodes and weights for E[f(Z)], Z ~ N(0, 1): numpy's He rule."""
+    x, w = hermegauss(order)
+    return x, w / math.sqrt(2 * math.pi)
+
+
+def product_rule_moment(f, sigma_f, g, sigma_g, r, order=128):
+    """E[f(sigma_f X) g(sigma_g Y)] by a product Gauss rule, Y = rX + sW."""
+    x, w = gauss_rule(order)
+    y = r * x[:, None] + math.sqrt(max(0.0, 1.0 - r * r)) * x[None, :]
+    return float(w @ (f(sigma_f * x)[:, None] * g(sigma_g * y)) @ w)
+
+
+def product_rule_prediction(nonlins, sigma0_sq, sigma_psi_sq, T, order):
+    """The recursion again, every expectation on Gauss rules of ``order``."""
+    x, w = gauss_rule(order)
+    cov = np.zeros((T + 1, T + 1))
+    cov[0, 0] = sigma0_sq
+    fbars = []
+    for t in range(T):
+        sig_t = math.sqrt(cov[t, t])
+        fbars.append(center_divergence_free(nonlins[t], sig_t))
+        cov[t + 1, t + 1] = sigma_psi_sq * float(
+            w @ fbars[t].eval(sig_t * x) ** 2)
+        for s in range(1, t + 1):
+            sig_s = math.sqrt(cov[s - 1, s - 1])
+            cov[s, t + 1] = cov[t + 1, s] = sigma_psi_sq * product_rule_moment(
+                fbars[s - 1].eval, sig_s, fbars[t].eval, sig_t,
+                cov[s - 1, t] / (sig_s * sig_t), order)
+    diag = np.diag(cov)
+    return diag[1:] + diag[:-1] - 2.0 * np.diag(cov, 1)
+
+
+def stationary_case(name):
+    """A preset with sigma_psi^2 = 1 / E[fbar^2]: unit variance is stationary."""
+    nonlin = preset_nonlinearity(name)
+    fbar = center_divergence_free(nonlin, 1.0)
+    spsi = 1.0 / gaussian_expectation(lambda y: fbar.eval(y) ** 2, 1.0)
+    return [nonlin] * 10, 1.0, spsi
+
+
+def tap_case(beta):
+    params = solve_q_star(beta, 2.0, SpectralLaw.rademacher())
+    return ([g_nonlinearity(params)] * 10, params.sigma_star_sq,
+            params.sigma_psi_sq)
 
 
 class TestCentering:
@@ -57,7 +107,7 @@ class TestRecursion:
             params = solve_q_star(beta, 2.0, SpectralLaw.rademacher())
             g = g_nonlinearity(params)
             se = run_state_evolution([g] * 10, params.sigma_star_sq,
-                                     params.sigma_psi_sq, 10, degree=64)
+                                     params.sigma_psi_sq, 10)
             np.testing.assert_allclose(se.sigma_sq, params.sigma_star_sq,
                                        atol=1e-6)
 
@@ -67,7 +117,7 @@ class TestRecursion:
         h2 = Nonlinearity(lambda x: (x * x - 1.0) / np.sqrt(2.0), "h2")
         sigma0_sq, spsi = 1.7, 0.9
         se = run_state_evolution([h2], sigma0_sq, spsi, 1)
-        x, w = gauss_hermite_rule(80)
+        x, w = gauss_rule(80)
         scaled = h2.eval(np.sqrt(sigma0_sq) * x)
         oracle = spsi * float(np.sum(w * scaled * scaled))
         assert se.sigma_sq[1] == pytest.approx(oracle, abs=1e-9)
@@ -79,7 +129,7 @@ class TestRecursion:
         f = preset_nonlinearity("tanh-centered")
         fbar0 = center_divergence_free(f, 1.0)
         spsi = 1.0 / gaussian_expectation(lambda y: fbar0.eval(y) ** 2, 1.0)
-        se = run_state_evolution([f] * 5, 1.0, spsi, 5, degree=12)
+        se = run_state_evolution([f] * 5, 1.0, spsi, 5)
         sig = np.sqrt(se.sigma_sq)
         for s, t in zip(*np.triu_indices(se.T + 1, 1)):
             if s == 0:
@@ -88,7 +138,7 @@ class TestRecursion:
             r = se.cov[s - 1, t - 1] / (sig[s - 1] * sig[t - 1])
             fbar_s = center_divergence_free(f, sig[s - 1])
             fbar_t = center_divergence_free(f, sig[t - 1])
-            oracle = se.sigma_psi_sq * cross_moment_quadrature(
+            oracle = se.sigma_psi_sq * product_rule_moment(
                 fbar_s.eval, sig[s - 1], fbar_t.eval, sig[t - 1], r)
             assert value == pytest.approx(oracle, abs=1e-8), (s, t)
 
@@ -96,13 +146,9 @@ class TestRecursion:
         # each sigma_psi^2 makes unit variance stationary for its
         # nonlinearity (1/E[fbar^2] at unit scale); smaller values collapse
         # the recursion to the trivial fixed point
-        presets = (SQUARE, preset_nonlinearity("tanh-centered"),
-                   preset_nonlinearity("cubic-centered"))
-        for nonlin in presets:
-            fbar = center_divergence_free(nonlin, 1.0)
-            spsi = 1.0 / gaussian_expectation(lambda y: fbar.eval(y) ** 2,
-                                              1.0)
-            se = run_state_evolution([nonlin] * 8, 1.0, spsi, 8)
+        for name in ("square", "tanh-centered", "cubic-centered"):
+            nonlins, sigma0_sq, spsi = stationary_case(name)
+            se = run_state_evolution(nonlins, sigma0_sq, spsi, 8)
             assert not se.degenerate
             eig = np.linalg.eigvalsh(se.cov)
             assert eig[0] >= -1e-10
@@ -143,8 +189,29 @@ class TestRecursion:
             run_state_evolution([SQUARE], 0.0, 1.0, 1)
         with pytest.raises(ValueError):
             run_state_evolution([SQUARE], 1.0, 1.0, 2)
-        with pytest.raises(ValueError):
-            run_state_evolution([SQUARE], 1.0, 1.0, 1, degree=2)
+
+    def test_tap_prediction_against_an_order_200_gauss_oracle(self):
+        # beta = theta = 2 on the Rademacher law: d_10 = 8.6577e-6, which a
+        # Hermite series cut at degree 64 put 0.8% high
+        case = tap_case(2.0)
+        d = run_state_evolution(*case, 10).succ_diff_prediction()
+        oracle = product_rule_prediction(*case, 10, order=200)
+        assert d[-1] == pytest.approx(8.6577e-6, rel=1e-4)
+        np.testing.assert_allclose(d, oracle, rtol=1e-6)
+
+    @pytest.mark.parametrize("case", [
+        *(pytest.param(lambda b=b: tap_case(b), id=f"tap-beta{b:g}")
+          for b in (2.0, 4.0, 10.0)),
+        *(pytest.param(lambda n=n: stationary_case(n), id=n)
+          for n in ("square", "tanh-centered", "cubic-centered"))])
+    def test_pair_rule_converged_in_its_step(self, case, monkeypatch):
+        nonlins, sigma0_sq, spsi = case()
+        d = run_state_evolution(nonlins, sigma0_sq, spsi, 10)
+        monkeypatch.setattr(hermite, "PAIR_STEP", hermite.PAIR_STEP / 2)
+        finer = run_state_evolution(nonlins, sigma0_sq, spsi, 10)
+        np.testing.assert_allclose(d.succ_diff_prediction(),
+                                   finer.succ_diff_prediction(), rtol=1e-7)
+        assert np.array_equal(d.sigma_sq, finer.sigma_sq)
 
 
 class TestPresets:
