@@ -15,11 +15,12 @@ from amplab import (MatrixOperator, build_random_orthogonal,
                     check_semi_random, fwht)
 
 print("involution check M(Mv) = v and norm preservation:")
-# the random-orthogonal store needs a budget: 2 matvecs reveal at most 4
-# Haar directions
+# the random-orthogonal store needs a budget: a matvec reveals at most 2
+# directions (the query's residual and the fresh part of its image); M v
+# lies in the span the first matvec revealed, so the second reveals none
 for build, n in ((build_signed_sine, 512), (build_signed_hadamard, 512),
                  (lambda n, seed: build_random_orthogonal(
-                     n, seed, max_directions=4), 512)):
+                     n, seed, max_directions=2), 512)):
     op = build(n, seed=1)
     v = np.random.default_rng(0).standard_normal(n)
     err = np.linalg.norm(op.matvec(op.matvec(v)) - v) / np.linalg.norm(v)
@@ -47,7 +48,7 @@ print(f"  fwht involution error at N=4096: "
       f"{np.max(np.abs(fwht(w) - v)):.2e}")
 print(f"  fwht norm ratio: {np.linalg.norm(w) / np.linalg.norm(v):.15f}")
 
-print("\nlazy Haar conjugation touches directions on demand:")
+print("\nthe lazy random reflection reveals directions on demand:")
 op = build_random_orthogonal(4096, seed=7, max_directions=6)
 for k in range(3):
     op.matvec(np.random.default_rng(k).standard_normal(4096))

@@ -33,14 +33,14 @@ for beta in (2.0, 4.0):
         acc = np.zeros(T)
         for seed in SEEDS:
             # the Haar budget has room for one residual: m^10's below, as
-            # m^1's reveals no new direction
+            # m^1 lies in the revealed span and its residual reveals nothing
             result = run_tap_amp(ens, beta, 2.0, N, T, seed, params=params)
             trace, coupling = result.trace, result.coupling
             acc += successive_diff(trace)
         curves[ens] = acc / len(SEEDS)
         # On random-orthogonal the residual of m^10 depends on the vectors
-        # queried before it: the lazy Haar store reveals U in query order,
-        # so computing m^1's residual first changes the digits of m^10's.
+        # queried before it: the lazy store reveals M in query order, so
+        # computing m^1's residual first changes the digits of m^10's.
         residual[ens] = [tap_residual(np.tanh(2.0 + trace.iterates[t]),
                                       coupling, params)
                          for t in (1, T)]

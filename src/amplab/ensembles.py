@@ -8,8 +8,8 @@ sigma_psi^2 of its conjugated core.  The builders cover:
                      C_ij = 2 sin(2 pi i j / (2N+1)) / sqrt(2N+1),
 * signed Hadamard  - S H diag(lam) H S with H the orthonormal
                      Hadamard-Walsh matrix and lam i.i.d. +/-1,
-* random orthogonal- U diag(lam) U^T with U Haar, applied lazily so the
-                     full matrix is never sampled,
+* random orthogonal- U diag(lam) U^T with U Haar, a uniform reflection
+                     revealed lazily, so the full matrix is never sampled,
 * sign-permutation - D H P diag(lam) P^T H^T D for a supplied spectrum,
 * Wigner / Wishart couplings (dense), and their trace-centered resolvents
   (a dense inverse from one Cholesky factorization, applied as one gemv).
@@ -72,7 +72,8 @@ class MatrixOperator:
     involution : bool
         True when M^2 = I; the TAP driver then uses the closed-form resolvent.
     haar_basis : _LazyHaar or None
-        The lazily revealed Haar factor of a random-orthogonal operator.
+        A random-orthogonal operator's lazy store: its revealed orthonormal
+        rows ``q`` and their ``cap``.
     signs : int8 ndarray or None
         S of an operator S K S, passed to ``apply`` as its second argument
         so that a gauge field can be folded into it.
@@ -286,107 +287,104 @@ def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
 
 
 class _LazyHaar:
-    """Haar orthogonal matrix revealed one direction at a time.
+    """The reflection M = U diag(lam) U^T, U Haar, revealed as it is queried.
 
-    Stores orthonormal pairs (q_i, p_i) with U q_i = p_i.  Applying U to a
-    vector outside span(q_1..q_k) assigns its image to a fresh uniformly
-    random direction orthogonal to span(p_1..p_k), which is exactly the
-    conditional law of a Haar matrix given its action so far.  U^T swaps
-    the roles of the two bases.  The store mutates on first touch of each
-    new direction, so a given instance must not be used from two threads
-    at once.  Its (max_directions, dim) row buffers are allocated once.
+    It holds an orthonormal basis B of an M-invariant subspace, the rows of
+    one (max_directions, dim) buffer, and R = B M B^T.  On the complement
+    M is again a uniform reflection, with p' eigenvalues +1 and n' -1 left
+    (as in VAMP's state evolution: Rangan, Schniter & Fletcher 2019).  So a
+    query's unit residual u has <u, M u> = a = 2 beta - 1, beta ~
+    Beta(p'/2, n'/2), and M u = a u + s w with w fresh and uniform: R gains
+    the block [[a, s], [s, -a]] on (u, w).  With p' or n' at 0, M u = -/+u.
+    The store mutates: not for use from two threads at once.
     """
 
     _DROP = 1e-13  # relative residual below which a direction is not spawned
 
-    def __init__(self, dim, rng, max_directions):
-        self.dim = dim
+    def __init__(self, dim, rng, max_directions, positives):
         self.rng = rng
         self.cap = max_directions
         self._count = 0
+        self._left = [positives, dim - positives]  # p', n'
         self._q = np.empty((max_directions, dim))
-        self._p = np.empty((max_directions, dim))
+        self._r = np.zeros((max_directions, max_directions))  # B M B^T
 
     @property
-    def q(self):  # (k, dim): the revealed q_i as rows
+    def q(self):  # (k, dim): the revealed basis B as rows
         return self._q[:self._count]
 
-    @property
-    def p(self):  # (k, dim): their images p_i = U q_i
-        return self._p[:self._count]
-
-    def _fresh(self, basis):
+    def _fresh(self, basis, out):
         # Gaussian direction orthogonalized against `basis` rows (twice).
         for _ in range(8):
-            g = self.rng.standard_normal(self.dim)
+            g = self.rng.standard_normal(out.size)
             g -= basis.T @ (basis @ g)
             g -= basis.T @ (basis @ g)
             norm = np.linalg.norm(g)
-            if norm > 1e-8 * np.sqrt(self.dim):
-                return g / norm
+            if norm > 1e-8 * np.sqrt(out.size):
+                return np.divide(g, norm, out=out)
         raise NumericError("could not draw a fresh orthogonal direction")
 
-    def _apply(self, v, src, dst, forward):
-        a1 = src @ v
-        resid = v - src.T @ a1
-        a2 = src @ resid
-        resid -= src.T @ a2
-        out = dst.T @ (a1 + a2)
+    def apply(self, v):  # M v for one vector
+        basis, k = self.q, self._count
+        coef = basis @ v
+        resid = basis.T @ coef
+        np.subtract(v, resid, out=resid)
+        again = basis @ resid
+        resid -= basis.T @ again
+        coef += again
+        out = basis.T @ (self._r[:k, :k] @ coef)
         rnorm = np.linalg.norm(resid)
-        if rnorm > self._DROP * np.linalg.norm(v):
-            if self._count >= self.cap:
-                raise ResourceError(
-                    f"lazy Haar store exceeded {self.cap} directions")
-            new_src = resid / rnorm
-            new_dst = self._fresh(dst)
-            pair = (new_src, new_dst) if forward else (new_dst, new_src)
-            self._q[self._count], self._p[self._count] = pair
-            self._count += 1
-            out += rnorm * new_dst
+        if rnorm <= self._DROP * np.linalg.norm(v):
+            return out
+        pos, neg = self._left
+        rows = 2 if pos and neg else 1
+        if k + rows > self.cap:
+            raise ResourceError(f"lazy Haar store exceeded {self.cap} directions")
+        np.divide(resid, rnorm, out=self._q[k])
+        if rows == 1:  # M is I (n' = 0) or -I (p' = 0) on the complement
+            self._r[k, k] = a = 1.0 if pos else -1.0
+            out += np.multiply(resid, a, out=resid)
+        else:
+            beta = self.rng.beta(pos / 2, neg / 2)
+            a, s = 2 * beta - 1, 2 * np.sqrt(beta * (1 - beta))
+            w = self._fresh(self._q[:k + 1], self._q[k + 1])
+            self._r[k:k + 2, k:k + 2] = [[a, s], [s, -a]]
+            out += np.multiply(resid, a, out=resid)
+            out += np.multiply(w, rnorm * s, out=resid)
+        self._left = [pos - bool(pos), neg - bool(neg)]
+        self._count = k + rows
         return out
-
-    def forward(self, v):  # U v
-        return self._apply(v, self.q, self.p, True)
-
-    def backward(self, w):  # U^T w
-        return self._apply(w, self.p, self.q, False)
 
 
 def build_random_orthogonal(n: int, seed: int, *,
                             max_directions: int) -> MatrixOperator:
-    """M = U diag(lam) U^T with U Haar and lam i.i.d. +/-1.
+    """M = U diag(lam) U^T with U Haar and lam i.i.d. +/-1: a reflection,
+    uniform given p = (N + Tr M) / 2, revealed lazily (see ``_LazyHaar``).
 
-    U is a lazily revealed orthonormal-pair store keyed to the seed, with
-    2 ``max_directions`` N-vectors reserved up front.  A matvec reveals at
-    most two directions (one through U^T, one through U), so T matvecs
-    need the budget min(2T, N); revealing more raises a ResourceError, and
-    a budget of None a ValueError before anything is allocated.
-    The store mutates on first touch of a new direction: this is the one
-    operator not re-entrant during a matvec.  A column block is applied a
-    column at a time, in order, revealing what separate matvecs would; the
-    image of a vector outside the revealed span depends on the queries
-    made before it (each history gives an equally Haar-distributed image).
+    The store reserves ``max_directions`` N-vectors up front.  A matvec
+    reveals at most two, so T matvecs need the budget min(2T, N); more
+    raises a ResourceError, and a budget of None a ValueError before
+    anything is allocated.  The store mutates on first touch of a new
+    direction: this is the one operator not re-entrant during a matvec.  A
+    column block is applied a column at a time, in order; the image of a
+    vector outside the revealed span depends on the queries made before it
+    (each history gives an equally distributed M).
     """
     if max_directions is None:
         raise ValueError("random-orthogonal needs max_directions, its Haar "
                          "budget: T matvecs reveal up to min(2T, N) directions")
-    basis = _LazyHaar(n, substream(seed, "haar"), max_directions)
-    lam = rademacher(substream(seed, "spectrum"), n).astype(np.int8)
+    trace = float(rademacher(substream(seed, "spectrum"), n).sum())
+    basis = _LazyHaar(n, substream(seed, "haar"), max_directions,
+                      int(n + trace) // 2)
 
-    def apply_one(v):
-        return basis.forward(lam * basis.backward(v))
-
-    # apply is not recursive: a closure over itself is a reference cycle,
-    # which would keep the store alive until the cyclic collector runs
+    # not recursive: a self-referencing closure lives until the cycle collector
     def apply(v):
-        if v.ndim == 2:
-            return np.stack([apply_one(v[:, k]) for k in range(v.shape[1])],
-                            axis=1)
-        return apply_one(v)
+        if v.ndim == 1:
+            return basis.apply(v)
+        return np.stack([basis.apply(col) for col in v.T], axis=1)
 
     return MatrixOperator(n, apply, 1.0, "random-orthogonal", seed=seed,
-                          trace=float(lam.sum()), involution=True,
-                          haar_basis=basis)
+                          trace=trace, involution=True, haar_basis=basis)
 
 
 def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:

@@ -238,10 +238,10 @@ def tap_residual(m: np.ndarray, coupling: MatrixOperator,
     """(1/N) || m - tanh(theta 1 + beta J m - beta R(beta - beta q*) m) ||^2.
 
     On a random-orthogonal coupling the value depends on the vectors the
-    coupling was applied to before m: its lazy Haar store reveals U in
-    query order (see ``ensembles.build_random_orthogonal``).  Its one
-    matvec reveals up to two new directions; ``run_tap_amp`` reserves
-    room for one such call.
+    coupling was applied to before m: its lazy store reveals M in query
+    order (see ``ensembles.build_random_orthogonal``).  Its one matvec
+    reveals up to two new directions; ``run_tap_amp`` reserves room for
+    one such call.
     """
     rhs = np.tanh(params.theta + params.beta * coupling.matvec(m)
                   - params.r_shift * m)

@@ -3,28 +3,22 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines; the whole suite takes well under a minute on a laptop.
 
-Statistical criteria run on frozen seed sets.  Two of them needed
-Monte-Carlo calibration before freezing, because the prescribed designs
-leave little headroom over the intrinsic seed noise:
+Statistical criteria run on frozen seed sets:
 
 * the dynamics comparison (criteria 1 and 2) compares 8-seed averages of
   ||z^t - z^{t-1}||^2 / N against the deterministic prediction down to
-  t = 10, where the observable has collapsed by five orders of magnitude
-  and its 8-seed average still fluctuates by ~8% (the difference vector
-  is effectively low-dimensional there, so larger N does not help);
-  seed bases were scanned until both criteria held with their stated 5%
-  tolerance;
+  t = 10, where the observable has collapsed by five orders of magnitude.
+  At N = 4096 that average still fluctuates by ~8%, and all seven seed
+  bases tried miss the 5% tolerance (the worse criterion reads
+  0.064-0.21).  The fluctuation shrinks with N: at N = 65536
+  (``CRIT12_N``) all seven pass, the worst reading 0.040 for criterion 1
+  and 0.039 for criterion 2.  So the base 272594, found by a scan at
+  N = 4096 while the prediction was still 0.8% high, no longer carries
+  the verdict, and a 5% systematic error in the prediction makes
+  criterion 1 fail (``test_detects_a_five_percent_bias``);
 * the variance-ratio band of criterion 8 spans [1.3, 3.0] while the
-  32-seed ratio estimator has ~35% spread, so its base was fixed the same
-  way.
-
-A fixed seed set makes every run of this file deterministic, but the
-search can mask a systematic error of the size of the noise: the base for
-criteria 1 and 2 was found while the prediction was 0.8% high at t = 10
-(a truncated Hermite series), and with the exact prediction criterion 1
-reads 0.0499 on it against its 0.05 tolerance.  At N = 65536 with 8 seeds
-criterion 1 passes on every base tried (worst 0.0325) while criterion 2
-does not (0.061 on one base), so the margins are thin at the late steps.
+  32-seed ratio estimator has ~35% spread, so its base was fixed by a scan
+  that can mask a systematic error of the size of the noise.
 """
 
 import math
@@ -56,6 +50,7 @@ RADEMACHER = SpectralLaw.rademacher()
 
 # Frozen seed sets (see module docstring for the calibration rationale).
 CRIT12_SEEDS = tuple(range(272594, 272594 + 8))
+CRIT12_N = 65536
 CRIT8_BASE = 1001
 
 SQUARE = preset_nonlinearity("square")
@@ -96,27 +91,41 @@ def univ_curves(tap_params, tap_se):
         for ens in ENSEMBLES:
             acc = np.zeros(10)
             for seed in CRIT12_SEEDS:
-                res = run_tap_amp(ens, beta, THETA, 4096, 10, seed,
+                res = run_tap_amp(ens, beta, THETA, CRIT12_N, 10, seed,
                                   params=params)
                 acc += successive_diff(res.trace)
             curves[(beta, ens)] = acc / len(CRIT12_SEEDS)
     return curves
 
 
+def worst_prediction_error(univ_curves, tap_se, scale=1.0):
+    """Criterion 1's value against ``scale`` times the prediction."""
+    worst = 0.0
+    where = None
+    for beta in BETAS:
+        d = scale * tap_se[beta].succ_diff_prediction()
+        for ens in ENSEMBLES:
+            rel = np.abs(univ_curves[(beta, ens)] - d) / d
+            m = float(np.max(rel[1:]))  # t in [2, 10]
+            if m > worst:
+                worst, where = m, (beta, ens)
+    return worst, where
+
+
 class TestCriterion1:
     def test_univplot_reproduction(self, univ_curves, tap_se):
-        worst = 0.0
-        where = None
-        for beta in BETAS:
-            d = tap_se[beta].succ_diff_prediction()
-            for ens in ENSEMBLES:
-                rel = np.abs(univ_curves[(beta, ens)] - d) / d
-                m = float(np.max(rel[1:]))  # t in [2, 10]
-                if m > worst:
-                    worst, where = m, (beta, ens)
+        worst, where = worst_prediction_error(univ_curves, tap_se)
         verdict(1, worst <= 0.05,
                 f"max |succ_diff - d_t|/d_t over ensembles x betas, "
                 f"t in [2,10]: {worst:.4f} (tol 0.05, worst at {where})")
+
+    @pytest.mark.parametrize("scale", [0.95, 1.05])
+    def test_detects_a_five_percent_bias(self, univ_curves, tap_se, scale):
+        # the criterion has the power to see a 5% systematic error in the
+        # prediction, so passing it is not the seed noise absorbing one
+        worst, where = worst_prediction_error(univ_curves, tap_se, scale)
+        print(f"criterion 1 against {scale} x d_t: {worst:.4f} at {where}")
+        assert worst > 0.05
 
 
 class TestCriterion2:
@@ -324,14 +333,16 @@ class TestCriterion10:
                        float(np.max(np.abs(dst_matvec(dst_matvec(u)) - u)))
                        <= 1e-10))
 
-        # lazy Haar orthogonality
+        # lazy Haar orthogonality: M v keeps the norm, M M v = v, and the
+        # second matvec reveals nothing
         op = build_random_orthogonal(512, seed=10, max_directions=2)
         vec = np.random.default_rng(10).standard_normal(512)
-        fwd = op.haar_basis.forward(vec)
-        back = op.haar_basis.backward(fwd)
+        fwd = op.matvec(vec)
+        back = op.matvec(fwd)
         ok_haar = (abs(np.linalg.norm(fwd) - np.linalg.norm(vec))
                    <= 1e-10 * np.linalg.norm(vec)
-                   and np.max(np.abs(back - vec)) <= 1e-10)
+                   and np.max(np.abs(back - vec)) <= 1e-10
+                   and op.haar_basis.q.shape[0] == op.haar_basis.cap)
         checks.append(("haar orthogonality", ok_haar))
 
         # covariance PSD for every experiment beta

@@ -145,7 +145,6 @@ class TestStreamedRun:
         assert streamed.alphas == stored.alphas
         if ensemble == "random-orthogonal":
             assert np.array_equal(ops[0].haar_basis.q, ops[1].haar_basis.q)
-            assert np.array_equal(ops[0].haar_basis.p, ops[1].haar_basis.p)
 
     def test_needs_sigma_0_to_T(self):
         op = build_signed_sine(64, seed=7)
@@ -172,12 +171,12 @@ class TestHaarBudget:
         op = build_random_orthogonal(self.N, seed=5,
                                      max_directions=2 * self.T)
         basis = op.haar_basis
-        buffers = (basis.q.base, basis.p.base)
-        assert [b.shape for b in buffers] == [(2 * self.T, self.N)] * 2
+        buffer = basis.q.base
+        assert buffer.shape == (basis.cap, self.N) == (2 * self.T, self.N)
         run_amp(op, [SQUARE] * self.T, gaussian_init(self.N, 1.0, 5), self.T,
                 mode, seed=5, sigma=self.SIGMA)
         assert basis.q.shape[0] == 2 * self.T  # the budget is used up
-        assert basis.q.base is buffers[0] and basis.p.base is buffers[1]
+        assert basis.q.base is buffer
 
 
 class TestGaussianity:

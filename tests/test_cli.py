@@ -287,7 +287,7 @@ class TestRunExperiment:
         def tracking_build(*args, **kwargs):
             op = real_build(*args, **kwargs)
             basis = op.haar_basis
-            stores.append((basis, basis.q.base, basis.p.base))
+            stores.append((basis, basis.q.base))
             return op
 
         monkeypatch.setattr(ensembles, "build_random_orthogonal",
@@ -297,17 +297,16 @@ class TestRunExperiment:
             "random-orthogonal", N=n, T=T, seeds=(1, 2), mode=mode,
             nonlinearity="square"))
         assert len(stores) == 2
-        for basis, q, p in stores:
+        for basis, q in stores:
             budget = 2 * T + 2 if mode == "tap" else 2 * T
-            assert q.shape == p.shape == (min(budget, n), n)
-            assert basis.q.base is q and basis.p.base is p
+            assert q.shape == (basis.cap, n) == (min(budget, n), n)
+            assert basis.q.base is q
 
     def test_orthogonal_run_peak_holds_no_store_growth(self, monkeypatch,
                                                        tmp_path):
-        # the store's 2T rows of q and p are 40 N-vectors at T = 10; the
-        # doubling store peaked near 106 when it grew from 16 to 32 rows.
-        # State evolution's own work arrays (about 0.4 MB, whatever N is)
-        # stay under 3 N-vectors at N = 2^14.
+        # the store's 2T rows are 20 N-vectors at T = 10, and the run peaks
+        # near 27.  State evolution's own work arrays (about 0.4 MB,
+        # whatever N is) stay under 3 N-vectors at N = 2^14.
         import tracemalloc
 
         n = 2 ** 14
@@ -323,7 +322,7 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak < 60 * n * 8
+        assert peak < 35 * n * 8
 
     def test_simple_mode_iterates_the_recursion_centered_steps(self,
                                                                 tmp_path):

@@ -301,18 +301,21 @@ class TestSignedHadamard:
 
 
 class TestRandomOrthogonal:
+    # seeds of the law tests, fixed before they were first run
+    LAW_BASE, LAW_SEEDS = 20261019, 2000
+
     def test_norm_preserved(self):
         op = build_random_orthogonal(512, seed=1, max_directions=512)
         for v in random_vectors(512, 4, seed=12):
-            assert np.linalg.norm(op.haar_basis.forward(v)) == pytest.approx(
+            assert np.linalg.norm(op.matvec(v)) == pytest.approx(
                 np.linalg.norm(v), abs=1e-10)
 
     def test_inverse_pair(self):
+        # M is its own inverse, query after query on one store
         op = build_random_orthogonal(512, seed=2, max_directions=512)
-        basis = op.haar_basis
         for v in random_vectors(512, 4, seed=13):
-            w = basis.forward(v)
-            np.testing.assert_allclose(basis.backward(w), v, atol=1e-10)
+            np.testing.assert_allclose(op.matvec(op.matvec(v)), v,
+                                       atol=1e-10)
 
     def test_involution(self):
         op = build_random_orthogonal(512, seed=3, max_directions=512)
@@ -331,27 +334,127 @@ class TestRandomOrthogonal:
                 op.matvec(rng.standard_normal(64))
 
     def test_exactly_cap_directions_accepted(self):
-        basis = build_random_orthogonal(64, seed=4, max_directions=5).haar_basis
+        # a matvec reveals the query's residual and its image's fresh part:
+        # 3 matvecs fill 6 rows, and a fourth finds no room for its pair
+        op = build_random_orthogonal(64, seed=4, max_directions=6)
+        basis = op.haar_basis
         rng = np.random.default_rng(17)
-        for k in range(1, 6):
-            basis.forward(rng.standard_normal(64))
-            assert basis.q.shape[0] == basis.p.shape[0] == k
+        for k in range(1, 4):
+            op.matvec(rng.standard_normal(64))
+            assert basis.q.shape[0] == 2 * k
         with pytest.raises(ResourceError):
-            basis.forward(rng.standard_normal(64))
-        assert basis.q.shape[0] == 5
+            op.matvec(rng.standard_normal(64))
+        assert basis.q.shape[0] == basis.cap == 6
+        # an odd cap leaves one row free that no pair fits in
+        op = build_random_orthogonal(64, seed=4, max_directions=5)
+        for _ in range(2):
+            op.matvec(rng.standard_normal(64))
+        with pytest.raises(ResourceError):
+            op.matvec(rng.standard_normal(64))
+        assert op.haar_basis.q.shape[0] == 4
+
+    def test_one_more_row_than_the_cap_refused(self):
+        # with no +1 left, each new query reveals one row: exactly cap rows
+        # are accepted, and the row after them raises
+        store = ensembles._LazyHaar(16, substream(1, "haar"), 3, 0)
+        rng = np.random.default_rng(21)
+        for k in range(1, 4):
+            store.apply(rng.standard_normal(16))
+            assert store.q.shape[0] == k
+        with pytest.raises(ResourceError):
+            store.apply(rng.standard_normal(16))
+        assert store.q.shape[0] == store.cap == 3
+
+    @pytest.mark.parametrize("positives, sign", [(0, -1.0), (16, 1.0)])
+    def test_exhausted_sign_reveals_one_row(self, positives, sign):
+        # p' = 0 makes M = -I on the complement, n' = 0 makes it I: a query
+        # appends its own direction only, and comes back as -v or v exactly
+        store = ensembles._LazyHaar(16, substream(1, "haar"), 2, positives)
+        v = np.random.default_rng(22).standard_normal(16)
+        assert np.array_equal(store.apply(v), sign * v)
+        assert store.q.shape[0] == 1
+        np.testing.assert_allclose(store.q[0], v / np.linalg.norm(v),
+                                   rtol=1e-15)
+
+    def test_sign_runs_out_mid_run(self):
+        # p = 1 of 5: the first query takes the one +1 and one -1, so later
+        # queries reveal one row each, on which M is -I
+        store = ensembles._LazyHaar(5, substream(2, "haar"), 5, 1)
+        rng = np.random.default_rng(23)
+        vs = [rng.standard_normal(5) for _ in range(4)]
+        images = [store.apply(v) for v in vs]
+        assert store.q.shape[0] == 5
+        m = store.q.T @ store._r @ store.q
+        np.testing.assert_allclose(m @ m, np.eye(5), atol=1e-12)
+        assert np.sum(np.linalg.eigvalsh(m) > 0) == 1
+        for v, w in zip(vs, images):
+            np.testing.assert_allclose(m @ v, w, atol=1e-12)
+
+    def test_revealed_vectors_reflect_and_commute(self):
+        n, T = 256, 8
+        op = build_random_orthogonal(n, seed=8, max_directions=2 * T)
+        rng = np.random.default_rng(24)
+        for _ in range(T):
+            op.matvec(rng.standard_normal(n))
+        q = op.haar_basis.q
+        assert q.shape[0] == 2 * T
+        np.testing.assert_allclose(q @ q.T, np.eye(2 * T), atol=1e-12)
+        for _ in range(4):
+            x, y = rng.standard_normal((2, 2 * T)) @ q  # in the revealed span
+            mx, my = op.matvec(x), op.matvec(y)
+            np.testing.assert_allclose(op.matvec(mx), x, atol=1e-12)
+            assert abs(x @ my - mx @ y) <= 1e-12
+        assert q.shape[0] == 2 * T  # nothing new was revealed
+
+    def test_dense_form_has_p_eigenvalues_at_plus_one(self):
+        n = 64
+        for seed in range(1, 5):
+            op = build_random_orthogonal(n, seed, max_directions=n)
+            m = dense_form(op)
+            np.testing.assert_allclose(m, m.T, atol=1e-14)
+            np.testing.assert_allclose(m @ m, np.eye(n), atol=1e-12)
+            p = (n + round(op.trace)) // 2
+            eig = np.linalg.eigvalsh(m)
+            assert np.sum(eig > 0) == p
+            np.testing.assert_allclose(np.abs(eig), 1.0, atol=1e-12)
 
     def test_store_grows_past_first_buffer(self):
-        basis = build_random_orthogonal(512, seed=7, max_directions=40).haar_basis
+        op = build_random_orthogonal(512, seed=7, max_directions=40)
+        basis = op.haar_basis
         rng = np.random.default_rng(18)
-        for k in range(1, 41):
-            (basis.forward if k % 2 else basis.backward)(
-                rng.standard_normal(512))
-            assert basis.q.shape == basis.p.shape == (k, 512)
-        for rows in (basis.q, basis.p):
-            np.testing.assert_allclose(rows @ rows.T, np.eye(40), atol=1e-12)
-        np.testing.assert_allclose(basis.forward(basis.q[25]), basis.p[25],
+        for k in range(1, 21):
+            op.matvec(rng.standard_normal(512))
+            assert basis.q.shape == (2 * k, 512)
+        np.testing.assert_allclose(basis.q @ basis.q.T, np.eye(40),
                                    atol=1e-12)
+        np.testing.assert_allclose(op.matvec(op.matvec(basis.q[25])),
+                                   basis.q[25], atol=1e-12)
         assert basis.q.shape[0] == 40  # a stored direction reveals nothing
+
+    def test_first_entries_follow_the_haar_law(self):
+        # <e1, M e1> = 2 beta - 1, beta ~ Beta(p/2, (N - p)/2), for the
+        # lazy store and for a dense oracle U diag(lam) U^T, U Haar from a
+        # sign-fixed QR; M_11, M_12 and M_22 agree across the two samples
+        from scipy.stats import beta, kstest, ks_2samp
+        n = 32
+        lazy, dense = [], []
+        for seed in range(self.LAW_BASE, self.LAW_BASE + self.LAW_SEEDS):
+            op = build_random_orthogonal(n, seed, max_directions=4)
+            m = op.matvec(np.eye(n, 2))
+            lazy.append((m[0, 0], m[0, 1], m[1, 1], (n + op.trace) / 2))
+        rng = np.random.default_rng(self.LAW_BASE)
+        for _ in range(self.LAW_SEEDS):
+            u, r = np.linalg.qr(rng.standard_normal((n, n)))
+            u *= np.sign(np.diag(r))
+            lam = rng.choice((-1.0, 1.0), n)
+            m = (u * lam) @ u.T
+            dense.append((m[0, 0], m[0, 1], m[1, 1], np.sum(lam > 0)))
+        for sample in (lazy, dense):
+            m11, _, _, p = np.transpose(sample)
+            pit = beta.cdf((m11 + 1) / 2, p / 2, (n - p) / 2)
+            assert kstest(pit, "uniform").pvalue > 0.01
+        for a, b in zip(np.transpose(lazy)[:3], np.transpose(dense)[:3]):
+            assert ks_2samp(a, b).pvalue > 0.01
 
     def test_no_budget_refused_before_allocating(self):
         n = 1 << 16
