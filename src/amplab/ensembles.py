@@ -38,8 +38,14 @@ MATERIALIZATION_CAP = 8192
 
 HAAR_CAP = 512  # Haar directions a dense check may reveal (dim <= HAAR_CAP)
 
-# entries per chunked pass: 512 KB beat 256 KB and 1 MB in fwht at N >= 2^18
+# entries per chunked pass: 512 KB, no slower than 128 KB to 1 MB at 2^20
 CHUNK = 1 << 16
+
+# H_16 = ((-1)^popcount(i & j)), read-only; built in Python, as numpy's
+# popcount loop would add 0.3 MB of resident code to every process
+_H16 = np.array([[(-1.0) ** (i & j).bit_count() for j in range(16)]
+                 for i in range(16)])
+_H16.flags.writeable = False
 
 # Columns of I per matvec in dense_form.  A signed-sine block's complex
 # work array and result come to 5 blocks: 0.16 N x N at N = 1024.
@@ -120,13 +126,13 @@ def fwht(v: np.ndarray) -> np.ndarray:
     Length must be a power of two.  Operates along axis 0, so (N,) vectors
     and (N, K) column blocks both work; v is left unchanged.
 
-    The radix-2 butterflies keep their level order, h = 1, 2, 4, ..., so the
-    bits are those of the plain per-level transform, and run in place in
-    the result a chunk at a time: with i = r b + s and b = 2^floor(log2 N / 2),
-    the levels h < b take groups of rows of the (N/b, b) layout, the rest
-    groups of its columns, each copied into one of two per-call scratch
-    buffers of ``CHUNK`` entries so that every butterfly adds contiguous
-    rows.  Seeds run on threads share no scratch.
+    H_N is a Kronecker product of Sylvester blocks (Fino & Algazi 1976):
+    stages of at most 4 levels, each one batched BLAS product with a +/-1
+    block, run in place a chunk at a time.  With i = r b + s and
+    b = 2^floor(log2 N / 2), levels below b take row groups of the (N/b, b)
+    layout, the rest column groups, copied into a per-call scratch pair of
+    ``CHUNK`` entries.  The bits depend on the BLAS kernel, not its thread
+    count; an (N, K) block's columns match vector calls to rounding.
     """
     a = np.asarray(v, dtype=np.float64)
     return _fwht(a, np.empty(a.shape))
@@ -150,38 +156,32 @@ def _fwht(a, out, d_in=None, d_out=None, scratch=None):
     for i in range(0, r, rows):
         m = min(rows, r - i)
         x = s1[:b * m * k].reshape(b, m, k)
-        part = src[i:i + m].transpose(1, 0, 2)
-        if d_in is None:
-            np.copyto(x, part)
-        else:
-            np.multiply(part, d_in.reshape(r, b)[i:i + m].T[:, :, None], out=x)
-        y, _ = _butterflies(x.reshape(b, -1), s2[:x.size].reshape(b, -1))
+        d = 1 if d_in is None else d_in.reshape(r, b)[i:i + m].T[:, :, None]
+        np.multiply(src[i:i + m].transpose(1, 0, 2), d, out=x)
+        y = _butterflies(x.reshape(b, -1), s2[:x.size].reshape(b, -1))
         dst[i:i + m] = y.reshape(b, m, k).transpose(1, 0, 2)
     for j in range(0, b, cols):
         m = min(cols, b - j)
         x = s1[:r * m * k].reshape(r, m, k)
         np.copyto(x, dst[:, j:j + m])
-        y, _ = _butterflies(x.reshape(r, -1), s2[:x.size].reshape(r, -1))
-        y = y.reshape(x.shape)
+        y = _butterflies(x.reshape(r, -1),
+                         s2[:x.size].reshape(r, -1)).reshape(x.shape)
         y /= np.sqrt(n)
-        if d_out is not None:
-            y *= d_out.reshape(r, b)[:, j:j + m, None]
-        dst[:, j:j + m] = y
+        d = 1 if d_out is None else d_out.reshape(r, b)[:, j:j + m, None]
+        np.multiply(y, d, out=dst[:, j:j + m])
     return out
 
 
 def _butterflies(src, dst):
-    # Radix-2 levels h = 1, 2, 4, ... pairing rows of src, alternating
-    # between the two buffers; returns (result, spare buffer).
-    h = 1
-    while h < src.shape[0]:
-        x = src.reshape(-1, 2, h, src.shape[1])
-        y = dst.reshape(x.shape)
-        np.add(x[:, 0], x[:, 1], out=y[:, 0])
-        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
-        src, dst = dst, src
-        h *= 2
-    return src, dst
+    # H along axis 0, near-equal stages of <= 4 bits; returns the result
+    bits = src.shape[0].bit_length() - 1
+    count, width = -(-bits // 4), src.shape[1]
+    for stage in range(count):
+        f = 1 << (bits + stage) // count  # H_F on each (F, width) slice
+        np.matmul(_H16[:f, :f], src.reshape(-1, f, width),
+                  out=dst.reshape(-1, f, width))
+        src, dst, width = dst, src, width * f
+    return src
 
 
 def dst_matvec(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:

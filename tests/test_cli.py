@@ -689,6 +689,27 @@ class TestMainEntry:
             peaks[ensemble] = int(hwm.split()[1])  # kB
         assert peaks["signed-sine"] - peaks["signed-hadamard"] <= 16 * 1024
 
+    def test_blas_threads_leave_the_hadamard_csvs_unchanged(self, tmp_path):
+        # fwht's stages are BLAS products; a threaded OpenBLAS splits their
+        # columns among threads, not a column's sum, so no CSV byte may move
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads / "tap.csv"
+            out.parent.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "amplab.cli", "tap", "--ensemble",
+                 "signed-hadamard", "--N", "65536", "--seeds", "1..2",
+                 "--out", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "AMP_LAB_THREADS": threads,
+                     "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted(out.parent.glob("*.csv"))})
+        assert sorted(outputs[0]) == ["tap.csv", "tap.seed1.csv",
+                                      "tap.seed2.csv"]
+        assert outputs[0] == outputs[1]
+
     def test_console_script_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "amplab.cli", "se", "--preset", "plain",

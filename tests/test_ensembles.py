@@ -55,18 +55,53 @@ def radix2_fwht(v):
     return (a / np.sqrt(n)).reshape(shape)
 
 
+def sylvester(n):
+    # the unnormalized Sylvester-Hadamard matrix, H_ij = (-1)^popcount(i & j)
+    i = np.arange(n)
+    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+
+
 class TestFwht:
     # from 2^17 on (2^15 for three columns) the transform runs in more than
     # one chunk per phase
     @pytest.mark.parametrize("log2n", range(1, 21))
     def test_bit_identical_to_radix2_reference(self, log2n):
+        # the stages sum in another order than the per-level butterflies:
+        # bit for bit where every partial sum is exact (integer entries),
+        # to rounding on Gaussian entries
         rng = np.random.default_rng(log2n)
         n = 2 ** log2n
         for v in (rng.standard_normal(n), rng.standard_normal((n, 3)),
                   rng.standard_normal((n, 3))[:, 1]):
             before = v.copy()
-            assert np.array_equal(fwht(v), radix2_fwht(v))
+            err = np.max(np.abs(fwht(v) - radix2_fwht(v)))
+            assert err <= 1e-14 * np.max(np.abs(v))
             assert np.array_equal(v, before)
+        exact = rng.integers(-2 ** 20, 2 ** 20, (n, 3)).astype(float)
+        assert np.array_equal(fwht(exact), radix2_fwht(exact))
+
+    @pytest.mark.parametrize("log2n", range(1, 11))
+    def test_equals_the_dense_sylvester_matrix(self, log2n):
+        # H v / sqrt(N) with H written out: exact for integer entries
+        n = 2 ** log2n
+        rng = np.random.default_rng(100 + log2n)
+        h = sylvester(n)
+        v = rng.integers(-2 ** 20, 2 ** 20, (n, 3)).astype(float)
+        assert np.array_equal(fwht(v), h @ v / np.sqrt(n))
+        v = rng.standard_normal((n, 3))
+        assert np.max(np.abs(fwht(v) - h @ v / np.sqrt(n))) <= 1e-14
+
+    @pytest.mark.parametrize("log2n", [12, 16, 18])
+    def test_block_columns_match_vector_calls_to_rounding(self, log2n):
+        # a block's stages are products of other shapes than a vector's,
+        # which BLAS may sum in another order: its columns match the vector
+        # calls to rounding, not bit for bit (8.9e-16 apart at 2^16)
+        n = 2 ** log2n
+        block = np.random.default_rng(log2n).standard_normal((n, 3))
+        got = fwht(block)
+        for j in range(3):
+            err = np.max(np.abs(got[:, j] - fwht(block[:, j])))
+            assert err <= 1e-15 * np.max(np.abs(block))
 
     def test_first_basis_vector(self):
         e1 = np.zeros(4)
@@ -276,15 +311,16 @@ class TestSignedHadamard:
 
     def test_fused_matvec_bit_identical_to_reference(self):
         # S H diag(lam) H S v, each step a separate array, against the
-        # matvec that scales inside the chunked transforms' copies
+        # matvec that scales inside the chunked transforms' copies: the
+        # +/-1 scalings are exact, so fusing them keeps every bit
         n, seed = 2 ** 18, 6
         signs = rademacher(substream(seed, "signs"), n)
         lam = rademacher(substream(seed, "spectrum"), n)
         op = build_signed_hadamard(n, seed)
         rng = np.random.default_rng(12)
         for v in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            want = scale_rows(signs, radix2_fwht(scale_rows(
-                lam, radix2_fwht(scale_rows(signs, v)))))
+            want = scale_rows(signs, fwht(scale_rows(
+                lam, fwht(scale_rows(signs, v)))))
             assert np.array_equal(op.matvec(v), want)
 
     def test_wide_block_outgrowing_the_shared_scratch(self):
