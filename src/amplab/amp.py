@@ -27,7 +27,7 @@ import numpy as np
 
 from .ensembles import MatrixOperator
 from .errors import NumericError
-from .metrics import observable_row
+from .metrics import _chunked_sum, observable_row
 from .rng import substream
 from .state_evolution import Nonlinearity
 
@@ -69,6 +69,18 @@ def _check_finite(z: np.ndarray, t: int):
         raise NumericError(f"non-finite value at iteration {t}, index {idx}")
 
 
+def _projection_sums(fz: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # (<f(z), z>, <z, z>) as numpy's pairwise sums, a chunk at a time: no
+    # N-sized temporary, and unlike a BLAS dot, whose threads split the
+    # sum, the bits do not move with the BLAS thread count
+    def leaf(lo, hi):
+        zc = z[lo:hi]
+        return np.array([np.add.reduce(fz[lo:hi] * zc),
+                         np.add.reduce(zc * zc)])
+
+    return _chunked_sum(z.size, leaf)
+
+
 def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
             z0: np.ndarray, T: int, mode: str = "simple",
             *, seed: int = -1, sigma=None) -> AmpTrace:
@@ -104,11 +116,11 @@ def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
         prev = z
         fz = np.asarray(nonlins[t].eval(z), dtype=np.float64)
         if mode == "projected":
-            norm_sq = float(z @ z)
+            fz_z, norm_sq = _projection_sums(fz, z)
             if norm_sq == 0.0:
                 raise NumericError(f"zero-norm iterate at step {t}; "
                                    "projection coefficient undefined")
-            alpha = float(fz @ z) / norm_sq
+            alpha = float(fz_z / norm_sq)
             alphas.append(alpha)
             fz = fz - alpha * z
         z = op.matvec(fz)

@@ -296,7 +296,13 @@ class _LazyHaar:
     query's unit residual u has <u, M u> = a = 2 beta - 1, beta ~
     Beta(p'/2, n'/2), and M u = a u + s w with w fresh and uniform: R gains
     the block [[a, s], [s, -a]] on (u, w).  With p' or n' at 0, M u = -/+u.
-    The store mutates: not for use from two threads at once.
+
+    A query is copied into the free store row after B and, when it may
+    reveal a pair, the Gaussian draw g for w into the row after that;
+    ``_project`` takes both off B at once, in three passes over B, and g
+    then loses its u part.  Only a full store, which can answer queries
+    inside its span alone, projects a query in a temporary row.  The store
+    mutates: not for use from two threads at once.
     """
 
     _DROP = 1e-13  # relative residual below which a direction is not spawned
@@ -313,44 +319,105 @@ class _LazyHaar:
     def q(self):  # (k, dim): the revealed basis B as rows
         return self._q[:self._count]
 
-    def _fresh(self, basis, out):
-        # Gaussian direction orthogonalized against `basis` rows (twice).
-        for _ in range(8):
-            g = self.rng.standard_normal(out.size)
-            g -= basis.T @ (basis @ g)
-            g -= basis.T @ (basis @ g)
-            norm = np.linalg.norm(g)
-            if norm > 1e-8 * np.sqrt(out.size):
-                return np.divide(g, norm, out=out)
-        raise NumericError("could not draw a fresh orthogonal direction")
+    def _project(self, x, k, out=None):
+        """Take the rows of ``x`` off B = q[:k] in place: classical
+        Gram-Schmidt run twice (Giraud, Langou & Rozloznik 2005).
+
+        Three passes over B: c1 = x B^T; x -= c1 B, then c2 = x B^T; x -=
+        c2 B, and with ``out`` given, out = B^T R (c1 + c2)[0] from the
+        same product.  Each pass runs over chunks of columns, sized so that
+        a chunk of B, of x and of the product fill CHUNK entries together;
+        the second use of a chunk of B then finds it in cache.  Returns
+        ||x[0]||^2 before the passes and the Gram matrix x x^T after them.
+        """
+        rows, n = x.shape
+        basis = self._q[:k]
+        width = CHUNK // (k + 2 * rows + 1)
+        spans = [slice(i, i + width) for i in range(0, n, width)]
+        c1, c2 = np.zeros((rows, k)), np.zeros((rows, k))
+        before, gram = 0.0, np.zeros((rows, rows))
+        scratch = np.empty((rows + 1) * min(width, n))
+
+        def times_basis(c, j):  # c @ basis[:, j], written into scratch
+            b = basis[:, j]
+            return np.matmul(c, b, out=scratch[:len(c) * b.shape[1]]
+                             .reshape(len(c), -1))
+
+        for j in spans:
+            c1 += x[:, j] @ basis[:, j].T
+            before += x[0, j] @ x[0, j]
+        for j in spans:
+            x[:, j] -= times_basis(c1, j)
+            c2 += x[:, j] @ basis[:, j].T
+        if out is not None:  # v's image comes out of the last product
+            c2 = np.vstack([c2, self._r[:k, :k] @ (c1[0] + c2[0])])
+        for j in spans:
+            p = times_basis(c2, j)
+            x[:, j] -= p[:rows]
+            if out is not None:
+                out[j] = p[rows]
+            gram += x[:, j] @ x[:, j].T
+        return before, gram
+
+    def _finish_pair(self, k, out, rnorm, ug, a, s):
+        # Rows k and k + 1 hold the residual r and g, projected off B, with
+        # u.g = ug.  In place, chunk by chunk: out += a r; u = r / rnorm;
+        # g off u twice; w = g / ||g||; out += rnorm s w.
+        u, w = self._q[k], self._q[k + 1]
+        n = u.size
+        tmp = np.empty(min(n, CHUNK))
+        spans = [(slice(i, i + CHUNK), tmp[:min(CHUNK, n - i)])
+                 for i in range(0, n, CHUNK)]
+        again = 0.0
+        for j, t in spans:
+            out[j] += np.multiply(u[j], a, out=t)
+            u[j] /= rnorm
+            w[j] -= np.multiply(u[j], ug, out=t)
+            again += u[j] @ w[j]
+        sq = 0.0
+        for j, t in spans:
+            w[j] -= np.multiply(u[j], again, out=t)
+            sq += w[j] @ w[j]
+        draws = 1
+        while sq <= 1e-16 * n:  # degenerate: draw again, off B and u at once
+            if draws == 8:
+                raise NumericError("could not draw a fresh orthogonal direction")
+            self.rng.standard_normal(n, out=w)
+            sq = self._project(self._q[k + 1:k + 2], k + 1)[1][0, 0]
+            draws += 1
+        norm = np.sqrt(sq)
+        for j, t in spans:
+            w[j] /= norm
+            out[j] += np.multiply(w[j], rnorm * s, out=t)
 
     def apply(self, v):  # M v for one vector
-        basis, k = self.q, self._count
-        coef = basis @ v
-        resid = basis.T @ coef
-        np.subtract(v, resid, out=resid)
-        again = basis @ resid
-        resid -= basis.T @ again
-        coef += again
-        out = basis.T @ (self._r[:k, :k] @ coef)
-        rnorm = np.linalg.norm(resid)
-        if rnorm <= self._DROP * np.linalg.norm(v):
-            return out
+        k, n = self._count, v.shape[0]
         pos, neg = self._left
         rows = 2 if pos and neg else 1
-        if k + rows > self.cap:
+        full = k + rows > self.cap
+        if full:
+            x = np.empty((1, n))
+        else:  # beta, then g: the order fixes every revealed direction
+            x = self._q[k:k + rows]
+            if rows == 2:
+                beta = self.rng.beta(pos / 2, neg / 2)
+                self.rng.standard_normal(n, out=x[1])
+        x[0] = v
+        out = np.empty(n)
+        before, gram = self._project(x, k, out)
+        if gram[0, 0] <= self._DROP ** 2 * before:  # v is inside the span
+            return out
+        if full:
             raise ResourceError(f"lazy Haar store exceeded {self.cap} directions")
-        np.divide(resid, rnorm, out=self._q[k])
+        rnorm = np.sqrt(gram[0, 0])
         if rows == 1:  # M is I (n' = 0) or -I (p' = 0) on the complement
-            self._r[k, k] = a = 1.0 if pos else -1.0
-            out += np.multiply(resid, a, out=resid)
+            self._r[k, k] = 1.0 if pos else -1.0
+            (np.add if pos else np.subtract)(out, x[0], out=out)
+            x[0] /= rnorm
         else:
-            beta = self.rng.beta(pos / 2, neg / 2)
             a, s = 2 * beta - 1, 2 * np.sqrt(beta * (1 - beta))
-            w = self._fresh(self._q[:k + 1], self._q[k + 1])
             self._r[k:k + 2, k:k + 2] = [[a, s], [s, -a]]
-            out += np.multiply(resid, a, out=resid)
-            out += np.multiply(w, rnorm * s, out=resid)
+            self._finish_pair(k, out, rnorm, gram[0, 1] / rnorm, a, s)
         self._left = [pos - bool(pos), neg - bool(neg)]
         self._count = k + rows
         return out
@@ -368,7 +435,12 @@ def build_random_orthogonal(n: int, seed: int, *,
     direction: this is the one operator not re-entrant during a matvec.  A
     column block is applied a column at a time, in order; the image of a
     vector outside the revealed span depends on the queries made before it
-    (each history gives an equally distributed M).
+    (each history gives an equally distributed M).  A query draws its beta
+    and then its Gaussian direction before it is projected, an order that
+    fixes the bits of every revealed direction; a query then found inside
+    the span discards its draws, which leaves the law of M unchanged.  The
+    query and its Gaussian draw are projected together, in the free store
+    rows after the basis, in three cache-blocked passes over it.
     """
     if max_directions is None:
         raise ValueError("random-orthogonal needs max_directions, its Haar "

@@ -689,26 +689,50 @@ class TestMainEntry:
             peaks[ensemble] = int(hwm.split()[1])  # kB
         assert peaks["signed-sine"] - peaks["signed-hadamard"] <= 16 * 1024
 
-    def test_blas_threads_leave_the_hadamard_csvs_unchanged(self, tmp_path):
-        # fwht's stages are BLAS products; a threaded OpenBLAS splits their
-        # columns among threads, not a column's sum, so no CSV byte may move
+    @staticmethod
+    def csvs_at_thread_counts(tmp_path, argv, counts):
+        # run argv once per (AMP_LAB_THREADS, OPENBLAS_NUM_THREADS) pair and
+        # return the bytes of every CSV each run wrote
         outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads / "tap.csv"
+        for amp_threads, blas_threads in counts:
+            out = tmp_path / f"{argv[0]}-{amp_threads}-{blas_threads}" / "o.csv"
             out.parent.mkdir()
             proc = subprocess.run(
-                [sys.executable, "-m", "amplab.cli", "tap", "--ensemble",
-                 "signed-hadamard", "--N", "65536", "--seeds", "1..2",
-                 "--out", str(out)],
+                [sys.executable, "-m", "amplab.cli", *argv, "--out", str(out)],
                 capture_output=True, text=True,
-                env={**os.environ, "AMP_LAB_THREADS": threads,
-                     "OPENBLAS_NUM_THREADS": threads})
+                env={**os.environ, "AMP_LAB_THREADS": amp_threads,
+                     "OPENBLAS_NUM_THREADS": blas_threads})
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(out.parent.glob("*.csv"))})
-        assert sorted(outputs[0]) == ["tap.csv", "tap.seed1.csv",
-                                      "tap.seed2.csv"]
-        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == ["o.csv", "o.seed1.csv", "o.seed2.csv"]
+        return outputs
+
+    def test_blas_threads_leave_the_hadamard_csvs_unchanged(self, tmp_path):
+        # fwht's stages are BLAS products; a threaded OpenBLAS splits their
+        # columns among threads, not a column's sum, and the projected
+        # mode's alpha is a pairwise sum, not a BLAS dot: no CSV byte may move
+        for argv in (["tap", "--ensemble", "signed-hadamard"],
+                     ["run", "--ensemble", "signed-hadamard", "--mode",
+                      "projected", "--nonlinearity", "square",
+                      "--sigma0-sq", "1"]):
+            one, two = self.csvs_at_thread_counts(
+                tmp_path, argv + ["--N", "65536", "--seeds", "1..2"],
+                [("1", "1"), ("2", "2")])
+            assert one == two
+
+    def test_orthogonal_csvs_hold_across_workers_at_one_blas_thread(
+            self, tmp_path):
+        # the Haar store's products and dots are BLAS calls whose bits move
+        # with the BLAS thread count; at one BLAS thread the seed-level
+        # worker count moves no byte
+        one, two = self.csvs_at_thread_counts(
+            tmp_path, ["run", "--ensemble", "random-orthogonal", "--N",
+                       "16384", "--T", "10", "--mode", "projected",
+                       "--nonlinearity", "square", "--sigma0-sq", "1",
+                       "--seeds", "1..2"],
+            [("1", "1"), ("2", "1")])
+        assert one == two
 
     def test_console_script_invocation(self):
         proc = subprocess.run(

@@ -506,6 +506,124 @@ class TestRandomOrthogonal:
         b = build_random_orthogonal(128, seed=5, max_directions=2).matvec(v)
         np.testing.assert_array_equal(a, b)
 
+    @staticmethod
+    def store_state(basis):
+        return (basis.q.copy(), basis._r.copy(), list(basis._left),
+                basis._count)
+
+    @staticmethod
+    def assert_same_state(basis, state):
+        q, r, left, count = state
+        assert np.array_equal(basis.q, q) and np.array_equal(basis._r, r)
+        assert basis._left == left and basis._count == count
+
+    @pytest.mark.parametrize("cap", [12, 4])
+    def test_query_in_the_span_reveals_nothing(self, cap):
+        # with room for a pair (cap 12) or at a full store (cap 4), a query
+        # inside the revealed span comes back as B^T R B v and leaves the
+        # store as it was; its draws land in free rows or are never made
+        n = 256
+        op = build_random_orthogonal(n, seed=9, max_directions=cap)
+        basis = op.haar_basis
+        rng = np.random.default_rng(25)
+        for _ in range(2):
+            op.matvec(rng.standard_normal(n))
+        state = self.store_state(basis)
+        q, r = state[0], state[1][:4, :4]
+        v = rng.standard_normal(4) @ q
+        np.testing.assert_allclose(op.matvec(v), q.T @ (r @ (q @ v)),
+                                   atol=1e-12)
+        self.assert_same_state(basis, state)
+        if cap == 4:  # a query outside the span still finds no room
+            with pytest.raises(ResourceError):
+                op.matvec(rng.standard_normal(n))
+            self.assert_same_state(basis, state)
+
+    def test_ten_queries_keep_the_basis_orthonormal(self):
+        n, T = 4096, 10
+        op = build_random_orthogonal(n, seed=10, max_directions=2 * T)
+        basis = op.haar_basis
+        rng = np.random.default_rng(26)
+        for _ in range(T):
+            op.matvec(rng.standard_normal(n))
+        q, r = basis.q, basis._r
+        assert q.shape == (2 * T, n)
+        assert np.max(np.abs(q @ q.T - np.eye(2 * T))) <= 1e-12
+        for v in (q[7], q[2 * T - 1], rng.standard_normal(2 * T) @ q):
+            np.testing.assert_allclose(op.matvec(v), q.T @ (r @ (q @ v)),
+                                       rtol=0, atol=1e-12)
+        assert basis.q.shape[0] == 2 * T
+
+    def test_draws_keep_the_order_beta_then_normal(self):
+        # every beta and every Gaussian direction, as drawn before its
+        # projection, follows the store's draw order, written out here: per
+        # query, one beta(p'/2, n'/2) and then standard_normal(N) from the
+        # "haar" substream, with p' and n' each one fewer after a pair
+        n, seed, T = 512, 12, 6
+        op = build_random_orthogonal(n, seed, max_directions=2 * T)
+        basis = op.haar_basis
+        drawn = []
+
+        class Recording:
+            def beta(self, a, b):
+                drawn.append(("beta", a, b, rng.beta(a, b)))
+                return drawn[-1][-1]
+
+            def standard_normal(self, size, out=None):
+                g = rng.standard_normal(size, out=out)
+                drawn.append(("normal", g.copy()))
+                return g
+
+        rng, basis.rng = basis.rng, Recording()
+        queries = np.random.default_rng(27).standard_normal((T, n))
+        for v in queries:
+            op.matvec(v)
+        order = substream(seed, "haar")
+        pos = (n + round(op.trace)) // 2
+        neg = n - pos
+        assert len(drawn) == 2 * T
+        for i in range(T):
+            kind, a, b, beta = drawn[2 * i]
+            assert (kind, a, b) == ("beta", pos / 2, neg / 2)
+            assert beta == order.beta(pos / 2, neg / 2)
+            assert drawn[2 * i + 1][0] == "normal"
+            assert np.array_equal(drawn[2 * i + 1][1],
+                                  order.standard_normal(n))
+            pos, neg = pos - 1, neg - 1
+
+    def test_degenerate_draw_drawn_again_through_the_projection(self):
+        # a Gaussian draw that is the query itself has nothing left off u:
+        # it is drawn again, off B and u at once; eight such draws raise
+        n = 64
+        v = np.random.default_rng(28).standard_normal(n)
+
+        class Echo:  # the first `echoes` normal draws return the query
+            def __init__(self, echoes):
+                self.echoes, self.rng = echoes, substream(3, "haar")
+
+            def beta(self, a, b):
+                return self.rng.beta(a, b)
+
+            def standard_normal(self, size, out):
+                if self.echoes:
+                    self.echoes -= 1
+                    out[:] = v
+                    return out
+                return self.rng.standard_normal(size, out=out)
+
+        store = ensembles._LazyHaar(n, Echo(0), 4, n // 2)
+        store.apply(np.random.default_rng(29).standard_normal(n))
+        store.rng.echoes = 2  # the draw, and the first draw again
+        w = store.apply(v)
+        assert store.rng.echoes == 0 and store.q.shape[0] == 4
+        q = store.q
+        np.testing.assert_allclose(q @ q.T, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(w, q.T @ (store._r[:4, :4] @ (q @ v)),
+                                   atol=1e-12)
+        store = ensembles._LazyHaar(n, Echo(8), 2, n // 2)
+        with pytest.raises(NumericError, match="fresh orthogonal direction"):
+            store.apply(v)
+
 
 class TestSignPerm:
     def test_spectrum_preserved_and_symmetric(self):
