@@ -21,8 +21,8 @@ import numpy as np
 
 from amplab import (SpectralLaw, build_signed_hadamard, g_nonlinearity,
                     gaussian_init, hermite_moment, involution_resolvent,
-                    preset_nonlinearity, run_amp, run_state_evolution,
-                    solve_q_star, successive_diff)
+                    keep_iterates, preset_nonlinearity, run_amp,
+                    run_state_evolution, solve_q_star, successive_diff)
 from amplab.hermite import gaussian_expectation
 from amplab.state_evolution import center_divergence_free
 
@@ -55,8 +55,10 @@ d = se.succ_diff_prediction()
 
 coupling = build_signed_hadamard(N, seed=5)
 op = involution_resolvent(coupling, params.lambda_star, params.sigma_psi_sq)
-trace = run_amp(op, [g] * T, gaussian_init(N, sigma, seed=5), T)
-sd = successive_diff(trace)
+trace = run_amp(op, [g] * T, gaussian_init(N, sigma, seed=5), T,
+                observe=keep_iterates)
+iterates = trace.steps + trace.iterates  # z^0..z^T
+sd = successive_diff(iterates)
 
 print(f"\n  {'t':>2} {'d_t (SE)':>12} {'empirical':>12} {'rel.err':>8}")
 for t in range(1, T + 1):
@@ -66,6 +68,6 @@ for t in range(1, T + 1):
 print("\nstandardized Hermite moments of z^t (Gaussianity check):")
 print(f"  {'t':>2} {'H1':>9} {'H2':>9} {'H3':>9} {'H4':>9}")
 for t in (1, 4, 8):
-    ms = [hermite_moment(trace.iterates[t], k, sigma) for k in range(1, 5)]
+    ms = [hermite_moment(iterates[t], k, sigma) for k in range(1, 5)]
     print(f"  {t:2d} " + " ".join(f"{m:9.5f}" for m in ms))
 print(f"(single-run CLT scale at this size: {1 / np.sqrt(N):.5f})")

@@ -11,8 +11,9 @@ Run:  python3 demos/05_tap_universality.py          (about 15 s)
 
 import numpy as np
 
-from amplab import (SpectralLaw, g_nonlinearity, run_state_evolution,
-                    run_tap_amp, solve_q_star, successive_diff, tap_residual)
+from amplab import (SpectralLaw, g_nonlinearity, keep_iterates,
+                    run_state_evolution, run_tap_amp, solve_q_star,
+                    successive_diff, tap_residual)
 
 N, T, SEEDS = 4096, 10, (11, 12, 13, 14)
 ENSEMBLES = ("signed-sine", "signed-hadamard", "random-orthogonal")
@@ -34,14 +35,16 @@ for beta in (2.0, 4.0):
         for seed in SEEDS:
             # the Haar budget has room for one residual: m^10's below, as
             # m^1 lies in the revealed span and its residual reveals nothing
-            result = run_tap_amp(ens, beta, 2.0, N, T, seed, params=params)
-            trace, coupling = result.trace, result.coupling
-            acc += successive_diff(trace)
+            result = run_tap_amp(ens, beta, 2.0, N, T, seed, params=params,
+                                 observe=keep_iterates)
+            iterates = result.trace.steps + result.trace.iterates
+            coupling = result.coupling
+            acc += successive_diff(iterates)
         curves[ens] = acc / len(SEEDS)
         # On random-orthogonal the residual of m^10 depends on the vectors
         # queried before it: the lazy store reveals M in query order, so
         # computing m^1's residual first changes the digits of m^10's.
-        residual[ens] = [tap_residual(np.tanh(2.0 + trace.iterates[t]),
+        residual[ens] = [tap_residual(np.tanh(2.0 + iterates[t]),
                                       coupling, params)
                          for t in (1, T)]
     print(f"  {'t':>2} {'SE d_t':>10} " +

@@ -6,7 +6,7 @@ deterministic state-evolution recursion, and applies both to the
 high-temperature TAP equations of mean-field Ising models.
 """
 
-from .amp import AmpTrace, gaussian_init, run_amp
+from .amp import AmpTrace, gaussian_init, keep_iterates, run_amp
 from .ensembles import (ENSEMBLES, EnsembleDiagnostics, MatrixOperator,
                         build_random_orthogonal, build_sign_perm,
                         build_signed_hadamard, build_signed_sine,

@@ -9,13 +9,11 @@ Two modes:
                 which removes the linear component in-sample and needs no
                 divergence-free assumption.
 
-Given the state-evolution scales sigma_0..sigma_T, a run fills each
-step's observable row (``metrics.observable_row``) as soon as z^t exists
-and keeps only z^{t-1} and z^t alive; its trace carries the (T, 6) table
-and z^T.  Without them it keeps all T+1 iterates (88 MB at N = 2^20,
-T = 10) for the callers that read them: tests, demos, the field iteration
-and trace dumps.  Standardization constants always come from state
-evolution, never from in-loop estimates.
+A run keeps only z^{t-1} and z^t alive and, after each matvec, what
+``observe(t, z^{t-1}, z^t)`` returns: the CLI's observer gives the step's
+``metrics.observable_row``, ``keep_iterates`` the iterates for tests,
+demos, the field iteration and trace dumps.  Standardization constants
+always come from state evolution, never from in-loop estimates.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from .ensembles import MatrixOperator
 from .errors import NumericError
-from .metrics import _chunked_sum, observable_row
+from .metrics import _chunked_sum
 from .rng import substream
 from .state_evolution import Nonlinearity
 
@@ -36,9 +34,8 @@ MODES = ("simple", "projected")
 
 @dataclass
 class AmpTrace:
-    """One run: ``iterates`` is z^0..z^T and ``table`` None, or, for a run
-    given sigma, ``iterates`` is [z^T] and ``table`` its (T, 6) rows
-    ``metrics.observable_row(z^{t-1}, z^t, sigma[t])``."""
+    """One run: ``iterates`` is [z^T] and ``steps`` holds what the run's
+    ``observe`` returned at t = 1..T, in step order."""
 
     N: int
     T: int
@@ -47,7 +44,7 @@ class AmpTrace:
     seed: int
     ensemble_label: str
     alphas: list = field(default_factory=list)  # projected mode only
-    table: np.ndarray | None = None
+    steps: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -81,19 +78,24 @@ def _projection_sums(fz: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _chunked_sum(z.size, leaf)
 
 
+def keep_iterates(t: int, z_prev: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``observe`` keeping each step's input: steps + iterates is z^0..z^T."""
+    return z_prev
+
+
 def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
             z0: np.ndarray, T: int, mode: str = "simple",
-            *, seed: int = -1, sigma=None) -> AmpTrace:
+            *, seed: int = -1, observe=None) -> AmpTrace:
     """Run T steps from z0.
 
     ``nonlins[t]`` is applied at step t+1 and must be present for all
     t < T.  In projected mode the per-step coefficient alpha_t is recorded;
     a zero-norm iterate there is an error (the projection is undefined).
 
-    Without ``sigma`` the trace keeps every iterate.  With ``sigma`` (the
-    scales sigma_0..sigma_T) it keeps z^T and the observable table, filled
-    step by step; both forms make the same operator queries in the same
-    order and give the same z^T bit for bit.
+    After the matvec of step t = 1..T, ``observe(t, z^{t-1}, z^t)`` runs
+    and its value is appended to the trace's ``steps``.  No nonlinearity or
+    matvec writes into its input, so an observer may keep the arrays it is
+    given; what it does not keep is freed as the loop moves on.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -101,17 +103,14 @@ def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
         raise ValueError(f"T must be >= 1, got {T}")
     if len(nonlins) < T:
         raise ValueError(f"need {T} nonlinearities, got {len(nonlins)}")
-    if sigma is not None and len(sigma) < T + 1:
-        raise ValueError(f"need sigma_0..sigma_T ({T + 1} values), "
-                         f"got {len(sigma)}")
+    observe = observe or (lambda t, z_prev, z: None)
     z = np.asarray(z0, dtype=np.float64)
-    del z0  # with sigma, z^0 is freed after step 1 unless the caller holds it
+    del z0  # z^0 is freed after step 1 unless the caller or observer holds it
     if z.shape != (op.dim,):
         raise ValueError(f"z0 has shape {z.shape}, operator dim is {op.dim}")
     _check_finite(z, 0)
 
-    iterates = [z.copy()] if sigma is None else None
-    alphas, rows = [], []
+    alphas, steps = [], []
     for t in range(T):
         prev = z
         fz = np.asarray(nonlins[t].eval(z), dtype=np.float64)
@@ -124,13 +123,7 @@ def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
             alphas.append(alpha)
             fz = fz - alpha * z
         z = op.matvec(fz)
-        del fz  # not needed while the row is computed
+        del fz  # not needed while the step is observed
         _check_finite(z, t + 1)
-        if sigma is None:
-            iterates.append(z.copy())
-        else:
-            rows.append(observable_row(prev, z, sigma[t + 1]))
-    if sigma is None:
-        return AmpTrace(op.dim, T, iterates, mode, seed, op.label, alphas)
-    return AmpTrace(op.dim, T, [z], mode, seed, op.label, alphas,
-                    np.array(rows))
+        steps.append(observe(t + 1, prev, z))
+    return AmpTrace(op.dim, T, [z], mode, seed, op.label, alphas, steps)

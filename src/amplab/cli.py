@@ -24,7 +24,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +66,8 @@ class ExperimentConfig:
         if self.dump_trace and self.N > TRACE_DUMP_CAP:
             raise ValueError(
                 f"trace dump is gated to N <= {TRACE_DUMP_CAP} (got {self.N})")
+        if self.dump_trace and not self.out:
+            raise ValueError("dump_trace needs out: trace dumps go beside it")
 
     @property
     def haar_budget(self) -> int:  # directions T matvecs can reveal
@@ -84,6 +86,8 @@ def parse_seeds(text: str) -> tuple:
                          f"integers") from None
     if dots and not seeds:
         raise ValueError(f"empty seed range {text!r}")
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seeds {text!r}: seeds must be nonnegative")
     return seeds
 
 
@@ -127,10 +131,10 @@ def _tap_experiment(config: ExperimentConfig):
     params, se = _tap_prediction(config.ensemble, config.beta, config.theta,
                                  config.phi, config.T)
 
-    def one_seed(seed, sigma):
+    def one_seed(seed, observe):
         return tap.run_tap_amp(config.ensemble, config.beta, config.theta,
                                config.N, config.T, seed, phi=config.phi,
-                               params=params, sigma=sigma).trace
+                               params=params, observe=observe).trace
 
     header = {key: getattr(params, key) for key in (
         "beta", "theta", "q_star", "sigma_star_sq", "lambda_star",
@@ -164,13 +168,13 @@ def _plain_experiment(config: ExperimentConfig):
     # lazy Haar store does not stay resident while later seeds run
     built = {config.seeds[0]: sample_op}
 
-    def one_seed(seed, sigma):
+    def one_seed(seed, observe):
         op = built.pop(seed, None) or ensembles.operator_from_spec(
             config.ensemble, config.N, seed, max_directions=config.haar_budget)
         return amp.run_amp(
             op, nonlins,
             amp.gaussian_init(config.N, np.sqrt(config.sigma0_sq), seed),
-            config.T, config.mode, seed=seed, sigma=sigma)
+            config.T, config.mode, seed=seed, observe=observe)
 
     return se, one_seed, header
 
@@ -185,24 +189,26 @@ def _run_seeds(fn, seeds, workers):
 def run_experiment(config: ExperimentConfig):
     """Build, solve, run all seeds, write the report's CSVs.  Returns it.
 
-    Each seed's observables are filled inside its run, and its z^T is
-    dropped once the run returns; a trace dump instead keeps every iterate
-    and builds them after.
-    """
+    Each seed's observable rows are filled inside its run, whose trace then
+    keeps z^0..z^T for a trace dump and no iterate otherwise."""
     workers = _worker_count(len(config.seeds))
     pipeline = _tap_experiment if config.mode == "tap" else _plain_experiment
     se, one_seed, header = pipeline(config)
     sigma = np.sqrt(se.sigma_sq)
 
     def run_seed(seed):
-        trace = one_seed(seed, None if config.dump_trace else sigma)
-        if not config.dump_trace:
-            trace.iterates = []  # z^T: only the table is read from here on
-        return trace
+        kept = []
+
+        def observe(t, z_prev, z):
+            if config.dump_trace:
+                kept[t - 1:] = [z_prev, z]  # z^0..z^t
+            return metrics.observable_row(z_prev, z, sigma[t])
+
+        return replace(one_seed(seed, observe), iterates=kept)
 
     traces = _run_seeds(run_seed, config.seeds, workers)
     report = metrics.report_from_traces(
-        traces, sigma, se.succ_diff_prediction(),
+        traces, se.succ_diff_prediction(),
         beta=config.beta, theta=config.theta,
         params={**header, "seed": _format_seeds(config.seeds)})
     if config.out:
@@ -264,7 +270,7 @@ def emit_report(report: metrics.ObservableReport, path: str) -> None:
 
 
 def emit_seed_observables(trace, table, path: str) -> None:
-    """Write one seed's ``metrics.observable_table`` rows under its header."""
+    """Write one seed's ``metrics.observable_row`` rows under its header."""
     lines = [f"# seed={trace.seed} ensemble={trace.ensemble_label} "
              f"N={trace.N} T={trace.T} mode={trace.mode}",
              "t,succ_diff,hermite_m1,hermite_m2,hermite_m3,hermite_m4,ks_stat"]
@@ -428,6 +434,8 @@ def _cmd_se(args) -> int:
 def _cmd_check(args) -> int:
     merged = _merged(args, dict(ensemble="signed-sine", N=512, seed=1,
                                 mode="dense"))
+    if merged["seed"] < 0:
+        raise ValueError(f"seed must be nonnegative, got {merged['seed']}")
     op = ensembles.operator_from_spec(
         merged["ensemble"], merged["N"], merged["seed"],
         max_directions=ensembles.check_haar_budget(merged["N"], merged["mode"]))

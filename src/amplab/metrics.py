@@ -6,12 +6,12 @@ moments of standardized entries, and the Kolmogorov-Smirnov distance to
 the predicted Gaussian.  The standardizing sigma_t always comes from state
 evolution.
 
-``observable_row`` is the one per-step computation: ``amp.run_amp`` calls
-it inside the loop when given sigma, and ``observable_table`` calls it on
-a trace that kept every iterate, so both give the same bits.  Its sums
-run over chunks of at most ``LEAF`` entries and rebuild numpy's pairwise
-summation tree from them, so each equals np.mean of the whole N-vector bit
-for bit; only the KS distance's sorted copy is a full N-vector.  The KS
+``observable_row`` is the one per-step computation: the CLI's observer
+calls it inside ``amp.run_amp``'s loop, and ``report_from_traces``
+averages the rows the runs kept.  Its sums run over chunks of at most
+``LEAF`` entries and rebuild numpy's pairwise summation tree from them,
+so each equals np.mean of the whole N-vector bit for bit; only the KS
+distance's sorted copy is a full N-vector.  The KS
 distance evaluates the Gaussian CDF with an in-package port of the Cephes
 ``ndtr`` that ``scipy.special.ndtr`` runs, bit for bit, so this module
 loads no scipy.
@@ -22,21 +22,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .hermite import hermite_eval
-
-if TYPE_CHECKING:  # amp imports this module for its in-loop rows
-    from .amp import AmpTrace
-
-
-def _stored_iterates(trace: AmpTrace) -> list:
-    if len(trace.iterates) != trace.T + 1:
-        raise ValueError("the trace kept only z^T (run_amp was given sigma); "
-                         "its observables are in trace.table")
-    return trace.iterates
 
 
 LEAF = 1 << 15  # entries per chunk of a chunked sum (256 KB of float64)
@@ -64,11 +53,10 @@ def _mean_sq_diff(prev: np.ndarray, z: np.ndarray) -> float:
     return float(_chunked_sum(z.size, leaf) / z.size)
 
 
-def successive_diff(trace: AmpTrace) -> np.ndarray:
-    """||z^t - z^{t-1}||^2 / N for t = 1..T of a trace with every iterate."""
-    its = _stored_iterates(trace)
-    return np.array([_mean_sq_diff(its[t - 1], its[t])
-                     for t in range(1, trace.T + 1)])
+def successive_diff(iterates) -> np.ndarray:
+    """||z^t - z^{t-1}||^2 / N for t = 1..T of the iterates z^0..z^T."""
+    return np.array([_mean_sq_diff(prev, z)
+                     for prev, z in zip(iterates, iterates[1:])])
 
 
 def hermite_moment(v: np.ndarray, k: int, sigma: float) -> float:
@@ -206,18 +194,6 @@ def observable_row(prev: np.ndarray, z: np.ndarray, sigma_t: float) -> list:
             + [ks_statistic(z, sigma_t)])
 
 
-def observable_table(trace: AmpTrace, sigma) -> np.ndarray:
-    """Per-step observables of a trace with every iterate, as a (T, 6) array.
-
-    Row t-1 is ``observable_row(z^{t-1}, z^t, sigma[t])``: succ_diff, the
-    Hermite moments k = 1..4 of z^t / sigma[t] and the KS distance of z^t
-    to N(0, sigma[t]^2).
-    """
-    its = _stored_iterates(trace)
-    return np.array([observable_row(its[t - 1], its[t], sigma[t])
-                     for t in range(1, trace.T + 1)])
-
-
 @dataclass
 class ObservableReport:
     """Seed-averaged per-step observables of one experiment configuration.
@@ -256,25 +232,18 @@ class ObservableReport:
             raise ValueError("ks entries must lie in [0, 1]")
 
 
-def report_from_traces(traces, sigma, d_pred, *, beta=0.0, theta=0.0,
+def report_from_traces(traces, d_pred, *, beta=0.0, theta=0.0,
                        params=None) -> ObservableReport:
-    """Average the standard observable set over a list of traces.
-
-    ``sigma`` gives the standardizing scale per step (length T+1, from
-    state evolution); ``d_pred`` the predicted successive differences.
-    The averages are the trace-order means of the per-trace tables: the
-    ``table`` a trace carries when ``run_amp`` filled it with this sigma,
-    else its ``observable_table``.
-    """
+    """Trace-order means of the traces' (T, 6) tables, each trace's
+    ``steps`` being ``observable_row(z^{t-1}, z^t, sigma_t)`` for t = 1..T
+    with state evolution's sigma_t; ``d_pred`` is its predicted d_t."""
     first = traces[0]
     for trace in traces:
         if trace.T != first.T or trace.N != first.N:
             raise ValueError("traces have mismatched shapes")
-    tables = [trace.table if trace.table is not None
-              else observable_table(trace, sigma) for trace in traces]
+    tables = [np.array(trace.steps) for trace in traces]
     mean = sum(tables) / len(tables)
     return ObservableReport(first.ensemble_label, beta, theta, first.N,
                             first.T, len(tables), mean[:, 0],
                             np.asarray(d_pred, float), mean[:, 1:5],
                             mean[:, 5], params or {}, tables)
-

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .amp import AmpTrace, gaussian_init, run_amp
+from .amp import AmpTrace, gaussian_init, keep_iterates, run_amp
 from .ensembles import (ENSEMBLES, Ensemble, MatrixOperator,
                         centered_resolvent, involution_resolvent, scale_rows)
 from .errors import ConvergenceError
@@ -251,15 +251,14 @@ def tap_residual(m: np.ndarray, coupling: MatrixOperator,
 def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
                 seed: int, *, phi: float = 1.0,
                 params: TapParameters | None = None,
-                sigma=None) -> TapRunResult:
+                observe=None) -> TapRunResult:
     """Full TAP pipeline: solve parameters, build J and M(lambda*), iterate.
 
     The iteration is the simple memory-free run with f_t = g for all t and
     z^0 ~ N(0, sigma*^2 I); the trace is labelled with ``ensemble``.
-    ``sigma`` goes to ``run_amp``: given the state-evolution scales, the
-    trace carries its observable table and keeps z^T only.  A
-    random-orthogonal coupling gets the Haar budget of its T matvecs and
-    of one residual, min(2T + 2, n), so after
+    ``observe`` goes to ``run_amp``, whose trace keeps z^T and what it
+    returns at each step.  A random-orthogonal coupling gets the Haar
+    budget of its T matvecs and of one residual, min(2T + 2, n), so after
     ``tap_residual(np.tanh(theta + z), result.coupling, result.params)``
     for any z a further matvec that reveals a new direction raises
     ResourceError.  No TAP residual is computed here.
@@ -272,7 +271,7 @@ def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
     g = g_nonlinearity(params)
     trace = run_amp(operator, [g] * T,
                     gaussian_init(n, np.sqrt(params.sigma_star_sq), seed), T,
-                    "simple", seed=seed, sigma=sigma)
+                    "simple", seed=seed, observe=observe)
     return TapRunResult(replace(trace, ensemble_label=ensemble), params,
                         coupling)
 
@@ -317,4 +316,5 @@ def run_field_iteration(coupling: MatrixOperator, h: np.ndarray,
     """
     g = g_nonlinearity(params, np.asarray(h, dtype=np.float64))
     operator = resolvent_operator(coupling, params)
-    return run_amp(operator, [g] * T, z0, T).iterates
+    trace = run_amp(operator, [g] * T, z0, T, observe=keep_iterates)
+    return trace.steps + trace.iterates

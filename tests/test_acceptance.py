@@ -28,7 +28,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 
-from amplab.amp import gaussian_init, run_amp
+from amplab.amp import gaussian_init, keep_iterates, run_amp
 from amplab.cli import ExperimentConfig, run_experiment
 from amplab.ensembles import (build_random_orthogonal, build_signed_sine,
                               build_wigner_coupling, build_wishart_coupling,
@@ -92,8 +92,8 @@ def univ_curves(tap_params, tap_se):
             acc = np.zeros(10)
             for seed in CRIT12_SEEDS:
                 res = run_tap_amp(ens, beta, THETA, CRIT12_N, 10, seed,
-                                  params=params)
-                acc += successive_diff(res.trace)
+                                  params=params, observe=keep_iterates)
+                acc += successive_diff(res.trace.steps + res.trace.iterates)
             curves[(beta, ens)] = acc / len(CRIT12_SEEDS)
     return curves
 
@@ -156,11 +156,11 @@ class TestCriterion3:
             sums = np.zeros((10, 4))
             for seed in range(1, 9):
                 res = run_tap_amp("signed-hadamard", beta, THETA, n, 10,
-                                  seed, params=params)
+                                  seed, params=params, observe=keep_iterates)
+                its = res.trace.steps + res.trace.iterates
                 for t in range(1, 11):
                     for k in range(1, 5):
-                        sums[t - 1, k - 1] += hermite_moment(
-                            res.trace.iterates[t], k, sigma)
+                        sums[t - 1, k - 1] += hermite_moment(its[t], k, sigma)
             worst = max(worst, float(np.max(np.abs(sums / 8))))
         ks_worst = 0.0
         for beta in BETAS:
@@ -170,7 +170,7 @@ class TestCriterion3:
                 res = run_tap_amp(ens, beta, THETA, 8192, 10, 3,
                                   params=params)
                 ks_worst = max(ks_worst,
-                               ks_statistic(res.trace.iterates[10], sigma))
+                               ks_statistic(res.trace.iterates[-1], sigma))
         ok = worst <= bound and ks_worst <= 0.03
         verdict(3, ok,
                 f"max seed-avg |H_k moment| at N=65536: {worst:.5f} "
@@ -249,7 +249,7 @@ class TestCriterion7:
             op = build_signed_sine(4096, seed)
             trace = run_amp(op, [SQUARE, SQUARE],
                             gaussian_init(4096, 1.0, seed), 2, seed=seed)
-            means.append(float(np.mean(trace.iterates[2])))
+            means.append(float(np.mean(trace.iterates[-1])))
         value = abs(float(np.mean(means)))
         verdict(7, value <= 0.05,
                 f"|mean over 32 seeds of (1/N) sum z^(2)|: {value:.5f} "
@@ -264,9 +264,9 @@ class TestCriterion8:
                 seed = CRIT8_BASE + k
                 op = build_signed_sine(n, seed)
                 trace = run_amp(op, [SQUARE, SQUARE],
-                                gaussian_init(n, 1.0, seed), 2, seed=seed)
-                vals.append(float(np.mean(trace.iterates[1]
-                                          * trace.iterates[2])))
+                                gaussian_init(n, 1.0, seed), 2, seed=seed,
+                                observe=lambda t, z_prev, z: z)
+                vals.append(float(np.mean(trace.steps[0] * trace.steps[1])))
             return float(np.var(vals, ddof=1))
 
         ratio = seed_variance(2048) / seed_variance(4096)

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from amplab.amp import gaussian_init, run_amp
+from amplab.amp import gaussian_init, keep_iterates, run_amp
 from amplab.ensembles import (build_random_orthogonal, build_signed_hadamard,
                               build_signed_sine, power_iteration_norm)
 from amplab.errors import NumericError
-from amplab.metrics import hermite_moment, observable_table
+from amplab.metrics import hermite_moment, observable_row
 from amplab.state_evolution import Nonlinearity, preset_nonlinearity
+from amplab.tap import ensemble_law, run_tap_amp, solve_q_star
 
 SQUARE = preset_nonlinearity("square")
+
+
+def iterates(*args, **kwargs):
+    """z^0..z^T of ``run_amp(*args, **kwargs)`` kept by ``keep_iterates``."""
+    trace = run_amp(*args, observe=keep_iterates, **kwargs)
+    return trace.steps + trace.iterates
 
 
 class TestGaussianInit:
@@ -40,19 +47,19 @@ class TestRunAmp:
     def test_zero_nonlinearity_gives_zero_iterates(self):
         op = build_signed_sine(128, seed=1)
         zero = Nonlinearity(lambda x: np.zeros_like(x), "zero")
-        trace = run_amp(op, [zero] * 3, gaussian_init(128, 1.0, 5), 3)
+        its = iterates(op, [zero] * 3, gaussian_init(128, 1.0, 5), 3)
         for t in range(1, 4):
-            np.testing.assert_array_equal(trace.iterates[t], 0.0)
+            np.testing.assert_array_equal(its[t], 0.0)
 
     def test_norm_sanity(self):
         op = build_signed_hadamard(512, seed=2)
         norm = power_iteration_norm(op)
         nonlins = [SQUARE] * 5
-        trace = run_amp(op, nonlins, gaussian_init(512, 1.0, 6), 5)
+        its = iterates(op, nonlins, gaussian_init(512, 1.0, 6), 5)
         for t in range(5):
-            fz = SQUARE.eval(trace.iterates[t])
+            fz = SQUARE.eval(its[t])
             bound = norm * np.linalg.norm(fz)
-            assert np.linalg.norm(trace.iterates[t + 1]) <= bound * (1 + 1e-8)
+            assert np.linalg.norm(its[t + 1]) <= bound * (1 + 1e-8)
 
     def test_projected_alpha_small_for_divergence_free(self):
         # empirical projection coefficient of a divergence-free step decays
@@ -85,24 +92,23 @@ class TestRunAmp:
         op = build_signed_sine(256, seed=5)
         c = 0.7
         f1, f2, f3 = SQUARE, preset_nonlinearity("cubic-centered"), SQUARE
-        det = run_amp(op, [f1, f2, f3], c * np.ones(256), 3)
+        det = iterates(op, [f1, f2, f3], c * np.ones(256), 3)
         const = Nonlinearity(lambda x, v=float(f1.eval(c)): np.full_like(x, v),
                              "const")
-        rand = run_amp(op, [const, f2, f3], gaussian_init(256, 1.0, 9), 3)
+        rand = iterates(op, [const, f2, f3], gaussian_init(256, 1.0, 9), 3)
         for t in range(1, 4):
-            np.testing.assert_allclose(det.iterates[t], rand.iterates[t],
-                                       atol=1e-12)
+            np.testing.assert_allclose(det[t], rand[t], atol=1e-12)
 
     def test_trace_records_mode_and_seed(self):
         op = build_signed_sine(64, seed=6)
         trace = run_amp(op, [SQUARE] * 2, gaussian_init(64, 1.0, 10), 2,
-                        seed=10)
+                        seed=10, observe=keep_iterates)
         assert trace.mode == "simple"
         assert trace.seed == 10
         assert trace.ensemble_label == "signed-sine"
-        assert len(trace.iterates) == 3
+        assert len(trace.steps) == 2 and len(trace.iterates) == 1
         # the recorded seed replays the initial iterate exactly
-        np.testing.assert_array_equal(trace.iterates[0],
+        np.testing.assert_array_equal(trace.steps[0],
                                       gaussian_init(64, 1.0, trace.seed))
 
     def test_validation(self):
@@ -116,47 +122,72 @@ class TestRunAmp:
             run_amp(op, [SQUARE], z0, 1, "mystery")
 
 
-class TestStreamedRun:
-    """``run_amp(..., sigma=...)`` keeps z^T and fills the table in the loop."""
-
-    BUILDERS = {"signed-sine": build_signed_sine,
+def plain_run(ensemble, mode):
+    """A 5-step tanh run on a fresh operator: (run(observe), sigma_0..5)."""
+    n, T = 512, 5
+    builders = {"signed-sine": build_signed_sine,
                 "random-orthogonal": lambda n, seed: build_random_orthogonal(
                     n, seed, max_directions=n)}
 
-    @pytest.mark.parametrize("mode", ["simple", "projected"])
-    @pytest.mark.parametrize("ensemble", sorted(BUILDERS))
-    def test_equals_the_stored_trace_bit_for_bit(self, ensemble, mode):
-        n, T = 512, 5
-        sigma = np.array([1.0, 1.1, 0.9, 1.3, 0.8, 1.2])
-        nonlins = [Nonlinearity(np.tanh, "tanh")] * T
-        runs, ops = [], []
-        for keep in (None, sigma):
-            # a fresh operator per run: the lazy Haar store must see the
-            # same queries in the same order in both forms
-            op = self.BUILDERS[ensemble](n, seed=3)
-            runs.append(run_amp(op, nonlins, gaussian_init(n, 1.0, 3), T,
-                                mode, seed=3, sigma=keep))
-            ops.append(op)
-        stored, streamed = runs
-        assert stored.table is None and len(stored.iterates) == T + 1
-        assert len(streamed.iterates) == 1
-        assert np.array_equal(streamed.iterates[0], stored.iterates[T])
-        assert np.array_equal(streamed.table, observable_table(stored, sigma))
-        assert streamed.alphas == stored.alphas
-        if ensemble == "random-orthogonal":
-            assert np.array_equal(ops[0].haar_basis.q, ops[1].haar_basis.q)
+    def run(observe):
+        op = builders[ensemble](n, seed=3)
+        trace = run_amp(op, [Nonlinearity(np.tanh, "tanh")] * T,
+                        gaussian_init(n, 1.0, 3), T, mode, seed=3,
+                        observe=observe)
+        return trace, op
 
-    def test_needs_sigma_0_to_T(self):
-        op = build_signed_sine(64, seed=7)
-        with pytest.raises(ValueError, match="sigma_0..sigma_T"):
-            run_amp(op, [SQUARE] * 3, gaussian_init(64, 1.0, 1), 3,
-                    sigma=np.ones(3))
+    return run, np.array([1.0, 1.1, 0.9, 1.3, 0.8, 1.2])
+
+
+def tap_run(ensemble):
+    """A 4-step TAP run at beta = theta = 1: (run(observe), sigma_0..4)."""
+    params = solve_q_star(1.0, 1.0, ensemble_law(ensemble))
+
+    def run(observe):
+        result = run_tap_amp(ensemble, 1.0, 1.0, 256, 4, seed=2,
+                             params=params, observe=observe)
+        return result.trace, result.coupling
+
+    return run, np.full(5, np.sqrt(params.sigma_star_sq))
+
+
+class TestStreamedRun:
+    """One loop, whatever its ``observe`` keeps."""
+
+    @pytest.mark.parametrize("ensemble, mode", [
+        ("random-orthogonal", "projected"), ("random-orthogonal", "simple"),
+        ("signed-sine", "projected"), ("signed-sine", "simple"),
+        ("random-orthogonal", "tap"), ("signed-hadamard", "tap"),
+        ("sk", "tap")])
+    def test_equals_the_stored_trace_bit_for_bit(self, ensemble, mode):
+        # runs that keep nothing, the iterates, or the observable rows make
+        # the same operator queries in the same order (one lazy Haar store
+        # per run) and give the same z^T and alphas bit for bit
+        run, sigma = (tap_run(ensemble) if mode == "tap"
+                      else plain_run(ensemble, mode))
+        observers = (None, keep_iterates,
+                     lambda t, z_prev, z: observable_row(z_prev, z, sigma[t]))
+        (bare, bare_op), (kept, kept_op), (rows, rows_op) = map(run, observers)
+        its = kept.steps + kept.iterates
+        assert bare.steps == [None] * bare.T
+        assert len(its) == kept.T + 1 and len(rows.iterates) == 1
+        for trace in (bare, rows):
+            assert np.array_equal(trace.iterates[0], kept.iterates[0])
+            assert trace.alphas == kept.alphas
+            assert trace.ensemble_label == kept.ensemble_label
+        assert rows.steps == [observable_row(its[t - 1], its[t], sigma[t])
+                              for t in range(1, kept.T + 1)]
+        if ensemble == "random-orthogonal":
+            for op in (bare_op, rows_op):
+                assert np.array_equal(op.haar_basis.q, kept_op.haar_basis.q)
 
     def test_nonpositive_sigma_rejected(self):
         op = build_signed_sine(64, seed=7)
+        sigma = np.array([1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="sigma must be positive"):
             run_amp(op, [SQUARE] * 2, gaussian_init(64, 1.0, 1), 2,
-                    sigma=np.array([1.0, 0.0, 1.0]))
+                    observe=lambda t, z_prev, z: observable_row(z_prev, z,
+                                                                sigma[t]))
 
 
 class TestHaarBudget:
@@ -174,7 +205,8 @@ class TestHaarBudget:
         buffer = basis.q.base
         assert buffer.shape == (basis.cap, self.N) == (2 * self.T, self.N)
         run_amp(op, [SQUARE] * self.T, gaussian_init(self.N, 1.0, 5), self.T,
-                mode, seed=5, sigma=self.SIGMA)
+                mode, seed=5, observe=lambda t, z_prev, z: observable_row(
+                    z_prev, z, self.SIGMA[t]))
         assert basis.q.shape[0] == 2 * self.T  # the budget is used up
         assert basis.q.base is buffer
 
@@ -198,12 +230,11 @@ class TestGaussianity:
             op = build_signed_hadamard(n, seed=seed)
             from amplab.tap import resolvent_operator
             m_op = resolvent_operator(op, params)
-            trace = run_amp(m_op, [g] * t_max,
-                            gaussian_init(n, sigma, seed), t_max)
+            its = iterates(m_op, [g] * t_max, gaussian_init(n, sigma, seed),
+                           t_max)
             for t in range(1, t_max + 1):
                 for k in range(1, 5):
-                    sums[t - 1, k - 1] += hermite_moment(
-                        trace.iterates[t], k, sigma)
+                    sums[t - 1, k - 1] += hermite_moment(its[t], k, sigma)
         averaged = np.abs(sums / seeds)
         assert np.max(averaged) <= 5.0 / np.sqrt(n)
 
@@ -214,10 +245,9 @@ class TestGaussianity:
         sums = np.zeros((2, 4))
         for seed in range(1, seeds + 1):
             op = build_signed_hadamard(n, seed=seed)
-            trace = run_amp(op, [SQUARE] * 2, gaussian_init(n, 1.0, seed), 2)
+            its = iterates(op, [SQUARE] * 2, gaussian_init(n, 1.0, seed), 2)
             for t in (1, 2):
                 for k in range(1, 5):
-                    sums[t - 1, k - 1] += hermite_moment(
-                        trace.iterates[t], k, 1.0)
+                    sums[t - 1, k - 1] += hermite_moment(its[t], k, 1.0)
         averaged = np.abs(sums / seeds)
         assert np.max(averaged) <= 5.0 / np.sqrt(n)

@@ -194,8 +194,8 @@ class TestRunExperiment:
         ("projected", "random-orthogonal"), ("simple", "signed-hadamard")])
     def test_trace_dump_leaves_the_observables_unchanged(self, tmp_path,
                                                          mode, ensemble):
-        # with a dump the tables are built after the run from every
-        # iterate; without one they are filled inside the loop
+        # a dump keeps the iterates in addition to the rows filled inside
+        # the loop, and leaves those rows as they are
         written = []
         for dump in (False, True):
             out = tmp_path / f"dump{dump}" / "r.csv"
@@ -330,6 +330,7 @@ class TestRunExperiment:
         # the state-evolution scale sigma_t, then run seed by seed
         from amplab.amp import gaussian_init, run_amp
         from amplab.ensembles import operator_from_spec
+        from amplab.metrics import observable_row
         from amplab.state_evolution import (center_divergence_free,
                                             preset_nonlinearity,
                                             run_state_evolution)
@@ -350,8 +351,9 @@ class TestRunExperiment:
         for seed, table in zip(seeds, report.seed_tables):
             trace = run_amp(operator_from_spec(spec, n, seed), nonlins,
                             gaussian_init(n, 1.0, seed), T, "simple",
-                            seed=seed, sigma=sigma)
-            assert np.array_equal(trace.table, table), seed
+                            seed=seed, observe=lambda t, z_prev, z:
+                            observable_row(z_prev, z, sigma[t]))
+            assert np.array_equal(np.array(trace.steps), table), seed
 
     def test_trace_dump_gated(self, tmp_path):
         out = tmp_path / "tr.csv"
@@ -581,6 +583,36 @@ class TestMainEntry:
         assert record == {"error": "ValueError", "message":
                           f"seeds {seeds!r}: expected a..b or "
                           f"comma-separated integers"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--seeds=-1..0"], "seeds '-1..0': seeds must be nonnegative"),
+        (["run", "--seeds=3,-2"], "seeds '3,-2': seeds must be nonnegative"),
+        (["tap", "--seeds=-2..-1"],
+         "seeds '-2..-1': seeds must be nonnegative"),
+        (["check-ensemble", "--seed", "-3"],
+         "seed must be nonnegative, got -3"),
+    ], ids=["run", "run-list", "tap", "check-ensemble"])
+    def test_negative_seed_named_in_the_error_record(self, capsys, argv,
+                                                     message):
+        assert main(argv + ["--N", "64"]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError", "message": message}
+
+    def test_dump_trace_without_out_refused_before_any_run(self, monkeypatch,
+                                                          capsys):
+        # the trace files go beside the report, so a dump with no report
+        # path would run every seed and write nothing
+        from amplab import amp
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a seed ran before the dump was checked")
+
+        monkeypatch.setattr(amp, "run_amp", no_run)
+        assert main(["run", "--N", "64", "--T", "2", "--seeds", "1",
+                     "--dump-trace"]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError", "message":
+                          "dump_trace needs out: trace dumps go beside it"}
 
     def test_bad_thread_count_refused_before_any_work(self, monkeypatch,
                                                       capsys):

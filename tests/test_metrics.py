@@ -6,21 +6,26 @@ import pytest
 from amplab.amp import AmpTrace
 from amplab.metrics import (LEAF, ObservableReport, _chunked_sum,
                             hermite_moment, ks_statistic, observable_row,
-                            observable_table, report_from_traces,
-                            successive_diff)
+                            report_from_traces, successive_diff)
 
 
-def make_trace(iterates, seed=0, label="test"):
-    return AmpTrace(len(iterates[0]), len(iterates) - 1,
-                    [np.asarray(z, float) for z in iterates], "simple",
-                    seed, label)
+def observed_rows(iterates, sigma):
+    """``observable_row(z^{t-1}, z^t, sigma[t])`` for t = 1..T."""
+    return [observable_row(iterates[t - 1], iterates[t], sigma[t])
+            for t in range(1, len(iterates))]
+
+
+def make_trace(iterates, sigma, seed=0, label="test"):
+    """The trace of a run that observed these iterates' rows."""
+    return AmpTrace(len(iterates[0]), len(iterates) - 1, [iterates[-1]],
+                    "simple", seed, label,
+                    steps=observed_rows(iterates, sigma))
 
 
 class TestSuccessiveDiff:
     def test_identical_iterates_give_zero(self):
         z = np.random.default_rng(0).standard_normal(64)
-        trace = make_trace([z, z, z])
-        np.testing.assert_array_equal(successive_diff(trace), [0.0, 0.0])
+        np.testing.assert_array_equal(successive_diff([z, z, z]), [0.0, 0.0])
 
     def test_independent_gaussians(self):
         # Monte-Carlo oracle: for independent N(0, s^2) pairs the mean
@@ -28,16 +33,14 @@ class TestSuccessiveDiff:
         rng = np.random.default_rng(1)
         n, s = 65536, 1.3
         a, b = s * rng.standard_normal((2, n))
-        trace = make_trace([a, b])
-        got = successive_diff(trace)[0]
+        got = successive_diff([a, b])[0]
         assert got == pytest.approx(2 * s * s, abs=5 * s * s / np.sqrt(n))
 
     def test_two_computation_paths_agree(self):
         # direct loop vs the norm identity |a|^2 + |b|^2 - 2<a, b>
         rng = np.random.default_rng(2)
         a, b = rng.standard_normal((2, 4096))
-        trace = make_trace([a, b])
-        direct = successive_diff(trace)[0]
+        direct = successive_diff([a, b])[0]
         identity = (a @ a + b @ b - 2 * (a @ b)) / a.size
         assert direct == pytest.approx(identity, rel=1e-10)
 
@@ -45,8 +48,8 @@ class TestSuccessiveDiff:
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((2, 512))
         perm = rng.permutation(512)
-        plain = successive_diff(make_trace([a, b]))[0]
-        shuffled = successive_diff(make_trace([a[perm], b[perm]]))[0]
+        plain = successive_diff([a, b])[0]
+        shuffled = successive_diff([a[perm], b[perm]])[0]
         assert plain == pytest.approx(shuffled, rel=1e-12)
 
     def test_squares_the_difference_in_place(self):
@@ -54,12 +57,11 @@ class TestSuccessiveDiff:
         # that of np.mean((b - a) ** 2) bit for bit
         n = 2 ** 14
         a, b = np.random.default_rng(4).standard_normal((2, n))
-        trace = make_trace([a, b])
-        successive_diff(trace)
+        successive_diff([a, b])
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            got = successive_diff(trace)[0]
+            got = successive_diff([a, b])[0]
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -182,25 +184,25 @@ class TestKsStatistic:
 
 def small_report(n=256, t_max=3):
     rng = np.random.default_rng(0)
-    traces = [make_trace([rng.standard_normal(n) for _ in range(t_max + 1)],
-                         seed=k, label="a") for k in range(2)]
     sigma = np.ones(t_max + 1)
+    traces = [make_trace([rng.standard_normal(n) for _ in range(t_max + 1)],
+                         sigma, seed=k, label="a") for k in range(2)]
     d = 2.0 * np.ones(t_max)
-    return report_from_traces(traces, sigma, d, beta=2.0, theta=2.0)
+    return report_from_traces(traces, d, beta=2.0, theta=2.0)
 
 
 class TestObservableTable:
     def test_equals_the_per_observable_functions_bit_for_bit(self):
         rng = np.random.default_rng(6)
-        trace = make_trace(list(rng.standard_normal((5, 4096))
-                                * np.array([[1.0], [1.3], [0.7], [2.1], [1.1]])))
+        its = list(rng.standard_normal((5, 4096))
+                   * np.array([[1.0], [1.3], [0.7], [2.1], [1.1]]))
         sigma = np.array([1.0, 1.2, 0.8, 2.0, 1.05])
         expected = np.column_stack(
-            [successive_diff(trace),
+            [successive_diff(its),
              [[hermite_moment(z, k, sigma[t]) for k in range(1, 5)]
               + [ks_statistic(z, sigma[t])]
-              for t, z in enumerate(trace.iterates[1:], start=1)]])
-        assert np.array_equal(observable_table(trace, sigma), expected)
+              for t, z in enumerate(its[1:], start=1)]])
+        assert np.array_equal(np.array(observed_rows(its, sigma)), expected)
 
     def test_row_holds_at_most_three_vectors_above_its_inputs(self):
         # z / sigma, H2 and H3 while the moments run, then the sorted copy
@@ -218,16 +220,9 @@ class TestObservableTable:
         assert peak <= 3 * n * 8 + 8192
 
     def test_requires_positive_sigma(self):
-        trace = make_trace(list(np.random.default_rng(7).standard_normal((3, 64))))
+        its = list(np.random.default_rng(7).standard_normal((3, 64)))
         with pytest.raises(ValueError, match="sigma must be positive"):
-            observable_table(trace, np.array([1.0, 1.0, 0.0]))
-
-
-def streamed_trace(iterates, sigma):
-    """The form ``run_amp(..., sigma=sigma)`` returns: z^T and the table."""
-    full = make_trace(iterates)
-    return AmpTrace(full.N, full.T, [full.iterates[-1]], "simple", 0, "test",
-                    table=observable_table(full, sigma))
+            observed_rows(its, np.array([1.0, 1.0, 0.0]))
 
 
 class TestStreamedTrace:
@@ -235,21 +230,15 @@ class TestStreamedTrace:
         rng = np.random.default_rng(10)
         sigma = np.array([1.0, 1.2, 0.9, 1.1])
         runs = [list(rng.standard_normal((4, 128))) for _ in range(3)]
-        d = np.ones(3)
-        stored = report_from_traces([make_trace(r) for r in runs], sigma, d)
-        mixed = report_from_traces([streamed_trace(runs[0], sigma),
-                                    make_trace(runs[1]),
-                                    streamed_trace(runs[2], sigma)], sigma, d)
-        for name in ("succ_diff", "hermite", "ks"):
-            assert np.array_equal(getattr(mixed, name), getattr(stored, name))
-
-    def test_iterate_functions_refuse_a_streamed_trace(self):
-        rng = np.random.default_rng(11)
-        trace = streamed_trace(list(rng.standard_normal((3, 64))), np.ones(3))
-        with pytest.raises(ValueError, match="kept only z"):
-            successive_diff(trace)
-        with pytest.raises(ValueError, match="kept only z"):
-            observable_table(trace, np.ones(3))
+        report = report_from_traces([make_trace(r, sigma) for r in runs],
+                                    np.ones(3))
+        tables = [np.array(observed_rows(r, sigma)) for r in runs]
+        mean = (tables[0] + tables[1] + tables[2]) / 3
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(report.seed_tables, tables))
+        assert np.array_equal(report.succ_diff, mean[:, 0])
+        assert np.array_equal(report.hermite, mean[:, 1:5])
+        assert np.array_equal(report.ks, mean[:, 5])
 
 
 class TestReports:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from amplab.amp import keep_iterates
 from amplab.cli import _build_parser
 from amplab import tap
 from amplab.ensembles import (ENSEMBLES, MatrixOperator, build_sign_perm,
                               dense_form, fwht)
 from amplab.errors import ConvergenceError
 from amplab.hermite import gaussian_expectation
-from amplab.metrics import observable_table
+from amplab.metrics import observable_row
 from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, resolvent_variance
 from amplab.tap import (build_coupling, ensemble_law, g_nonlinearity,
@@ -145,12 +146,15 @@ def test_g_fwht_and_resolvent_leave_their_inputs_unchanged():
 
 
 def magnetization(result, t):
-    return np.tanh(result.params.theta + result.trace.iterates[t])
+    """m^t of a run that kept its iterates (``observe=keep_iterates``)."""
+    trace = result.trace
+    return np.tanh(result.params.theta + (trace.steps + trace.iterates)[t])
 
 
 class TestRunTapAmp:
     def test_magnetization_strictly_inside_cube(self):
-        result = run_tap_amp("signed-sine", 2.0, 2.0, 512, 5, seed=1)
+        result = run_tap_amp("signed-sine", 2.0, 2.0, 512, 5, seed=1,
+                             observe=keep_iterates)
         for t in range(result.trace.T + 1):
             assert np.all(np.abs(magnetization(result, t)) < 1.0)
 
@@ -158,7 +162,8 @@ class TestRunTapAmp:
         # seed-averaged trend: the iteration approaches a TAP solution
         first, last = 0.0, 0.0
         for seed in range(1, 9):
-            result = run_tap_amp("signed-sine", 2.0, 2.0, 1024, 10, seed=seed)
+            result = run_tap_amp("signed-sine", 2.0, 2.0, 1024, 10, seed=seed,
+                                 observe=keep_iterates)
             first += tap_residual(magnetization(result, 1), result.coupling,
                                   result.params)
             last += tap_residual(magnetization(result, 10), result.coupling,
@@ -184,19 +189,6 @@ class TestRunTapAmp:
         assert result.trace.T == 6
         assert len(calls) == 6
 
-    @pytest.mark.parametrize("ensemble", ["signed-hadamard",
-                                          "random-orthogonal", "sk"])
-    def test_streamed_run_equals_the_stored_one(self, ensemble):
-        params = solve_q_star(1.0, 1.0, ensemble_law(ensemble))
-        sigma = np.full(5, np.sqrt(params.sigma_star_sq))
-        stored, streamed = (
-            run_tap_amp(ensemble, 1.0, 1.0, 256, 4, seed=2, params=params,
-                        sigma=keep).trace for keep in (None, sigma))
-        assert len(streamed.iterates) == 1
-        assert np.array_equal(streamed.iterates[0], stored.iterates[4])
-        assert np.array_equal(streamed.table, observable_table(stored, sigma))
-        assert streamed.ensemble_label == stored.ensemble_label == ensemble
-
     @pytest.mark.parametrize("n, cap", [(256, 14), (8, 8)])
     def test_haar_budget_is_min_of_2T_plus_2_and_n(self, n, cap):
         # T = 6 matvecs and one residual reveal at most min(2T + 2, N)
@@ -220,14 +212,18 @@ class TestRunTapAmp:
     @staticmethod
     def traced_seed_peak(ensemble, n, T=3):
         params = solve_q_star(2.0, 2.0, RADEMACHER)
-        sigma = np.full(T + 1, np.sqrt(params.sigma_star_sq))
+        sigma = np.sqrt(params.sigma_star_sq)
+
+        def rows(t, z_prev, z):
+            return observable_row(z_prev, z, sigma)
+
         run_tap_amp(ensemble, 2.0, 2.0, n, T, seed=1, params=params,
-                    sigma=sigma)  # fills the sine kernel's per-size cache
+                    observe=rows)  # fills the sine kernel's per-size cache
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             run_tap_amp(ensemble, 2.0, 2.0, n, T, seed=1, params=params,
-                        sigma=sigma)
+                        observe=rows)
             return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -273,7 +269,8 @@ class TestRunTapAmp:
 
     def test_sk_small_run(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
-        result = run_tap_amp("sk", 0.8, 1.0, 256, 3, seed=5, params=params)
+        result = run_tap_amp("sk", 0.8, 1.0, 256, 3, seed=5, params=params,
+                             observe=keep_iterates)
         assert result.trace.T == 3
         assert np.all(np.abs(magnetization(result, 3)) < 1.0)
 
@@ -281,7 +278,7 @@ class TestRunTapAmp:
         law = SpectralLaw.marchenko_pastur(1.0)
         params = solve_q_star(0.6, 1.0, law)
         result = run_tap_amp("hopfield", 0.6, 1.0, 256, 3, seed=6,
-                             params=params)
+                             params=params, observe=keep_iterates)
         assert result.trace.T == 3
         assert np.all(np.abs(magnetization(result, 3)) < 1.0)
 

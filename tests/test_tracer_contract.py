@@ -15,6 +15,7 @@ import pytest
 
 from amplab.amp import gaussian_init, run_amp
 from amplab.ensembles import build_random_orthogonal
+from amplab.metrics import observable_row
 from amplab.state_evolution import Nonlinearity
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
@@ -49,12 +50,12 @@ def test_run_amp_counts_reads_the_haar_store():
 
 
 def test_run_amp_counts_on_a_streamed_trace():
-    # a run given sigma keeps z^T only: trace_bytes is one N-vector
+    # a run that observes rows keeps z^T only: trace_bytes is one N-vector
     n, T = 256, 4
     op = build_random_orthogonal(n, seed=3, max_directions=2 * T)
     trace = run_amp(op, [Nonlinearity(np.tanh, "tanh")] * T,
                     gaussian_init(n, 1.0, 3), T, "simple", seed=3,
-                    sigma=np.ones(T + 1))
+                    observe=lambda t, prev, z: observable_row(prev, z, 1.0))
     counts = load_tracer()._run_amp_counts((op,), {}, trace)
     assert counts["steps"] == T
     assert counts["haar_directions"] == 2 * T
