@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {self.seeds}")
         if self.mode not in ("simple", "projected", "tap"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.dump_trace and self.N > TRACE_DUMP_CAP:
@@ -436,6 +438,8 @@ def _cmd_check(args) -> int:
                                 mode="dense"))
     if merged["seed"] < 0:
         raise ValueError(f"seed must be nonnegative, got {merged['seed']}")
+    if merged["N"] < 2:
+        raise ValueError(f"N must be >= 2, got {merged['N']}")
     op = ensembles.operator_from_spec(
         merged["ensemble"], merged["N"], merged["seed"],
         max_directions=ensembles.check_haar_budget(merged["N"], merged["mode"]))

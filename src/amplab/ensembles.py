@@ -6,17 +6,20 @@ sigma_psi^2 of its conjugated core.  The builders cover:
 
 * signed sine      - S C S with C the odd discrete sine kernel
                      C_ij = 2 sin(2 pi i j / (2N+1)) / sqrt(2N+1),
-* signed Hadamard  - S H diag(lam) H S with H the orthonormal
-                     Hadamard-Walsh matrix and lam i.i.d. +/-1,
+* sign-permutation - S H P diag(lam) P^T H S with H the orthonormal
+                     Hadamard-Walsh matrix, P a uniform permutation and
+                     lam a supplied spectrum,
+* signed Hadamard  - its case with P = I and lam i.i.d. +/-1; both come
+                     from one builder, with one matvec,
 * random orthogonal- U diag(lam) U^T with U Haar, a uniform reflection
                      revealed lazily, so the full matrix is never sampled,
-* sign-permutation - D H P diag(lam) P^T H^T D for a supplied spectrum,
 * Wigner / Wishart couplings (dense), and their trace-centered resolvents
   (a dense inverse from one Cholesky factorization, applied as one gemv).
 
-The first three have spectrum {-1, +1} (they square to the identity), so
-they are built with ``involution=True`` and the TAP driver uses their
-centered resolvent in closed form, (J - (Tr J / N) I) / (lam^2 - 1).
+Signed sine, signed Hadamard and random orthogonal have spectrum {-1, +1}
+(they square to the identity): their law is the Rademacher one, and for
+that law the TAP driver uses the centered resolvent in closed form,
+(J - (Tr J / N) I) / (lam^2 - 1), of ``involution_resolvent``.
 ``ENSEMBLES`` maps each named coupling family to its builder and law.
 """
 
@@ -65,9 +68,6 @@ class MatrixOperator:
         ((Psi Psi^T)_ii); for raw couplings this is the limiting spectral
         second moment.
     label : str
-    seed : int or None
-        Seed the randomness was keyed on; runs are bit-reproducible given
-        (seed, dim, label).
     trace : float or None
         Exact trace when it is cheap to know (diagonal-sum formulas).
     dense : ndarray or None
@@ -75,8 +75,6 @@ class MatrixOperator:
         ``centered_resolvent``; ``dense_form`` and ``check_semi_random`` read it.
     coupling : MatrixOperator or None
         For resolvent and gauged operators, the underlying coupling J.
-    involution : bool
-        True when M^2 = I; the TAP driver then uses the closed-form resolvent.
     haar_basis : _LazyHaar or None
         A random-orthogonal operator's lazy store: its revealed orthonormal
         rows ``q`` and their ``cap``.
@@ -85,9 +83,8 @@ class MatrixOperator:
         so that a gauge field can be folded into it.
     """
 
-    def __init__(self, dim, apply, sigma_psi_sq, label, *, seed=None,
-                 trace=None, dense=None, coupling=None, involution=False,
-                 haar_basis=None, signs=None):
+    def __init__(self, dim, apply, sigma_psi_sq, label, *, trace=None,
+                 dense=None, coupling=None, haar_basis=None, signs=None):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
         if sigma_psi_sq <= 0:
@@ -95,11 +92,9 @@ class MatrixOperator:
         self.dim = int(dim)
         self.sigma_psi_sq = float(sigma_psi_sq)
         self.label = str(label)
-        self.seed = seed
         self.trace = trace
         self.dense = dense
         self.coupling = coupling
-        self.involution = bool(involution)
         self.haar_basis = haar_basis
         self.signs = signs
         self._apply = apply
@@ -113,7 +108,7 @@ class MatrixOperator:
         return self._apply(v, self.signs)
 
     def __repr__(self):
-        return f"MatrixOperator({self.label!r}, dim={self.dim}, seed={self.seed})"
+        return f"MatrixOperator({self.label!r}, dim={self.dim})"
 
 
 # ---------------------------------------------------------------------------
@@ -258,32 +253,39 @@ def build_signed_sine(n: int, seed: int) -> MatrixOperator:
         return out
 
     # Tr C, a quadratic Gauss sum, is 0 for L = 1 mod 4 (n even), else 1
-    return MatrixOperator(n, apply, 1.0, "signed-sine", seed=seed,
-                          trace=float(n % 2), involution=True, signs=signs)
+    return MatrixOperator(n, apply, 1.0, "signed-sine", trace=float(n % 2),
+                          signs=signs)
 
 
 def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
-    """M = S H diag(lam) H S, H the Hadamard-Walsh matrix, lam, s i.i.d. +/-1.
-
-    Matvec is two fast transforms and three diagonal scalings, made as the
-    transforms copy their chunks in and out, in one new array; M^2 = I.
-    """
-    if n & (n - 1):
-        raise ValueError(f"signed Hadamard needs a power-of-two size, got {n}")
-    signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
+    """M = S H diag(lam) H S, H the Hadamard-Walsh matrix, lam, s i.i.d. +/-1:
+    ``build_sign_perm``'s operator with a Rademacher spectrum from
+    ``"spectrum"`` and P = I; sigma_psi^2 = 1, M^2 = I."""
     lam = rademacher(substream(seed, "spectrum"), n).astype(np.int8)
+    return _signed_hadamard(n, seed, "signed-hadamard", lam, permute=False)
 
-    def apply(v, s):  # one scratch pair for both transforms
-        # the result before the pair: a pair carved from the hole a freed
-        # N-vector left would make malloc grow the heap for this one
+
+def _signed_hadamard(n, seed, label, lam, *, permute):
+    # S H P diag(lam) P^T H S, S from "signs" and, with ``permute``, P from
+    # "perm"; trace and sigma_psi^2 = mean(lam^2) summed in lam's order
+    if n & (n - 1):
+        raise ValueError(f"{label} needs a power-of-two size, got {n}")
+    signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
+    trace, sig2 = float(lam.sum()), float(np.mean(lam * lam))
+    if permute:  # P diag(lam) P^T is lam permuted: entry i is lam[inv[i]]
+        lam = lam[np.argsort(substream(seed, "perm").permutation(n))]
+
+    def apply(v, s):  # S in, lam at the first write-out, S at the last
+        # the result before the shared scratch pair: a pair carved from the
+        # hole a freed N-vector left would make malloc grow the heap for it.
+        # lam at the second copy-in gives the same bits, but a float64 lam
+        # read there made the matvec 4-8% slower at N = 2^16 on a 2-CPU Xeon
         out = np.empty(v.shape)
         scratch = np.empty((2, min(v.size, CHUNK)))
-        _fwht(v, out, s, scratch=scratch)
-        return _fwht(out, out, lam, s, scratch)
+        _fwht(v, out, s, lam, scratch)
+        return _fwht(out, out, d_out=s, scratch=scratch)
 
-    return MatrixOperator(n, apply, 1.0, "signed-hadamard", seed=seed,
-                          trace=float(lam.sum()), involution=True,
-                          signs=signs)
+    return MatrixOperator(n, apply, sig2, label, trace=trace, signs=signs)
 
 
 class _LazyHaar:
@@ -455,38 +457,26 @@ def build_random_orthogonal(n: int, seed: int, *,
             return basis.apply(v)
         return np.stack([basis.apply(col) for col in v.T], axis=1)
 
-    return MatrixOperator(n, apply, 1.0, "random-orthogonal", seed=seed,
-                          trace=trace, involution=True, haar_basis=basis)
+    return MatrixOperator(n, apply, 1.0, "random-orthogonal", trace=trace,
+                          haar_basis=basis)
 
 
 def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
-    """Sign-and-permutation invariant operator D H P diag(lam) P^T H^T D.
+    """Sign-and-permutation invariant operator S H P diag(lam) P^T H S.
 
-    H is the Hadamard-Walsh matrix, P a seeded uniform permutation, D a
+    H is the Hadamard-Walsh matrix, P a seeded uniform permutation, S a
     seeded sign diagonal; the spectrum is supplied by the caller (one
-    eigenvalue per matrix row).  sigma_psi^2 = mean(lam^2).
+    eigenvalue per matrix row).  sigma_psi^2 = mean(lam^2) and the trace
+    are summed in the order given, not the permuted one.
     """
-    if n & (n - 1):
-        raise ValueError(f"sign-perm with Hadamard base needs power-of-two size, got {n}")
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.shape != (n,):
         raise ValueError(f"spectrum has {lam.size} entries, expected {n}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("spectrum entries must be finite")
-    sig2 = float(np.mean(lam * lam))
-    if sig2 <= 0:
+    if not lam.any():
         raise ValueError("spectrum must not be identically zero")
-    signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
-    # P diag(lam) P^T is the diagonal of lam permuted: entry i is lam[inv[i]]
-    inv = np.argsort(substream(seed, "perm").permutation(n))
-    lam_p = lam[inv]
-
-    def apply(v, s):  # H, diag(lam_p) at the write-out; then H, D
-        w = _fwht(v, np.empty(v.shape), s, lam_p)
-        return _fwht(w, w, d_out=s)
-
-    return MatrixOperator(n, apply, sig2, "sign-perm", seed=seed,
-                          trace=float(lam.sum()), signs=signs)
+    return _signed_hadamard(n, seed, "sign-perm", lam, permute=True)
 
 
 def _mirror_upper(a: np.ndarray) -> None:
@@ -519,7 +509,7 @@ def build_wigner_coupling(n: int, seed: int) -> MatrixOperator:
     _mirror_upper(j)
     np.fill_diagonal(j, diag)
     j /= np.sqrt(n)
-    return MatrixOperator(n, lambda v: j @ v, 1.0, "wigner", seed=seed,
+    return MatrixOperator(n, lambda v: j @ v, 1.0, "wigner",
                           trace=float(np.trace(j)), dense=j)
 
 
@@ -540,7 +530,7 @@ def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
     trace = float(np.sum(x * x)) / scale
     j = x.T @ x
     j /= scale
-    return MatrixOperator(n, lambda v: j @ v, 1.0 + phi, "wishart", seed=seed,
+    return MatrixOperator(n, lambda v: j @ v, 1.0 + phi, "wishart",
                           trace=trace, dense=j)
 
 
@@ -659,17 +649,18 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     inverse[np.diag_indices(n)] -= np.trace(inverse) / n
 
     return MatrixOperator(n, lambda v: inverse @ v, sigma_psi_sq,
-                          f"{j_op.label}-resolvent", seed=j_op.seed,
-                          trace=0.0, dense=inverse, coupling=j_op)
+                          f"{j_op.label}-resolvent", trace=0.0, dense=inverse,
+                          coupling=j_op)
 
 
 def involution_resolvent(j_op: MatrixOperator, lam: float,
-                         sigma_psi_sq: float | None = None) -> MatrixOperator:
+                         sigma_psi_sq: float) -> MatrixOperator:
     """Centered resolvent of a coupling with J^2 = I, without any solve.
 
     For a two-point spectrum the resolvent is a linear polynomial in J:
     M(lam) = (J - (Tr J / N) I) / (lam^2 - 1).  Requires lam > 1 and the
-    exact trace to be known on the coupling.
+    exact trace to be known on the coupling.  ``sigma_psi_sq`` is supplied
+    by the caller, as for ``centered_resolvent``.
     """
     if lam <= 1.0:
         raise ValueError(f"lambda = {lam} must exceed the spectral edge 1")
@@ -677,8 +668,6 @@ def involution_resolvent(j_op: MatrixOperator, lam: float,
         raise ValueError(f"{j_op.label}: exact trace unknown")
     center = j_op.trace / j_op.dim
     denom = lam * lam - 1.0
-    if sigma_psi_sq is None:
-        sigma_psi_sq = resolvent_variance(SpectralLaw.rademacher(), lam)
 
     def apply(v):
         out = j_op.matvec(v)  # a new array: (J v - center v) / denom in place
@@ -688,8 +677,7 @@ def involution_resolvent(j_op: MatrixOperator, lam: float,
         return out
 
     return MatrixOperator(j_op.dim, apply, sigma_psi_sq,
-                          f"{j_op.label}-resolvent", seed=j_op.seed,
-                          trace=0.0, coupling=j_op)
+                          f"{j_op.label}-resolvent", trace=0.0, coupling=j_op)
 
 
 @dataclass(frozen=True)
@@ -742,6 +730,11 @@ def check_semi_random(op: MatrixOperator, mode: str = "dense", *,
                 f"dense diagnostics of {op.label} reveal all {n} Haar "
                 f"directions, above the lazy store's cap of "
                 f"{op.haar_basis.cap}; use probe mode (--mode probe)")
+        if op.dense is None and n > MATERIALIZATION_CAP:
+            raise ResourceError(
+                f"dense diagnostics of {op.label} materialize all {n} "
+                f"columns, above the cap of {MATERIALIZATION_CAP}; use probe "
+                f"mode (--mode probe)")
         m = dense_form(op)
         inf_norm = float(np.max(np.abs(m)))
         gram = m @ m.T

@@ -23,11 +23,13 @@ here follows the classical two-stage route:
    magnetization m^t = tanh(theta 1 + z^t) is from the fixed point.
 
 Ensembles are looked up by name in ``ensembles.ENSEMBLES``, which gives
-each coupling's builder and limiting spectral law.  Couplings built with
-``involution=True`` (signed sine, signed Hadamard, random orthogonal, and
-their gauge conjugates) use the linear-polynomial resolvent shortcut;
-dense SK and Hopfield couplings use the dense Cholesky-inverse resolvent
-of ``ensembles.centered_resolvent``.
+each coupling's builder and limiting spectral law.  The resolvent follows
+the law that q* was solved for: the Rademacher law (signed sine, signed
+Hadamard, random orthogonal, a sign-perm coupling with a +/-1 spectrum,
+and their gauge conjugates) takes the linear-polynomial shortcut of
+``ensembles.involution_resolvent``; any other law, as for the dense SK
+and Hopfield couplings, the dense Cholesky inverse of
+``ensembles.centered_resolvent``.
 """
 
 from __future__ import annotations
@@ -215,15 +217,14 @@ def resolvent_operator(coupling: MatrixOperator,
                        params: TapParameters) -> MatrixOperator:
     """Centered resolvent M(lambda*) for a built coupling.
 
-    Couplings built with ``involution=True`` (spectrum {-1, +1}) take the
-    linear-polynomial shortcut; anything else gets the dense inverse of
-    ``centered_resolvent``.
+    The choice follows ``params.law``, the law q* was solved for: under the
+    Rademacher law (spectrum {-1, +1}, J^2 = I) the coupling takes the
+    linear-polynomial shortcut of ``involution_resolvent``; under any other
+    it gets the dense inverse of ``centered_resolvent``.
     """
-    if coupling.involution:
-        return involution_resolvent(coupling, params.lambda_star,
-                                    params.sigma_psi_sq)
-    return centered_resolvent(coupling, params.lambda_star,
-                              params.sigma_psi_sq)
+    build = (involution_resolvent if params.law.kind == "rademacher"
+             else centered_resolvent)
+    return build(coupling, params.lambda_star, params.sigma_psi_sq)
 
 
 @dataclass
@@ -285,8 +286,9 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
 
     Conjugation by a sign diagonal is exact in floating point, so the
     iterate identity z^t(J, h) = diag(h) z^t(Jbar, 1) holds entrywise.
-    Jbar keeps the spectrum, the trace and the ``involution`` flag of J.
-    For J = S K S (J has ``signs``) it is (h S) K (h S), at J's cost.
+    Jbar keeps the spectrum and the trace of J, so under the same law it
+    takes the same resolvent.  For J = S K S (J has ``signs``) it is
+    (h S) K (h S), at J's cost.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (j_op.dim,):
@@ -302,8 +304,7 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
     trace = j_op.trace  # diag(h) J diag(h) has the same diagonal
     return MatrixOperator(j_op.dim, apply if signs is None else j_op._apply,
                           j_op.sigma_psi_sq, f"{j_op.label}-gauged",
-                          seed=j_op.seed, trace=trace, coupling=j_op,
-                          involution=j_op.involution, signs=signs)
+                          trace=trace, coupling=j_op, signs=signs)
 
 
 def run_field_iteration(coupling: MatrixOperator, h: np.ndarray,

@@ -73,6 +73,14 @@ class TestParsing:
             ExperimentConfig("signed-sine", N=8192, T=3, seeds=(1, 2),
                              dump_trace=True)
 
+    def test_negative_seed_from_a_library_caller_named(self):
+        # the CLI's parse_seeds refuses these first; a library caller
+        # reaches ExperimentConfig directly
+        with pytest.raises(ValueError, match=r"^seeds must be nonnegative, "
+                                             r"got \(2, -1\)$"):
+            ExperimentConfig("signed-sine", N=64, T=2, seeds=(2, -1),
+                             mode="simple")
+
 
 def read_rows(path):
     """(header, data rows) of a CSV written by the CLI, comments skipped."""
@@ -455,6 +463,22 @@ class TestMainEntry:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ResourceError"
         assert "--mode probe" in record["message"]
+
+    def test_check_ensemble_dense_above_the_cap_refused_up_front(self,
+                                                                capsys):
+        rc = main(["check-ensemble", "--ensemble", "signed-sine",
+                   "--N", "9000", "--mode", "dense"])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ResourceError"
+        assert "--mode probe" in record["message"]
+
+    @pytest.mark.parametrize("n", ["-4", "1"])
+    def test_check_ensemble_size_named_in_the_error_record(self, capsys, n):
+        assert main(["check-ensemble", "--N", n]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError",
+                          "message": f"N must be >= 2, got {n}"}
 
     def test_check_ensemble_probe_haar_store_sized_to_the_check(
             self, monkeypatch, capsys):

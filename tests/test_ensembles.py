@@ -636,9 +636,12 @@ class TestSignPerm:
         np.testing.assert_allclose(op.matvec(op.matvec(v)), v, atol=1e-10)
 
     def test_trace_matches_spectrum_sum(self):
+        # both sums run in the order given: in the permuted order they
+        # differ in the last bits here
         lam = np.linspace(-1, 1, 128)
         op = build_sign_perm(128, seed=2, eigenvalues=lam)
-        assert op.trace == pytest.approx(lam.sum(), abs=1e-12)
+        assert op.trace == float(lam.sum())
+        assert op.sigma_psi_sq == float(np.mean(lam * lam))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="spectrum"):
@@ -870,9 +873,9 @@ class TestCenteredResolvent:
         # dense inverse agrees with the shortcut to rounding
         j = build_signed_sine(256, seed=8)
         lam = 2.0
-        m = centered_resolvent(j, lam, resolvent_variance(
-            SpectralLaw.rademacher(), lam))
-        shortcut = involution_resolvent(j, lam)
+        sig = resolvent_variance(SpectralLaw.rademacher(), lam)
+        m = centered_resolvent(j, lam, sig)
+        shortcut = involution_resolvent(j, lam, sig)
         for v in random_vectors(256, 3, seed=25):
             diff = np.linalg.norm(m.matvec(v) - shortcut.matvec(v))
             assert diff <= 1e-8 * np.linalg.norm(v)
@@ -896,7 +899,7 @@ class TestInvolutionResolvent:
     def test_requires_known_trace(self):
         op = MatrixOperator(64, lambda v: v, 1.0, "anon")
         with pytest.raises(ValueError, match="trace"):
-            involution_resolvent(op, 2.0)
+            involution_resolvent(op, 2.0, 1.0)
 
 
 class TestCheckSemiRandom:
@@ -1078,7 +1081,8 @@ class TestMatrixInput:
         pytest.param(lambda: build_sign_perm(64, 34, np.linspace(-1, 2, 64)),
                      1e-12, id="sign-perm"),
         pytest.param(lambda: involution_resolvent(
-            build_signed_sine(64, 34), 2.0), 1e-12, id="involution-resolvent"),
+            build_signed_sine(64, 34), 2.0, 1.0), 1e-12,
+            id="involution-resolvent"),
         pytest.param(lambda: operator_from_spec(
             "wigner-resolvent:lambda=2.5", 64, 35), 1e-8, id="wigner-resolvent"),
         pytest.param(lambda: centered_resolvent(

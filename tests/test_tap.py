@@ -8,7 +8,7 @@ from amplab.amp import keep_iterates
 from amplab.cli import _build_parser
 from amplab import tap
 from amplab.ensembles import (ENSEMBLES, MatrixOperator, build_sign_perm,
-                              dense_form, fwht)
+                              dense_form, fwht, involution_resolvent)
 from amplab.errors import ConvergenceError
 from amplab.hermite import gaussian_expectation
 from amplab.metrics import observable_row
@@ -181,8 +181,7 @@ class TestRunTapAmp:
                 return j.matvec(v)
 
             return MatrixOperator(j.dim, apply, j.sigma_psi_sq, j.label,
-                                  seed=j.seed, trace=j.trace,
-                                  involution=j.involution)
+                                  trace=j.trace)
 
         monkeypatch.setattr(tap, "build_coupling", counting_build)
         result = run_tap_amp("signed-sine", 2.0, 2.0, 256, 6, seed=1)
@@ -258,6 +257,19 @@ class TestRunTapAmp:
                                   params.sigma_psi_sq)
         v = substream(3, "test").standard_normal(1024)
         np.testing.assert_allclose(fast.matvec(v), slow.matvec(v), atol=1e-8)
+
+    def test_resolvent_follows_the_law_not_the_builder(self):
+        # a sign-perm coupling with a +/-1 spectrum under the Rademacher
+        # law takes the closed form, as the named involutions do
+        params = solve_q_star(2.0, 2.0, RADEMACHER)
+        lam = np.where(substream(5, "spectrum").random(256) < 0.4, 1.0, -1.0)
+        coupling = build_sign_perm(256, 6, lam)
+        fast = resolvent_operator(coupling, params)
+        want = involution_resolvent(coupling, params.lambda_star,
+                                    params.sigma_psi_sq)
+        assert fast.dense is None
+        v = substream(7, "v").standard_normal(256)
+        assert np.array_equal(fast.matvec(v), want.matvec(v))
 
     def test_sigma_psi_consistency_hutchinson(self):
         # (1/N) Tr M(lambda*)^2 within 5% of the solved constant
