@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericError, ResourceError
-from .rng import rademacher, substream
+from .rng import CHUNK, rademacher, substream
 from .spectral import SpectralLaw, resolvent_variance
 
 # Dense reconstruction / factorization cap (see dense_form and the coupling
@@ -40,9 +40,6 @@ from .spectral import SpectralLaw, resolvent_variance
 MATERIALIZATION_CAP = 8192
 
 HAAR_CAP = 512  # Haar directions a dense check may reveal (dim <= HAAR_CAP)
-
-# entries per chunked pass: 512 KB, no slower than 128 KB to 1 MB at 2^20
-CHUNK = 1 << 16
 
 # H_16 = ((-1)^popcount(i & j)), read-only; built in Python, as numpy's
 # popcount loop would add 0.3 MB of resident code to every process
@@ -53,6 +50,10 @@ _H16.flags.writeable = False
 # Columns of I per matvec in dense_form.  A signed-sine block's complex
 # work array and result come to 5 blocks: 0.16 N x N at N = 1024.
 DENSE_BLOCK = 32
+
+# Columns of -J per copy into centered_resolvent's Fortran-ordered buffer:
+# the stripe's rows of J and its columns of the buffer stay in cache
+STRIPE = 64
 
 
 class MatrixOperator:
@@ -243,9 +244,16 @@ def scale_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
 # builders
 # ---------------------------------------------------------------------------
 
+def _check_size(n):
+    # before any draw: numpy's own refusal would not name N
+    if n < 2:
+        raise ValueError(f"N must be >= 2, got {n}")
+
+
 def build_signed_sine(n: int, seed: int) -> MatrixOperator:
     """M = S C S with i.i.d. +/-1 diagonal S; sigma_psi^2 = 1, M^2 = I."""
-    signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
+    _check_size(n)
+    signs = rademacher(substream(seed, "signs"), n, np.int8)
 
     def apply(v, s):
         out = dst_matvec(v, s)
@@ -261,7 +269,8 @@ def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
     """M = S H diag(lam) H S, H the Hadamard-Walsh matrix, lam, s i.i.d. +/-1:
     ``build_sign_perm``'s operator with a Rademacher spectrum from
     ``"spectrum"`` and P = I; sigma_psi^2 = 1, M^2 = I."""
-    lam = rademacher(substream(seed, "spectrum"), n).astype(np.int8)
+    _check_size(n)
+    lam = rademacher(substream(seed, "spectrum"), n, np.int8)
     return _signed_hadamard(n, seed, "signed-hadamard", lam, permute=False)
 
 
@@ -270,7 +279,7 @@ def _signed_hadamard(n, seed, label, lam, *, permute):
     # "perm"; trace and sigma_psi^2 = mean(lam^2) summed in lam's order
     if n & (n - 1):
         raise ValueError(f"{label} needs a power-of-two size, got {n}")
-    signs = rademacher(substream(seed, "signs"), n).astype(np.int8)
+    signs = rademacher(substream(seed, "signs"), n, np.int8)
     trace, sig2 = float(lam.sum()), float(np.mean(lam * lam))
     if permute:  # P diag(lam) P^T is lam permuted: entry i is lam[inv[i]]
         lam = lam[np.argsort(substream(seed, "perm").permutation(n))]
@@ -444,9 +453,12 @@ def build_random_orthogonal(n: int, seed: int, *,
     query and its Gaussian draw are projected together, in the free store
     rows after the basis, in three cache-blocked passes over it.
     """
+    _check_size(n)
     if max_directions is None:
         raise ValueError("random-orthogonal needs max_directions, its Haar "
                          "budget: T matvecs reveal up to min(2T, N) directions")
+    # only the sum is kept; an int8 draw here left a 2^18 process's peak
+    # RSS 0.2 MB higher than this float64 one (glibc's heap layout)
     trace = float(rademacher(substream(seed, "spectrum"), n).sum())
     basis = _LazyHaar(n, substream(seed, "haar"), max_directions,
                       int(n + trace) // 2)
@@ -469,6 +481,7 @@ def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
     eigenvalue per matrix row).  sigma_psi^2 = mean(lam^2) and the trace
     are summed in the order given, not the permuted one.
     """
+    _check_size(n)
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.shape != (n,):
         raise ValueError(f"spectrum has {lam.size} entries, expected {n}")
@@ -488,6 +501,7 @@ def _mirror_upper(a: np.ndarray) -> None:
 
 
 def _check_cap(n):
+    _check_size(n)
     if n > MATERIALIZATION_CAP:
         raise ValueError(
             f"dense coupling of size {n} exceeds cap {MATERIALIZATION_CAP}")
@@ -498,9 +512,9 @@ def build_wigner_coupling(n: int, seed: int) -> MatrixOperator:
 
     Entries are +/-1 off the diagonal and +/-sqrt(2) on it.  The limiting
     spectrum is the semicircle on [-2, 2] and the stored sigma_psi_sq is
-    its second moment, 1.  J is the draw's own N x N buffer, its upper
-    triangle mirrored below the diagonal; the draw briefly holds its
-    N x N integers as well.
+    its second moment, 1.  J is the draw's own N x N buffer, written
+    straight from the integers a chunk at a time (see ``rademacher``), its
+    upper triangle mirrored below the diagonal.
     """
     _check_cap(n)
     rng = substream(seed, "wigner", "rademacher")  # the label keys every SK draw
@@ -516,20 +530,31 @@ def build_wigner_coupling(n: int, seed: int) -> MatrixOperator:
 def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
     """PSD coupling J = X^T X / sqrt(M N), M = round(phi N), X of +/-1 entries.
 
-    J, scaled in place, is its ``dense`` form and the one N x N array it
-    keeps (X is dropped once J and the trace are formed); the matvec is
-    J v.  sigma_psi_sq stores the limiting spectral second moment 1 + phi.
+    X is drawn in float32 and G = X^T X formed in float32: every entry of
+    G and every partial sum is an integer of size at most M, exact up to
+    2^24, so M > 2^24 is refused, as is M = 0.  X is dropped before J = G / sqrt(M N)
+    is written in float64, the bits of the float64 recipe; J is the
+    ``dense`` form and the one N x N array the operator keeps, and the
+    matvec is J v.  The trace, sum(X_ij^2) / sqrt(M N), is M N / sqrt(M N).
+    sigma_psi_sq stores the limiting spectral second moment 1 + phi.
     """
     _check_cap(n)
     if phi <= 0:
         raise ValueError(f"phi must be positive, got {phi}")
     m = int(round(phi * n))
+    if not 1 <= m <= 1 << 24:
+        raise ValueError(f"phi = {phi} gives M = {m} rows of X at N = {n}; "
+                         f"it needs 1 to 2^24, where X^T X is exact in "
+                         f"float32")
     # the "rademacher" label keys every Hopfield draw
-    x = rademacher(substream(seed, "wishart", "rademacher"), m * n).reshape(m, n)
+    x = rademacher(substream(seed, "wishart", "rademacher"), m * n,
+                   np.float32).reshape(m, n)
+    gram = x.T @ x
+    del x
     scale = np.sqrt(m * n)
-    trace = float(np.sum(x * x)) / scale
-    j = x.T @ x
-    j /= scale
+    j = np.divide(gram, scale, dtype=np.float64)
+    del gram
+    trace = float(m * n) / scale
     return MatrixOperator(n, lambda v: j @ v, 1.0 + phi, "wishart",
                           trace=trace, dense=j)
 
@@ -623,21 +648,32 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     """M(lam) = (lam I - J)^{-1} - (Tr (lam I - J)^{-1} / N) I as an operator.
 
     The one N x N buffer held beyond J is Fortran-ordered: it takes
-    lam I - J, whose Cholesky factorization, made in place, proves lam is
-    above the spectrum of J (a failed one raises ValueError); LAPACK then
-    inverts it in place too, and it becomes the operator's ``dense``.  Its
-    diagonal gives the centering constant, and each matvec is one dense
-    product.  A coupling without a ``dense`` form is materialized from
-    matvecs (see ``dense_form``).  ``sigma_psi_sq`` is supplied by the
-    caller (closed form or algebraic identity for the law at hand).
+    lam I - J, copied in column stripes of STRIPE, each checked for
+    entries that are not finite (refused with ValueError) before the next
+    is copied.  Its Cholesky factorization, made in place, reads the lower
+    triangle and proves lam is above the spectrum of J (a failed one
+    raises ValueError); LAPACK then inverts it in place too, and it
+    becomes the operator's ``dense``.  Its diagonal gives the centering
+    constant, and each matvec is one dense product.  A coupling without a
+    ``dense`` form is materialized from matvecs (see ``dense_form``).
+    ``sigma_psi_sq`` is supplied by the caller (closed form or algebraic
+    identity for the law at hand).
     """
     # here, not at module level: `amplab se` never loads scipy.linalg
     from scipy.linalg import LinAlgError, cho_factor, lapack
     n = j_op.dim
-    shifted = np.negative(dense_form(j_op), out=np.empty((n, n), order="F"))
-    shifted[np.diag_indices(n)] += lam
+    coupling, shifted = dense_form(j_op), np.empty((n, n), order="F")
+    for i in range(0, n, STRIPE):
+        stripe = np.negative(coupling[:, i:i + STRIPE],
+                             out=shifted[:, i:i + STRIPE])
+        k = np.arange(stripe.shape[1])
+        stripe[i + k, k] += lam
+        if not np.isfinite(stripe).all():
+            raise ValueError(f"lam I - J has entries that are not finite "
+                             f"(lambda = {lam}, {j_op.label})")
     try:
-        factor, _ = cho_factor(shifted, lower=True, overwrite_a=True)
+        factor, _ = cho_factor(shifted, lower=True, overwrite_a=True,
+                               check_finite=False)
     except LinAlgError:
         raise ValueError(f"lambda = {lam} is not above the spectrum of "
                          f"{j_op.label}: lam I - J is not positive definite")

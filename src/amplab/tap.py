@@ -43,6 +43,7 @@ from .ensembles import (ENSEMBLES, Ensemble, MatrixOperator,
                         centered_resolvent, involution_resolvent, scale_rows)
 from .errors import ConvergenceError
 from .hermite import gaussian_expectation
+from .rng import substream
 from .spectral import (SpectralLaw, inverse_cauchy, r_transform,
                        resolvent_variance, sup_cauchy)
 from .state_evolution import Nonlinearity
@@ -220,11 +221,24 @@ def resolvent_operator(coupling: MatrixOperator,
     The choice follows ``params.law``, the law q* was solved for: under the
     Rademacher law (spectrum {-1, +1}, J^2 = I) the coupling takes the
     linear-polynomial shortcut of ``involution_resolvent``; under any other
-    it gets the dense inverse of ``centered_resolvent``.
+    it gets the dense inverse of ``centered_resolvent``.  Under the
+    Rademacher law a coupling with a ``dense`` form is probed first, at
+    the cost of two N^2 products: J (J v) must give back one seeded
+    Gaussian v, else ValueError.  A matvec-only coupling is trusted to be
+    the involution the law describes.
     """
-    build = (involution_resolvent if params.law.kind == "rademacher"
-             else centered_resolvent)
-    return build(coupling, params.lambda_star, params.sigma_psi_sq)
+    lam, sig2 = params.lambda_star, params.sigma_psi_sq
+    if params.law.kind != "rademacher":
+        return centered_resolvent(coupling, lam, sig2)
+    if coupling.dense is not None:
+        v = substream(0, "involution-probe").standard_normal(coupling.dim)
+        miss = np.linalg.norm(coupling.matvec(coupling.matvec(v)) - v)
+        if not miss <= 1e-8 * np.linalg.norm(v):
+            raise ValueError(
+                f"{coupling.label} is not an involution (J^2 v != v), so the "
+                f"{params.law.kind} law's closed-form resolvent does not "
+                f"apply to it")
+    return involution_resolvent(coupling, lam, sig2)
 
 
 @dataclass

@@ -287,11 +287,36 @@ class TestSignedSine:
         assert_linear_symmetric(build_signed_sine(128, seed=4))
 
 
+class TestRademacher:
+    @pytest.mark.parametrize("dtype", [np.int8, np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, ensembles.CHUNK - 1, ensembles.CHUNK,
+                                   ensembles.CHUNK + 1,
+                                   3 * ensembles.CHUNK + 5])
+    def test_equals_the_float64_recipe_and_keeps_the_stream(self, n, dtype):
+        got_rng, want_rng = substream(3, "r"), substream(3, "r")
+        got = rademacher(got_rng, n, dtype)
+        want = 2.0 * want_rng.integers(0, 2, size=n).astype(np.float64) - 1.0
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        # the next draws, one of them from Philox's half-used 64-bit word
+        assert np.array_equal(got_rng.integers(0, 2, size=7),
+                              want_rng.integers(0, 2, size=7))
+        assert got_rng.standard_normal() == want_rng.standard_normal()
+
+
 class TestSignedHadamard:
     def test_involution(self):
         op = build_signed_hadamard(1024, seed=1)
         v = np.random.default_rng(10).standard_normal(1024)
         np.testing.assert_allclose(op.matvec(op.matvec(v)), v, atol=1e-10)
+
+    def test_build_peaks_at_its_int8_spectrum_and_signs(self):
+        # the two int8 vectors and one chunk of drawn integers; 2.13
+        # N-vectors when each draw made int64 and float64 N-vectors
+        n = 2 ** 16
+        build_signed_hadamard(n, seed=3)
+        _, peak = traced_peak(lambda: build_signed_hadamard(n, seed=3))
+        assert peak <= 1.3 * n * 8
 
     def test_symmetry(self):
         op = build_signed_hadamard(256, seed=2)
@@ -732,6 +757,29 @@ class TestWishartCoupling:
         op = build_wishart_coupling(200, 1.5, seed=4)
         assert op.trace == pytest.approx(np.sqrt(300 * 200), abs=1e-12)
 
+    @pytest.mark.parametrize("n,phi", [(256, 1.0), (300, 2.0), (512, 0.5),
+                                       (777, 1.37)])
+    def test_bit_identical_to_the_float64_recipe(self, n, phi):
+        m = int(round(phi * n))
+        rng = substream(9, "wishart", "rademacher")
+        x = (2.0 * rng.integers(0, 2, size=m * n).astype(np.float64)
+             - 1.0).reshape(m, n)
+        scale = np.sqrt(m * n)
+        want_trace = float(np.sum(x * x)) / scale
+        want = x.T @ x
+        want /= scale
+        op = build_wishart_coupling(n, phi, seed=9)
+        assert np.array_equal(op.dense, want)
+        assert op.trace == want_trace
+        assert np.array_equal(op.dense, op.dense.T)
+
+    @pytest.mark.parametrize("n,phi", [(2, 2.0 ** 23 + 1), (256, 0.001)])
+    def test_row_count_out_of_range_refused(self, n, phi):
+        # M = 2^24 + 2 rows, beyond float32's exact integers, refused before
+        # X is drawn; M = 0 rows made J and its trace NaN
+        with pytest.raises(ValueError, match="phi"):
+            build_wishart_coupling(n, phi, seed=1)
+
 
 class TestConjugateGradient:
     def test_solves_dense_spd(self):
@@ -840,6 +888,18 @@ class TestCenteredResolvent:
         with pytest.raises(ValueError, match="spectrum"):
             centered_resolvent(j, 1.0, 1.0)
         assert np.array_equal(j.dense, before)
+
+    @pytest.mark.parametrize("row,col", [(40, 3), (3, 40), (0, 0)])
+    def test_nan_in_the_coupling_refused(self, row, col):
+        # in either triangle of J: the factorization reads only the lower
+        j = build_wigner_coupling(64, seed=6)
+        j.dense[row, col] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            centered_resolvent(j, 2.5, 1.0)
+
+    def test_infinite_lambda_refused(self):
+        with pytest.raises(ValueError, match="not finite"):
+            centered_resolvent(build_wigner_coupling(64, seed=6), np.inf, 1.0)
 
     def test_lambda_inside_spectrum_rejected(self):
         j = build_wigner_coupling(256, seed=6)
@@ -973,9 +1033,11 @@ class TestDenseWorkingMemory:
         assert peak <= 1.2 * self.SQUARE
 
     def test_wigner_build_holds_the_draw_only(self):
-        # the +/-1 draw's integers and floats; J is built in the floats
+        # J, written from the draw's int32 integers a chunk at a time,
+        # peaks at 1.14; drawing all N^2 integers at once took 2.0
+        build_wigner_coupling(self.N, seed=13)
         _, peak = traced_peak(lambda: build_wigner_coupling(self.N, seed=13))
-        assert peak <= 2.05 * self.SQUARE
+        assert peak <= 1.3 * self.SQUARE
 
     def test_dense_check_holds_one_gram(self):
         j = build_wigner_coupling(self.N, seed=13)
@@ -983,18 +1045,21 @@ class TestDenseWorkingMemory:
         assert peak <= 1.2 * self.SQUARE
 
     def test_wishart_coupling_keeps_j_only(self):
-        # X is dropped once J = X^T X / sqrt(M N) and its trace are formed;
-        # J is scaled in place, so the build holds two N x N arrays at most
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            op = build_wishart_coupling(self.N, 1.0, seed=13)
-            held, peak = np.subtract(tracemalloc.get_traced_memory(), start)
-        finally:
-            tracemalloc.stop()
-        assert held <= 1.05 * self.SQUARE
-        assert peak <= 2.05 * self.SQUARE
-        assert op.dense.flags.owndata
+        # float32 X and G = X^T X, then X dropped before the float64 J:
+        # 1.53 at phi = 1 and 2, where a float64 X peaked at 2.0 and 4.0
+        for phi in (1.0, 2.0):
+            build_wishart_coupling(self.N, phi, seed=13)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                op = build_wishart_coupling(self.N, phi, seed=13)
+                held, peak = np.subtract(tracemalloc.get_traced_memory(),
+                                         start)
+            finally:
+                tracemalloc.stop()
+            assert held <= 1.05 * self.SQUARE, phi
+            assert peak <= 1.6 * self.SQUARE, phi
+            assert op.dense.flags.owndata
 
     def test_dense_form_works_in_column_blocks(self):
         # one N x N result plus one block's FFT work arrays, not the
@@ -1048,6 +1113,27 @@ class TestOperatorSpecs:
 
 
 class TestBuilderInvariants:
+    @pytest.mark.parametrize("build", [
+        lambda n: operator_from_spec("signed-sine", n, 1, max_directions=4),
+        lambda n: operator_from_spec("signed-hadamard", n, 1,
+                                     max_directions=4),
+        lambda n: operator_from_spec("random-orthogonal", n, 1,
+                                     max_directions=4),
+        lambda n: build_sign_perm(n, 1, np.ones(max(n, 0))),
+        lambda n: build_wigner_coupling(n, 1),
+        lambda n: build_wishart_coupling(n, 1.0, 1),
+    ], ids=["signed-sine", "signed-hadamard", "random-orthogonal",
+            "sign-perm", "wigner", "wishart"])
+    @pytest.mark.parametrize("n", [-4, 1])
+    def test_size_below_two_named_before_any_draw(self, build, n,
+                                                  monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew before N was checked")
+
+        monkeypatch.setattr(ensembles, "rademacher", draw)
+        with pytest.raises(ValueError, match=f"N must be >= 2, got {n}"):
+            build(n)
+
     @pytest.mark.parametrize("name,build", [
         ("signed-sine", lambda: build_signed_sine(128, seed=31)),
         ("signed-hadamard", lambda: build_signed_hadamard(128, seed=31)),

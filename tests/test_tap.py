@@ -271,6 +271,17 @@ class TestRunTapAmp:
         v = substream(7, "v").standard_normal(256)
         assert np.array_equal(fast.matvec(v), want.matvec(v))
 
+    def test_rademacher_law_probes_a_dense_coupling(self):
+        params = solve_q_star(2.0, 2.0, RADEMACHER)
+        with pytest.raises(ValueError, match="rademacher law"):
+            resolvent_operator(build_coupling("sk", 256, 1), params)
+        # a dense involution passes the probe and takes the closed form
+        hadamard = build_coupling("signed-hadamard", 256, 1)
+        m = dense_form(hadamard)
+        coupling = MatrixOperator(256, lambda v: m @ v, 1.0, "dense-hadamard",
+                                  trace=hadamard.trace, dense=m)
+        assert resolvent_operator(coupling, params).dense is None
+
     def test_sigma_psi_consistency_hutchinson(self):
         # (1/N) Tr M(lambda*)^2 within 5% of the solved constant
         params = solve_q_star(2.0, 2.0, RADEMACHER)
