@@ -25,8 +25,13 @@ that law the TAP driver uses the centered resolvent in closed form,
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from importlib.util import find_spec, module_from_spec
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -539,8 +544,8 @@ def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
     sigma_psi_sq stores the limiting spectral second moment 1 + phi.
     """
     _check_cap(n)
-    if phi <= 0:
-        raise ValueError(f"phi must be positive, got {phi}")
+    if not 0 < phi < np.inf:
+        raise ValueError(f"phi must be positive and finite, got {phi}")
     m = int(round(phi * n))
     if not 1 <= m <= 1 << 24:
         raise ValueError(f"phi = {phi} gives M = {m} rows of X at N = {n}; "
@@ -643,6 +648,24 @@ def dense_form(op: MatrixOperator) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _flapack():
+    # scipy's LAPACK extension from its file, outside sys.modules: no scipy
+    # package __init__ runs, and a later `import scipy.linalg` takes the
+    # same wrappers from the interpreter's cache of loaded extensions
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    linalg = os.path.join(find_spec("scipy").submodule_search_locations[0],
+                          "linalg")
+    spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                      ).find_spec(name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
 def centered_resolvent(j_op: MatrixOperator, lam: float,
                        sigma_psi_sq: float) -> MatrixOperator:
     """M(lam) = (lam I - J)^{-1} - (Tr (lam I - J)^{-1} / N) I as an operator.
@@ -658,9 +681,14 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     ``dense`` form is materialized from matvecs (see ``dense_form``).
     ``sigma_psi_sq`` is supplied by the caller (closed form or algebraic
     identity for the law at hand).
+
+    dpotrf and dpotri are the wrappers of scipy's f2py extension
+    ``scipy.linalg._flapack``, which ``scipy.linalg.lapack`` exports;
+    dpotrf is called as ``cho_factor`` calls it.  The extension is loaded
+    from its file on first use, as ``import scipy.linalg`` would cost a
+    cold process about 0.25 s and 27 MB of resident memory, mostly for
+    scipy's array-API layer; the file alone takes about 5 ms and 3 MB.
     """
-    # here, not at module level: `amplab se` never loads scipy.linalg
-    from scipy.linalg import LinAlgError, cho_factor, lapack
     n = j_op.dim
     coupling, shifted = dense_form(j_op), np.empty((n, n), order="F")
     for i in range(0, n, STRIPE):
@@ -671,10 +699,10 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
         if not np.isfinite(stripe).all():
             raise ValueError(f"lam I - J has entries that are not finite "
                              f"(lambda = {lam}, {j_op.label})")
-    try:
-        factor, _ = cho_factor(shifted, lower=True, overwrite_a=True,
-                               check_finite=False)
-    except LinAlgError:
+    lapack = _flapack()
+    factor, info = lapack.dpotrf(shifted, lower=True, overwrite_a=True,
+                                  clean=False)
+    if info > 0:
         raise ValueError(f"lambda = {lam} is not above the spectrum of "
                          f"{j_op.label}: lam I - J is not positive definite")
     inverse, info = lapack.dpotri(factor, lower=True, overwrite_c=True)

@@ -66,8 +66,8 @@ class SpectralLaw:
         right edge is sqrt(phi) + 1/sqrt(phi) + 2; for phi < 1 the law has
         an atom of mass 1 - phi at 0.
         """
-        if phi <= 0:
-            raise ValueError(f"phi must be positive, got {phi}")
+        if not 0 < phi < np.inf:
+            raise ValueError(f"phi must be positive and finite, got {phi}")
         edge = np.sqrt(phi) + 1.0 / np.sqrt(phi) + 2.0
         return SpectralLaw("marchenko_pastur", float(edge), phi=float(phi))
 

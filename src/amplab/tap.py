@@ -115,7 +115,8 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
     temperature; the returned parameters describe the fixed point actually
     reached from the standard start.
 
-    beta must be positive, and the equation needs y = beta (1 - q) < sup G.
+    beta must be positive and finite, theta nonnegative and finite, and
+    the equation needs y = beta (1 - q) < sup G.
     The standard start (q = 0.5, or 0.01 without a field) is kept where it
     meets that, else the iteration starts halfway into the set; iterates
     are clamped to it (within ``EDGE_MARGIN``), and one pinned at its lower
@@ -125,11 +126,11 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
     reaches 1e-12 for tanh^2 at the large input scales of low temperature,
     where no Gauss rule of admissible order can.
     """
-    if not beta > 0:
+    if not 0 < beta < np.inf:
         raise ValueError(f"beta = {beta}: the inverse temperature must be "
-                         f"positive")
-    if theta < 0:
-        raise ValueError(f"theta = {theta} must be nonnegative")
+                         f"positive and finite")
+    if not 0 <= theta < np.inf:
+        raise ValueError(f"theta = {theta} must be nonnegative and finite")
 
     def sigma_sq_of(q):
         if q == 0.0:

@@ -9,6 +9,7 @@ import pytest
 
 from amplab.cli import (ExperimentConfig, _fmt, load_config_file, main,
                         parse_seeds, run_experiment)
+from amplab.ensembles import build_wishart_coupling
 
 
 # `amplab se` outputs that must stay byte-identical
@@ -598,7 +599,28 @@ class TestMainEntry:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ValueError", "message":
                           f"beta = {float(beta)}: the inverse temperature "
-                          f"must be positive"}
+                          f"must be positive and finite"}
+
+    @pytest.mark.parametrize("call, message", [
+        (["--phi", "nan"], "phi must be positive and finite, got nan"),
+        (["--phi", "inf"], "phi must be positive and finite, got inf"),
+        (["--theta", "nan"], "theta = nan must be nonnegative and finite"),
+        (["--beta", "inf"], "beta = inf: the inverse temperature must be "
+                            "positive and finite"),
+        (lambda: build_wishart_coupling(64, float("nan"), 1),
+         "phi must be positive and finite, got nan"),
+    ], ids=["phi-nan", "phi-inf", "theta-nan", "beta-inf", "wishart-phi-nan"])
+    def test_non_finite_tap_parameter_named_up_front(self, capsys, call,
+                                                     message):
+        if callable(call):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+            return
+        assert main(["tap", "--ensemble", "hopfield", "--N", "64", "--T", "2",
+                     "--seeds", "1", *call]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError", "message": message}
 
     @pytest.mark.parametrize("seeds", ["1..a", "1,x"])
     def test_malformed_seeds_named_in_the_error_record(self, capsys, seeds):
@@ -693,9 +715,9 @@ class TestMainEntry:
         assert "zero variance" in record["message"]
 
     def test_import_loads_neither_fft_nor_special(self, tmp_path):
-        # `amplab se` only imports amplab.cli; the dense Cholesky resolvent
-        # loads its scipy module on first use, and `se`, the sine and
-        # Hadamard TAP runs and the sine and orthogonal runs load none
+        # `amplab se` only imports amplab.cli, and no command loads a scipy
+        # module: the dense Cholesky resolvent of the sk and hopfield runs
+        # loads scipy's LAPACK extension from its file, outside sys.modules
         proc = subprocess.run(
             [sys.executable, "-c",
              "import amplab.cli, sys; print(sorted({'scipy.fft', "
@@ -707,6 +729,8 @@ class TestMainEntry:
                      ["se", "--preset", "plain"],
                      ["tap", "--ensemble", "signed-hadamard"],
                      ["tap", "--ensemble", "signed-sine"],
+                     ["tap", "--ensemble", "hopfield"],
+                     ["tap", "--ensemble", "sk"],
                      ["run", "--ensemble", "random-orthogonal"],
                      ["run", "--ensemble", "signed-sine"]):
             argv += ["--T", "2", "--out", str(tmp_path / "out.csv")]
@@ -722,28 +746,43 @@ class TestMainEntry:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "[]", argv
 
+    @staticmethod
+    def tap_resident_peak(tmp_path, ensemble, n, steps):
+        # VmHWM in kB of a fresh `tap` process with one worker.  Unlike
+        # ru_maxrss, it starts afresh at exec instead of at the forking
+        # parent's size.
+        argv = ["tap", "--ensemble", ensemble, "--N", str(n), "--T",
+                str(steps), "--out", str(tmp_path / f"{ensemble}-{n}.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from amplab.cli import main; "
+             f"assert main({argv!r}) == 0; "
+             "print(open('/proc/self/status').read())"],
+            capture_output=True, text=True,
+            env={**os.environ, "AMP_LAB_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        hwm = next(line for line in proc.stdout.splitlines()
+                   if line.startswith("VmHWM:"))
+        return int(hwm.split()[1])
+
     def test_sine_tap_resident_peak_near_the_hadamard_one(self, tmp_path):
         # the resident high-water mark counts the FFT work arrays that
         # tracemalloc does not see: 8.4 MB apart at N = 2^16, against
-        # 40.7 MB for the odd-length FFT this replaced.  VmHWM, unlike
-        # ru_maxrss, starts afresh at exec instead of at the forking
-        # parent's size.
-        peaks = {}
-        for ensemble in ("signed-sine", "signed-hadamard"):
-            argv = ["tap", "--ensemble", ensemble, "--N", "65536", "--T", "3",
-                    "--out", str(tmp_path / f"{ensemble}.csv")]
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "from amplab.cli import main; "
-                 f"assert main({argv!r}) == 0; "
-                 "print(open('/proc/self/status').read())"],
-                capture_output=True, text=True,
-                env={**os.environ, "AMP_LAB_THREADS": "1"})
-            assert proc.returncode == 0, proc.stderr
-            hwm = next(line for line in proc.stdout.splitlines()
-                       if line.startswith("VmHWM:"))
-            peaks[ensemble] = int(hwm.split()[1])  # kB
-        assert peaks["signed-sine"] - peaks["signed-hadamard"] <= 16 * 1024
+        # 40.7 MB for the odd-length FFT this replaced
+        sine, hadamard = (self.tap_resident_peak(tmp_path, ensemble, 65536, 3)
+                          for ensemble in ("signed-sine", "signed-hadamard"))
+        assert sine - hadamard <= 16 * 1024
+
+    def test_hopfield_tap_resident_peak_near_the_hadamard_one(self,
+                                                              tmp_path):
+        # beyond the Hadamard run, a dense run holds J and its resolvent
+        # (two N x N float64 arrays, 4 MB at N = 512) and LAPACK's code:
+        # 6 MB in all, against 24 MB when it imported scipy.linalg
+        hopfield, hadamard = (
+            self.tap_resident_peak(tmp_path, ensemble, 512, 2)
+            for ensemble in ("hopfield", "signed-hadamard"))
+        squares = 2 * 512 * 512 * 8 // 1024
+        assert hopfield - squares - hadamard <= 12 * 1024
 
     @staticmethod
     def csvs_at_thread_counts(tmp_path, argv, counts):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -877,6 +880,28 @@ class TestCenteredResolvent:
         m = centered_resolvent(j, lam, 1.0)
         assert np.array_equal(m.dense, copied_resolvent(j, lam))
         assert m.dense.flags.f_contiguous
+
+    def test_scipy_linalg_imported_after_the_resolvent(self):
+        # pytest has imported scipy.linalg before any resolvent; a CLI run
+        # loads the LAPACK extension first, and scipy.linalg may follow
+        script = f"""
+import sys
+sys.path.insert(0, {os.path.dirname(__file__)!r})
+import numpy as np
+from amplab.ensembles import build_wishart_coupling, centered_resolvent
+j = build_wishart_coupling(128, 1.5, seed=3)
+first = centered_resolvent(j, 6.0, 1.0).dense
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+import scipy.linalg
+from test_ensembles import copied_resolvent
+want = copied_resolvent(j, 6.0)
+again = centered_resolvent(j, 6.0, 1.0).dense
+print(np.array_equal(first, want), np.array_equal(again, want))
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
     @pytest.mark.parametrize("name", ["sk", "hopfield"])
     def test_coupling_dense_left_unchanged(self, name):
