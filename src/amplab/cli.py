@@ -10,10 +10,12 @@ se              state evolution only.
 check-ensemble  semi-randomness diagnostics of an operator.
 
 Configuration comes from flags plus an optional key=value file (one pair
-per line, ``#`` comments); flags win.  Seed ranges are written ``a..b``
-(inclusive) or comma-separated.  ``AMP_LAB_THREADS`` caps the worker pool.
-Output is deterministic: identical configuration gives byte-identical CSVs
-regardless of thread count.
+per line, ``#`` comments); flags win.  ``KEYS`` declares each subcommand's
+keys once: each key is a flag and a file key, and a file value is checked
+against the key's type and choices as a flag is.  Seed ranges are
+written ``a..b`` (inclusive) or comma-separated.  ``AMP_LAB_THREADS`` caps
+the worker pool.  Output is deterministic: identical configuration gives
+byte-identical CSVs regardless of thread count.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -312,90 +315,86 @@ def _write_text(path: str, lines) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# Each subcommand's keys, in order, with their defaults.  A key is both a
+# flag (``--sigma0-sq``) and a config-file key (``sigma0_sq``).  The default's
+# type is the key's type, None meaning a string, and a tuple lists the key's
+# choices, the default first.
+KEYS = {
+    "run": dict(ensemble="signed-sine", N=1024, T=10, seeds="1..8",
+                mode=("simple", "projected"),
+                nonlinearity=tuple(state_evolution.PRESETS), sigma0_sq=1.0,
+                out=None, dump_trace=False),
+    "tap": dict(ensemble=tuple(ensembles.ENSEMBLES), N=1024, T=10, beta=2.0,
+                theta=2.0, phi=1.0, seeds="1..8", out=None, dump_trace=False),
+    "se": dict(preset=("tap", "plain"), ensemble="signed-sine", beta=2.0,
+               theta=2.0, phi=1.0, T=10,
+               nonlinearity=tuple(state_evolution.PRESETS), sigma0_sq=1.0,
+               sigma_psi_sq=1.0, out=None),
+    "check-ensemble": dict(ensemble="signed-sine", N=512, seed=1,
+                           mode=("dense", "probe")),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="amplab",
         description="Memory-free AMP laboratory: runs, state evolution, "
                     "TAP solvers and ensemble diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--N", type=int)
-        p.add_argument("--T", type=int)
-        p.add_argument("--seeds", type=str)
-        p.add_argument("--degree", type=int, help=IGNORED_DEGREE)
-        p.add_argument("--out", help="report CSV path")
-        p.add_argument("--dump-trace", action="store_true", default=None)
-
-    p_run = sub.add_parser("run", help="memory-free AMP experiment")
-    common(p_run)
-    p_run.add_argument("--ensemble", help="operator spec string")
-    p_run.add_argument("--mode", choices=("simple", "projected"))
-    p_run.add_argument("--nonlinearity",
-                       choices=sorted(state_evolution.PRESETS))
-    p_run.add_argument("--sigma0-sq", type=float)
-
-    p_tap = sub.add_parser("tap", help="TAP magnetization experiment")
-    common(p_tap)
-    p_tap.add_argument("--ensemble", choices=tuple(ensembles.ENSEMBLES))
-    p_tap.add_argument("--beta", type=float)
-    p_tap.add_argument("--theta", type=float)
-    p_tap.add_argument("--phi", type=float)
-
-    p_se = sub.add_parser("se", help="state evolution only")
-    p_se.add_argument("--config")
-    p_se.add_argument("--preset", choices=("tap", "plain"))
-    p_se.add_argument("--ensemble")
-    p_se.add_argument("--beta", type=float)
-    p_se.add_argument("--theta", type=float)
-    p_se.add_argument("--phi", type=float)
-    p_se.add_argument("--T", type=int)
-    p_se.add_argument("--degree", type=int, help=IGNORED_DEGREE)
-    p_se.add_argument("--nonlinearity", choices=sorted(state_evolution.PRESETS))
-    p_se.add_argument("--sigma0-sq", type=float)
-    p_se.add_argument("--sigma-psi-sq", type=float)
-    p_se.add_argument("--out")
-
-    p_chk = sub.add_parser("check-ensemble", help="semi-randomness diagnostics")
-    p_chk.add_argument("--config")
-    p_chk.add_argument("--ensemble")
-    p_chk.add_argument("--N", type=int)
-    p_chk.add_argument("--seed", type=int)
-    p_chk.add_argument("--mode", choices=("dense", "probe"))
+        if "T" in KEYS[command]:  # the subcommands that run state evolution
+            p.add_argument("--degree", type=int, help=IGNORED_DEGREE)
+        for key, default in KEYS[command].items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, action="store_true", default=None)
+            elif isinstance(default, tuple):
+                p.add_argument(flag, choices=default)
+            else:
+                kind = str if default is None else type(default)
+                p.add_argument(flag, type=kind)
     return parser
 
 
-def _merged(args, defaults: dict) -> dict:
-    """Flag value if given, else config-file value, else hard default.
-    Each file value takes its default's type, even where a flag wins."""
-    path = getattr(args, "config", None)
+def _merged(args) -> dict:
+    """Flag value if given, else config-file value, else the key's default.
+    Each file value is checked against its key's type or choices, even where
+    a flag wins."""
+    keys, path = KEYS[args.command], args.config
     file_conf = load_config_file(path) if path else {}
-    if unknown := sorted(file_conf.keys() - defaults.keys()):
+    if unknown := sorted(file_conf.keys() - keys.keys()):
         raise ValueError(f"{path}: unknown key {unknown[0]!r} for "
-                         f"{args.command}; valid keys: {', '.join(defaults)}")
+                         f"{args.command}; valid keys: {', '.join(keys)}")
     for key, raw in file_conf.items():
-        fallback = defaults[key]
-        if isinstance(fallback, bool):
+        default = keys[key]
+        if isinstance(default, tuple):
+            if raw not in default:
+                raise ValueError(f"{path}: {key}={raw!r} is not one of "
+                                 f"{', '.join(default)}")
+        elif isinstance(default, bool):
             if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
                 raise ValueError(f"{path}: {key}={raw!r} is not a "
                                  f"boolean (1/true/yes or 0/false/no)")
             file_conf[key] = raw.lower() in ("1", "true", "yes")
-        elif isinstance(fallback, (int, float)):
+        elif isinstance(default, (int, float)):
             try:
-                file_conf[key] = type(fallback)(raw)
+                file_conf[key] = type(default)(raw)
             except ValueError:
-                kind = "an integer" if isinstance(fallback, int) else "a number"
+                kind = "an integer" if isinstance(default, int) else "a number"
                 raise ValueError(f"{path}: {key}={raw!r} is not {kind}") from None
-    flags = {key: getattr(args, key, None) for key in defaults}
+    defaults = {key: default[0] if isinstance(default, tuple) else default
+                for key, default in keys.items()}
+    flags = {key: getattr(args, key) for key in keys}
     return {**defaults, **file_conf,
             **{key: flag for key, flag in flags.items() if flag is not None}}
 
 
-def _experiment_command(args, defaults: dict, **fixed) -> int:
+def _experiment_command(args, **fixed) -> int:
     """``run`` and ``tap``: one experiment, its report to --out or stdout."""
-    merged = _merged(args, defaults)
-    merged["seeds"] = parse_seeds(str(merged["seeds"]))
+    merged = _merged(args)
+    merged["seeds"] = parse_seeds(merged["seeds"])
     config = ExperimentConfig(**fixed, **merged)
     report = run_experiment(config)
     if not config.out:
@@ -403,24 +402,8 @@ def _experiment_command(args, defaults: dict, **fixed) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    return _experiment_command(args, dict(
-        ensemble="signed-sine", N=1024, T=10, seeds="1..8", mode="simple",
-        nonlinearity="square", sigma0_sq=1.0, out=None,
-        dump_trace=False), beta=0.0, theta=0.0)
-
-
-def _cmd_tap(args) -> int:
-    return _experiment_command(args, dict(
-        ensemble="signed-sine", N=1024, T=10, beta=2.0, theta=2.0, phi=1.0,
-        seeds="1..8", out=None, dump_trace=False), mode="tap")
-
-
 def _cmd_se(args) -> int:
-    merged = _merged(args, dict(
-        preset="tap", ensemble="signed-sine", beta=2.0, theta=2.0, phi=1.0,
-        T=10, nonlinearity="square", sigma0_sq=1.0,
-        sigma_psi_sq=1.0, out=None))
+    merged = _merged(args)
     if merged["preset"] == "tap":
         _, se = _tap_prediction(merged["ensemble"], merged["beta"],
                                 merged["theta"], merged["phi"], merged["T"])
@@ -434,8 +417,7 @@ def _cmd_se(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    merged = _merged(args, dict(ensemble="signed-sine", N=512, seed=1,
-                                mode="dense"))
+    merged = _merged(args)
     if merged["seed"] < 0:
         raise ValueError(f"seed must be nonnegative, got {merged['seed']}")
     if merged["N"] < 2:
@@ -454,8 +436,14 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_COMMANDS = {"run": _cmd_run, "tap": _cmd_tap, "se": _cmd_se,
-             "check-ensemble": _cmd_check}
+_COMMANDS = {
+    "run": (partial(_experiment_command, beta=0.0, theta=0.0),
+            "memory-free AMP experiment"),
+    "tap": (partial(_experiment_command, mode="tap"),
+            "TAP magnetization experiment"),
+    "se": (_cmd_se, "state evolution only"),
+    "check-ensemble": (_cmd_check, "semi-randomness diagnostics"),
+}
 
 
 def _warning_record(message, category, *_):
@@ -467,7 +455,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     previous, warnings.formatwarning = warnings.formatwarning, _warning_record
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (AmpLabError, ValueError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

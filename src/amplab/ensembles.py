@@ -882,7 +882,8 @@ def operator_from_spec(spec: str, n: int, seed: int, *,
     Haar budget, which it requires),
     ``wigner-resolvent:lambda=<x>`` (the ``sk`` entry of ``ENSEMBLES``),
     ``wishart-resolvent:phi=<x>,lambda=<y>`` (the ``hopfield`` entry, law
-    included), and ``sign-perm:base=hadamard,spectrum=<file>``.
+    included), and ``sign-perm:base=hadamard,spectrum=<file>``.  A key that
+    its form does not take is refused.
     """
     name, _, argstr = spec.partition(":")
     args = {}
@@ -892,12 +893,20 @@ def operator_from_spec(spec: str, n: int, seed: int, *,
             if not value:
                 raise ValueError(f"malformed operator argument {item!r} in {spec!r}")
             args[key.strip()] = value.strip()
-    required = {"wigner-resolvent": ("lambda",), "sign-perm": ("spectrum",),
-                "wishart-resolvent": ("phi", "lambda")}.get(name, ())
-    form = f"{name}:" + ",".join(f"{k}=<{k}>" for k in required)
+    # the keys each form requires; sign-perm also takes base=hadamard
+    required = {"signed-sine": (), "signed-hadamard": (), "random-orthogonal": (),
+                "wigner-resolvent": ("lambda",), "sign-perm": ("spectrum",),
+                "wishart-resolvent": ("phi", "lambda")}.get(name)
+    if required is None:
+        raise ValueError(f"unknown operator spec {spec!r}")
+    form = (f"{name}:" + ",".join(f"{k}=<{k}>" for k in required)
+            if required else name)
     for key in required:
         if key not in args:
             raise ValueError(f"{spec!r} lacks {key}=; expected {form}")
+    taken = required + (("base",) if name == "sign-perm" else ())
+    if extra := [key for key in args if key not in taken]:
+        raise ValueError(f"{spec!r} takes no {extra[0]}=; expected {form}")
 
     def number(key):
         try:
@@ -909,18 +918,16 @@ def operator_from_spec(spec: str, n: int, seed: int, *,
                              f"number; expected {form}")
         return value
 
-    if name in ("signed-sine", "signed-hadamard", "random-orthogonal"):
+    if not required:  # signed-sine, signed-hadamard, random-orthogonal
         return ENSEMBLES[name].build(n, seed, 1.0, max_directions)
-    if name in ("wigner-resolvent", "wishart-resolvent"):
-        entry, phi = ((ENSEMBLES["sk"], 1.0) if name == "wigner-resolvent"
-                      else (ENSEMBLES["hopfield"], number("phi")))
-        lam = number("lambda")
-        return centered_resolvent(entry.build(n, seed, phi, max_directions), lam,
-                                  resolvent_variance(entry.law(phi), lam))
     if name == "sign-perm":
         base = args.get("base", "hadamard")
         if base != "hadamard":
             raise ValueError(f"unsupported sign-perm base {base!r}")
         law = SpectralLaw.from_file(args["spectrum"])
         return build_sign_perm(n, seed, law.eigenvalues)
-    raise ValueError(f"unknown operator spec {spec!r}")
+    entry, phi = ((ENSEMBLES["sk"], 1.0) if name == "wigner-resolvent"
+                  else (ENSEMBLES["hopfield"], number("phi")))
+    lam = number("lambda")
+    return centered_resolvent(entry.build(n, seed, phi, max_directions), lam,
+                              resolvent_variance(entry.law(phi), lam))

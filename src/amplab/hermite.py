@@ -95,7 +95,7 @@ def gaussian_expectation(f: Callable, sigma: float = 1.0) -> float:
     vals = np.asarray(f(sigma * x), dtype=np.float64)
     if not np.all(np.isfinite(vals)):
         bad = x[np.flatnonzero(~np.isfinite(vals))[0]]
-        raise NumericError(f"integrand not finite at node {bad!r}")
+        raise NumericError(f"integrand not finite at node {float(bad)}")
     return float(np.sum(vals * mass))
 
 

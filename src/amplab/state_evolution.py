@@ -120,8 +120,10 @@ def run_state_evolution(nonlins: Sequence[Nonlinearity], sigma0_sq: float,
         raise ValueError("T must be nonnegative")
     if len(nonlins) < T:
         raise ValueError(f"need {T} nonlinearities, got {len(nonlins)}")
-    if sigma0_sq <= 0 or sigma_psi_sq <= 0:
-        raise ValueError("sigma0_sq and sigma_psi_sq must be positive")
+    for key, value in dict(sigma0_sq=sigma0_sq,
+                           sigma_psi_sq=sigma_psi_sq).items():
+        if not 0 < value < np.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
 
     cov = np.zeros((T + 1, T + 1))
     cov[0, 0] = sigma0_sq

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -7,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from amplab.cli import (ExperimentConfig, _fmt, load_config_file, main,
-                        parse_seeds, run_experiment)
+from amplab.cli import (KEYS, ExperimentConfig, _build_parser, _fmt,
+                        load_config_file, main, parse_seeds, run_experiment)
 from amplab.ensembles import build_wishart_coupling
 
 
@@ -836,3 +837,65 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("t,sigma_sq")
+
+
+class TestKeyTable:
+    """``KEYS`` declares each subcommand's flags and config-file keys once."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("se", "preset", "Tap"),
+        ("check-ensemble", "mode", "Probe"),
+        ("run", "nonlinearity", "cube"),
+        ("tap", "ensemble", "mystery"),
+    ])
+    def test_file_value_outside_its_choices_is_one_json_record(
+            self, capsys, tmp_path, command, key, value):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"{key}={value}\n")
+        argv = [command, "--config", str(conf)]
+        if command in ("run", "tap"):
+            argv += ["--N", "64", "--T", "2", "--seeds", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        choices = ", ".join(KEYS[command][key])
+        assert record == {"error": "ValueError", "message":
+                          f"{conf}: {key}={value!r} is not one of {choices}"}
+
+    @pytest.mark.parametrize("command", list(KEYS))
+    def test_parser_flags_are_the_table_keys(self, command):
+        sub = _build_parser()._subparsers._group_actions[0].choices[command]
+        options = {opt for action in sub._actions
+                   for opt in action.option_strings}
+        flags = {"--" + key.replace("_", "-") for key in KEYS[command]}
+        by_hand = {"-h", "--help", "--config"}
+        if command in ("run", "tap", "se"):
+            by_hand.add("--degree")
+        assert options == flags | by_hand
+
+    def test_readme_key_table_is_the_table(self):
+        with open(os.path.join(os.path.dirname(__file__), "..",
+                               "README.md")) as fh:
+            text = fh.read()
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.MULTILINE)
+        assert {command: re.findall(r"`(\w+)`", keys)
+                for command, keys in rows} == {
+            command: list(keys) for command, keys in KEYS.items()}
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv, key", [
+        (["run", "--N", "64", "--T", "2", "--seeds", "1", "--sigma0-sq"],
+         "sigma0_sq"),
+        (["se", "--preset", "plain", "--sigma0-sq"], "sigma0_sq"),
+        (["se", "--preset", "plain", "--sigma-psi-sq"], "sigma_psi_sq"),
+    ], ids=["run-sigma0-sq", "se-sigma0-sq", "se-sigma-psi-sq"])
+    def test_non_finite_variance_named_up_front(self, capsys, argv, key,
+                                                value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + [value]) == 1
+        assert caught == []
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"{key} must be positive and finite, got {value}"}

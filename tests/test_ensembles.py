@@ -1136,6 +1136,19 @@ class TestOperatorSpecs:
         with pytest.raises(ValueError):
             operator_from_spec("wigner-resolvent:lambda", 64, 1)
 
+    @pytest.mark.parametrize("spec, key, form", [
+        ("signed-sine:lambda=3", "lambda", "signed-sine"),
+        ("signed-hadamard:spectrum=x,foo=1", "spectrum", "signed-hadamard"),
+        ("wigner-resolvent:lambda=2.5,phi=1", "phi",
+         "wigner-resolvent:lambda=<lambda>"),
+        ("sign-perm:base=hadamard,spectrum=x,seed=2", "seed",
+         "sign-perm:spectrum=<spectrum>"),
+    ], ids=["sine", "hadamard", "wigner", "sign-perm"])
+    def test_key_its_form_does_not_take_refused(self, spec, key, form):
+        with pytest.raises(ValueError) as info:
+            operator_from_spec(spec, 64, 1, max_directions=2)
+        assert str(info.value) == f"{spec!r} takes no {key}=; expected {form}"
+
 
 class TestBuilderInvariants:
     @pytest.mark.parametrize("build", [

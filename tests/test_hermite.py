@@ -139,6 +139,11 @@ class TestGaussianExpectation:
             with pytest.raises(NumericError, match="not finite"):
                 gaussian_expectation(lambda y: 1.0 / y, 1.0)
 
+    def test_non_finite_node_named_as_a_plain_float(self):
+        with pytest.raises(NumericError) as info:
+            gaussian_expectation(lambda y: np.where(y < 0, np.nan, y), 1.0)
+        assert str(info.value) == "integrand not finite at node -16.0"
+
 
 class TestHermiteCoefficients:
     # c_k = E[H_k(Z) f(sigma Z)] from hermite_eval on the dense grid: the
