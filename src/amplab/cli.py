@@ -324,7 +324,7 @@ KEYS = {
                 mode=("simple", "projected"),
                 nonlinearity=tuple(state_evolution.PRESETS), sigma0_sq=1.0,
                 out=None, dump_trace=False),
-    "tap": dict(ensemble=tuple(ensembles.ENSEMBLES), N=1024, T=10, beta=2.0,
+    "tap": dict(ensemble=ensembles.TAP_ENSEMBLES, N=1024, T=10, beta=2.0,
                 theta=2.0, phi=1.0, seeds="1..8", out=None, dump_trace=False),
     "se": dict(preset=("tap", "plain"), ensemble="signed-sine", beta=2.0,
                theta=2.0, phi=1.0, T=10,
@@ -426,13 +426,10 @@ def _cmd_check(args) -> int:
         merged["ensemble"], merged["N"], merged["seed"],
         max_directions=ensembles.check_haar_budget(merged["N"], merged["mode"]))
     diag = ensembles.check_semi_random(op, merged["mode"])
+    fields = ("psi_inf_norm", "psi_op_norm", "max_offdiag_gram",
+              "max_diag_gram_dev", "inf_ratio", "offdiag_ratio")
     print(f"ensemble={merged['ensemble']} N={diag.dim} mode={diag.mode} "
-          f"psi_inf_norm={_fmt(diag.psi_inf_norm)} "
-          f"psi_op_norm={_fmt(diag.psi_op_norm)} "
-          f"max_offdiag_gram={_fmt(diag.max_offdiag_gram)} "
-          f"max_diag_gram_dev={_fmt(diag.max_diag_gram_dev)} "
-          f"inf_ratio={_fmt(diag.inf_ratio)} "
-          f"offdiag_ratio={_fmt(diag.offdiag_ratio)}")
+          + " ".join(f"{key}={_fmt(getattr(diag, key))}" for key in fields))
     return 0
 
 

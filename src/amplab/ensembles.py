@@ -20,7 +20,7 @@ Signed sine, signed Hadamard and random orthogonal have spectrum {-1, +1}
 (they square to the identity): their law is the Rademacher one, and for
 that law the TAP driver uses the centered resolvent in closed form,
 (J - (Tr J / N) I) / (lam^2 - 1), of ``involution_resolvent``.
-``ENSEMBLES`` maps each named coupling family to its builder and law.
+``ENSEMBLES`` declares each named form once: spec keys, builder, law.
 """
 
 from __future__ import annotations
@@ -847,87 +847,96 @@ def check_haar_budget(n: int, mode: str, pairs: int = 256) -> int:
 # ---------------------------------------------------------------------------
 
 class Ensemble(NamedTuple):
-    """A named coupling family: its builder and its limiting spectral law."""
+    """A named form: ``keys`` of its spec string (None: it has none; a
+    required key maps to float or str, an optional one to its default),
+    ``build(n, seed, args, max_directions)`` and, for a coupling that
+    ``tap`` takes, ``law(args)``.  args: the parsed keys, or {"phi": phi}."""
 
-    build: Callable[[int, int, float, int], MatrixOperator]  # (n, seed, phi, dirs)
-    law: Callable[[float], SpectralLaw]                      # (phi)
+    keys: dict | None
+    build: Callable[[int, int, dict, int | None], MatrixOperator]
+    law: Callable[[dict], SpectralLaw] | None = None
 
+
+def _involution(build):  # a +/-1 spectrum: the Rademacher law, no spec keys
+    return Ensemble({}, build, lambda args: SpectralLaw.rademacher())
+
+
+def _resolvent(coupling: Ensemble):  # M(lambda) of the coupling row's J
+    def build(n, seed, args, max_directions):
+        law, lam = coupling.law(args), args["lambda"]
+        return centered_resolvent(coupling.build(n, seed, args, max_directions),
+                                  lam, resolvent_variance(law, lam))
+    return build
+
+
+def _sign_perm(n, seed, args, max_directions):
+    if args["base"] != "hadamard":
+        raise ValueError(f"unsupported sign-perm base {args['base']!r}")
+    return build_sign_perm(n, seed,
+                           SpectralLaw.from_file(args["spectrum"]).eigenvalues)
+
+
+_SK = Ensemble(None, lambda n, seed, *_: build_wigner_coupling(n, seed),
+               lambda args: SpectralLaw.semicircle())
+_HOPFIELD = Ensemble(
+    None, lambda n, seed, args, _: build_wishart_coupling(n, args["phi"], seed),
+    lambda args: SpectralLaw.marchenko_pastur(args["phi"]))
 
 ENSEMBLES = {
-    "signed-sine": Ensemble(
-        lambda n, seed, phi, dirs: build_signed_sine(n, seed),
-        lambda phi: SpectralLaw.rademacher()),
-    "signed-hadamard": Ensemble(
-        lambda n, seed, phi, dirs: build_signed_hadamard(n, seed),
-        lambda phi: SpectralLaw.rademacher()),
-    "random-orthogonal": Ensemble(
-        lambda n, seed, phi, dirs: build_random_orthogonal(
-            n, seed, max_directions=dirs),
-        lambda phi: SpectralLaw.rademacher()),
-    "sk": Ensemble(
-        lambda n, seed, phi, dirs: build_wigner_coupling(n, seed),
-        lambda phi: SpectralLaw.semicircle()),
-    "hopfield": Ensemble(
-        lambda n, seed, phi, dirs: build_wishart_coupling(n, phi, seed),
-        SpectralLaw.marchenko_pastur),
+    "signed-sine": _involution(lambda n, seed, *_: build_signed_sine(n, seed)),
+    "signed-hadamard": _involution(
+        lambda n, seed, *_: build_signed_hadamard(n, seed)),
+    "random-orthogonal": _involution(lambda n, seed, _, dirs: (
+        build_random_orthogonal(n, seed, max_directions=dirs))),
+    "sk": _SK,
+    "hopfield": _HOPFIELD,
+    "sign-perm": Ensemble({"spectrum": str, "base": "hadamard"}, _sign_perm),
+    "wigner-resolvent": Ensemble({"lambda": float}, _resolvent(_SK)),
+    "wishart-resolvent": Ensemble({"phi": float, "lambda": float},
+                                  _resolvent(_HOPFIELD)),
 }
+
+TAP_ENSEMBLES = tuple(name for name, row in ENSEMBLES.items() if row.law)
+
+
+def tap_ensemble(name: str) -> Ensemble:
+    """The row of a coupling that ``tap`` takes; else ValueError naming them."""
+    if name in TAP_ENSEMBLES:
+        return ENSEMBLES[name]
+    raise ValueError(f"unknown ensemble {name!r}; choose from {TAP_ENSEMBLES}")
 
 
 def operator_from_spec(spec: str, n: int, seed: int, *,
                        max_directions: int | None = None) -> MatrixOperator:
-    """Build an operator from its command line spec string.
-
-    Recognized forms: ``signed-sine``, ``signed-hadamard``,
-    ``random-orthogonal`` (the only one that reads ``max_directions``, its
-    Haar budget, which it requires),
-    ``wigner-resolvent:lambda=<x>`` (the ``sk`` entry of ``ENSEMBLES``),
-    ``wishart-resolvent:phi=<x>,lambda=<y>`` (the ``hopfield`` entry, law
-    included), and ``sign-perm:base=hadamard,spectrum=<file>``.  A key that
-    its form does not take is refused.
-    """
+    """Build the operator of a spec string ``name[:key=value,...]`` through
+    its row of ``ENSEMBLES``.  A missing or undeclared key, or a number that
+    is not finite, is refused with the form.  random-orthogonal requires
+    ``max_directions``, its Haar budget."""
     name, _, argstr = spec.partition(":")
-    args = {}
-    if argstr:
-        for item in argstr.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"malformed operator argument {item!r} in {spec!r}")
-            args[key.strip()] = value.strip()
-    # the keys each form requires; sign-perm also takes base=hadamard
-    required = {"signed-sine": (), "signed-hadamard": (), "random-orthogonal": (),
-                "wigner-resolvent": ("lambda",), "sign-perm": ("spectrum",),
-                "wishart-resolvent": ("phi", "lambda")}.get(name)
-    if required is None:
+    items = [item.partition("=") for item in argstr.split(",")] if argstr else []
+    if bad := [key + eq + value for key, eq, value in items if not value]:
+        raise ValueError(f"malformed operator argument {bad[0]!r} in {spec!r}")
+    raw = {key.strip(): value.strip() for key, _, value in items}
+    if (row := ENSEMBLES.get(name)) is None or row.keys is None:
         raise ValueError(f"unknown operator spec {spec!r}")
+    required = [key for key, kind in row.keys.items() if isinstance(kind, type)]
     form = (f"{name}:" + ",".join(f"{k}=<{k}>" for k in required)
             if required else name)
-    for key in required:
-        if key not in args:
-            raise ValueError(f"{spec!r} lacks {key}=; expected {form}")
-    taken = required + (("base",) if name == "sign-perm" else ())
-    if extra := [key for key in args if key not in taken]:
+    if missing := [key for key in required if key not in raw]:
+        raise ValueError(f"{spec!r} lacks {missing[0]}=; expected {form}")
+    if extra := [key for key in raw if key not in row.keys]:
         raise ValueError(f"{spec!r} takes no {extra[0]}=; expected {form}")
 
     def number(key):
         try:
-            value = float(args[key])
+            value = float(raw[key])
         except ValueError:
             value = np.nan
         if not np.isfinite(value):
-            raise ValueError(f"{spec!r}: {key}={args[key]!r} is not a finite "
+            raise ValueError(f"{spec!r}: {key}={raw[key]!r} is not a finite "
                              f"number; expected {form}")
         return value
 
-    if not required:  # signed-sine, signed-hadamard, random-orthogonal
-        return ENSEMBLES[name].build(n, seed, 1.0, max_directions)
-    if name == "sign-perm":
-        base = args.get("base", "hadamard")
-        if base != "hadamard":
-            raise ValueError(f"unsupported sign-perm base {base!r}")
-        law = SpectralLaw.from_file(args["spectrum"])
-        return build_sign_perm(n, seed, law.eigenvalues)
-    entry, phi = ((ENSEMBLES["sk"], 1.0) if name == "wigner-resolvent"
-                  else (ENSEMBLES["hopfield"], number("phi")))
-    lam = number("lambda")
-    return centered_resolvent(entry.build(n, seed, phi, max_directions), lam,
-                              resolvent_variance(entry.law(phi), lam))
+    args = {key: number(key) if kind is float else raw.get(key, kind)
+            for key, kind in row.keys.items()}
+    return row.build(n, seed, args, max_directions)

@@ -22,8 +22,9 @@ here follows the classical two-stage route:
    sigma*^2 for every step.  ``tap_residual`` measures how far the
    magnetization m^t = tanh(theta 1 + z^t) is from the fixed point.
 
-Ensembles are looked up by name in ``ensembles.ENSEMBLES``, which gives
-each coupling's builder and limiting spectral law.  The resolvent follows
+Ensembles are the rows of ``ensembles.ENSEMBLES`` that have a limiting
+spectral law (``ensembles.TAP_ENSEMBLES``); ``ensemble_law`` and
+``build_coupling`` read a row's law and builder.  The resolvent follows
 the law that q* was solved for: the Rademacher law (signed sine, signed
 Hadamard, random orthogonal, a sign-perm coupling with a +/-1 spectrum,
 and their gauge conjugates) takes the linear-polynomial shortcut of
@@ -39,8 +40,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .amp import AmpTrace, gaussian_init, keep_iterates, run_amp
-from .ensembles import (ENSEMBLES, Ensemble, MatrixOperator,
-                        centered_resolvent, involution_resolvent, scale_rows)
+from .ensembles import (MatrixOperator, centered_resolvent,
+                        involution_resolvent, scale_rows, tap_ensemble)
 from .errors import ConvergenceError
 from .hermite import gaussian_expectation
 from .rng import substream
@@ -83,26 +84,16 @@ class TapParameters:
         return self.beta * (self.lambda_star - 1.0 / y)
 
 
-def _entry(ensemble: str) -> Ensemble:
-    if ensemble not in ENSEMBLES:
-        raise ValueError(f"unknown ensemble {ensemble!r}; "
-                         f"choose from {tuple(ENSEMBLES)}")
-    return ENSEMBLES[ensemble]
-
-
 def ensemble_law(ensemble: str, phi: float = 1.0) -> SpectralLaw:
-    """Limiting spectral law of a coupling named in ``ENSEMBLES``."""
-    return _entry(ensemble).law(phi)
+    """Limiting spectral law of a coupling that ``tap`` takes."""
+    return tap_ensemble(ensemble).law({"phi": phi})
 
 
 def build_coupling(ensemble: str, n: int, seed: int, phi: float = 1.0, *,
                    max_directions: int | None = None) -> MatrixOperator:
-    """Build the coupling named in ``ENSEMBLES`` at size n for one seed.
-
-    ``max_directions`` is the Haar budget that random-orthogonal requires
-    (see ``ensembles.build_random_orthogonal``); the others ignore it.
-    """
-    return _entry(ensemble).build(n, seed, phi, max_directions)
+    """Build a coupling that ``tap`` takes, with the Haar budget that
+    random-orthogonal requires (see ``ensembles.build_random_orthogonal``)."""
+    return tap_ensemble(ensemble).build(n, seed, {"phi": phi}, max_directions)
 
 
 def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import cho_factor, lapack
 
 from amplab import ensembles
-from amplab.ensembles import (ENSEMBLES, MATERIALIZATION_CAP,
+from amplab.ensembles import (ENSEMBLES, MATERIALIZATION_CAP, TAP_ENSEMBLES,
                               MatrixOperator,
                               build_random_orthogonal, build_sign_perm,
                               build_signed_hadamard, build_signed_sine,
@@ -1200,8 +1200,9 @@ class TestBuilderInvariants:
 
 class TestMatrixInput:
     @pytest.mark.parametrize("build,rtol", [
-        *[pytest.param(lambda name=name: ENSEMBLES[name].build(64, 34, 1.0, 64),
-                       1e-12, id=name) for name in ENSEMBLES],
+        *[pytest.param(lambda name=name: ENSEMBLES[name].build(
+            64, 34, {"phi": 1.0}, 64), 1e-12, id=name)
+          for name in TAP_ENSEMBLES],
         pytest.param(lambda: build_sign_perm(64, 34, np.linspace(-1, 2, 64)),
                      1e-12, id="sign-perm"),
         pytest.param(lambda: involution_resolvent(
