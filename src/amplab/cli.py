@@ -144,7 +144,9 @@ def _tap_experiment(config: ExperimentConfig):
     header = {key: getattr(params, key) for key in (
         "beta", "theta", "q_star", "sigma_star_sq", "lambda_star",
         "sigma_psi_sq")}
-    return se, one_seed, header
+    collapse = (f"theta = {config.theta:g} and beta = {config.beta:g} "
+                f"(q* = {params.q_star:.3g})", "theta or beta")
+    return se, one_seed, header, collapse
 
 
 def _plain_experiment(config: ExperimentConfig):
@@ -155,12 +157,6 @@ def _plain_experiment(config: ExperimentConfig):
     se = state_evolution.run_state_evolution(
         [base] * config.T, config.sigma0_sq, sample_op.sigma_psi_sq,
         config.T)
-    if se.degenerate:
-        raise ValueError(
-            f"state evolution collapses to zero variance for nonlinearity "
-            f"{config.nonlinearity!r} with sigma_psi_sq = "
-            f"{sample_op.sigma_psi_sq:g}; observables cannot be "
-            f"standardized (pick a different preset or operator)")
     # The simple iteration tracks state evolution only with divergence-free
     # steps: each one centered at its input scale, as the recursion built it.
     nonlins = (list(se.centered) if config.mode == "simple"
@@ -181,7 +177,9 @@ def _plain_experiment(config: ExperimentConfig):
             amp.gaussian_init(config.N, np.sqrt(config.sigma0_sq), seed),
             config.T, config.mode, seed=seed, observe=observe)
 
-    return se, one_seed, header
+    collapse = (f"nonlinearity {config.nonlinearity!r} with sigma_psi_sq = "
+                f"{sample_op.sigma_psi_sq:g}", "preset or operator")
+    return se, one_seed, header, collapse
 
 
 def _run_seeds(fn, seeds, workers):
@@ -198,7 +196,11 @@ def run_experiment(config: ExperimentConfig):
     keeps z^0..z^T for a trace dump and no iterate otherwise."""
     workers = _worker_count(len(config.seeds))
     pipeline = _tap_experiment if config.mode == "tap" else _plain_experiment
-    se, one_seed, header = pipeline(config)
+    se, one_seed, header, (cause, remedy) = pipeline(config)
+    if se.degenerate:  # before any seed runs, and before tap builds a coupling
+        raise ValueError(f"state evolution collapses to zero variance for "
+                         f"{cause}; observables cannot be standardized "
+                         f"(pick a different {remedy})")
     sigma = np.sqrt(se.sigma_sq)
 
     def run_seed(seed):
@@ -335,6 +337,13 @@ KEYS = {
 }
 
 
+# the se keys that each preset reads: a flag or file value for another one
+# is refused, while the defaults of the keys left unset are not
+PRESET_KEYS = {"tap": ("preset", "ensemble", "beta", "theta", "phi", "T", "out"),
+               "plain": ("preset", "T", "nonlinearity", "sigma0_sq",
+                         "sigma_psi_sq", "out")}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="amplab",
@@ -358,10 +367,10 @@ def _build_parser():
     return parser
 
 
-def _merged(args) -> dict:
-    """Flag value if given, else config-file value, else the key's default.
-    Each file value is checked against its key's type or choices, even where
-    a flag wins."""
+def _merged(args) -> tuple:
+    """Flag value if given, else config-file value, else the key's default,
+    and the set of keys a flag or the file gave.  Each file value is checked
+    against its key's type or choices, even where a flag wins."""
     keys, path = KEYS[args.command], args.config
     file_conf = load_config_file(path) if path else {}
     if unknown := sorted(file_conf.keys() - keys.keys()):
@@ -386,14 +395,14 @@ def _merged(args) -> dict:
                 raise ValueError(f"{path}: {key}={raw!r} is not {kind}") from None
     defaults = {key: default[0] if isinstance(default, tuple) else default
                 for key, default in keys.items()}
-    flags = {key: getattr(args, key) for key in keys}
-    return {**defaults, **file_conf,
-            **{key: flag for key, flag in flags.items() if flag is not None}}
+    flags = {key: flag for key in keys
+             if (flag := getattr(args, key)) is not None}
+    return {**defaults, **file_conf, **flags}, file_conf.keys() | flags.keys()
 
 
 def _experiment_command(args, **fixed) -> int:
     """``run`` and ``tap``: one experiment, its report to --out or stdout."""
-    merged = _merged(args)
+    merged, _ = _merged(args)
     merged["seeds"] = parse_seeds(merged["seeds"])
     config = ExperimentConfig(**fixed, **merged)
     report = run_experiment(config)
@@ -403,7 +412,11 @@ def _experiment_command(args, **fixed) -> int:
 
 
 def _cmd_se(args) -> int:
-    merged = _merged(args)
+    merged, given = _merged(args)
+    reads = PRESET_KEYS[merged["preset"]]
+    if unread := [key for key in KEYS["se"] if key in given - set(reads)]:
+        raise ValueError(f"the {merged['preset']} preset of se does not read "
+                         f"{unread[0]}; it reads {', '.join(reads)}")
     if merged["preset"] == "tap":
         _, se = _tap_prediction(merged["ensemble"], merged["beta"],
                                 merged["theta"], merged["phi"], merged["T"])
@@ -417,7 +430,7 @@ def _cmd_se(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    merged = _merged(args)
+    merged, _ = _merged(args)
     if merged["seed"] < 0:
         raise ValueError(f"seed must be nonnegative, got {merged['seed']}")
     if merged["N"] < 2:

@@ -20,7 +20,10 @@ Signed sine, signed Hadamard and random orthogonal have spectrum {-1, +1}
 (they square to the identity): their law is the Rademacher one, and for
 that law the TAP driver uses the centered resolvent in closed form,
 (J - (Tr J / N) I) / (lam^2 - 1), of ``involution_resolvent``.
-``ENSEMBLES`` declares each named form once: spec keys, builder, law.
+``ENSEMBLES`` declares every name that ``run``, ``tap`` or
+``check-ensemble`` takes once: its spec keys, its builder and, for a
+coupling that ``tap`` takes, its law.  The resolvent rows wrap the ``sk``
+and ``hopfield`` rows' builder and law.
 """
 
 from __future__ import annotations
@@ -857,13 +860,22 @@ class Ensemble(NamedTuple):
     law: Callable[[dict], SpectralLaw] | None = None
 
 
+class _KeyRefused(ValueError):
+    """A spec key's value that its row refuses: args (key, reason)."""
+
+
 def _involution(build):  # a +/-1 spectrum: the Rademacher law, no spec keys
     return Ensemble({}, build, lambda args: SpectralLaw.rademacher())
 
 
-def _resolvent(coupling: Ensemble):  # M(lambda) of the coupling row's J
+def _resolvent(coupling: Ensemble):
+    # M(lambda) of the coupling row's J; lambda at or below the right edge
+    # of the row's law is refused before J is built
     def build(n, seed, args, max_directions):
         law, lam = coupling.law(args), args["lambda"]
+        if not lam > law.lambda_plus:
+            raise _KeyRefused("lambda", f"is not above the right edge "
+                              f"{law.lambda_plus:g} of the {law.kind} law")
         return centered_resolvent(coupling.build(n, seed, args, max_directions),
                                   lam, resolvent_variance(law, lam))
     return build
@@ -906,12 +918,25 @@ def tap_ensemble(name: str) -> Ensemble:
     raise ValueError(f"unknown ensemble {name!r}; choose from {TAP_ENSEMBLES}")
 
 
+def _finite(key, text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise _KeyRefused(key, "is not a finite number")
+    return value
+
+
 def operator_from_spec(spec: str, n: int, seed: int, *,
                        max_directions: int | None = None) -> MatrixOperator:
     """Build the operator of a spec string ``name[:key=value,...]`` through
-    its row of ``ENSEMBLES``.  A missing or undeclared key, or a number that
-    is not finite, is refused with the form.  random-orthogonal requires
-    ``max_directions``, its Haar budget."""
+    its row of ``ENSEMBLES``.  A missing or undeclared key is refused with
+    the form, and so is a value that the row refuses: a number that is not
+    finite, or a resolvent's lambda at or below its law's right edge, which
+    is refused before the coupling is built (``centered_resolvent`` still
+    refuses a lambda below a finite-N spectrum).  random-orthogonal
+    requires ``max_directions``, its Haar budget."""
     name, _, argstr = spec.partition(":")
     items = [item.partition("=") for item in argstr.split(",")] if argstr else []
     if bad := [key + eq + value for key, eq, value in items if not value]:
@@ -927,16 +952,11 @@ def operator_from_spec(spec: str, n: int, seed: int, *,
     if extra := [key for key in raw if key not in row.keys]:
         raise ValueError(f"{spec!r} takes no {extra[0]}=; expected {form}")
 
-    def number(key):
-        try:
-            value = float(raw[key])
-        except ValueError:
-            value = np.nan
-        if not np.isfinite(value):
-            raise ValueError(f"{spec!r}: {key}={raw[key]!r} is not a finite "
-                             f"number; expected {form}")
-        return value
-
-    args = {key: number(key) if kind is float else raw.get(key, kind)
-            for key, kind in row.keys.items()}
-    return row.build(n, seed, args, max_directions)
+    try:
+        args = {key: _finite(key, raw[key]) if kind is float
+                else raw.get(key, kind) for key, kind in row.keys.items()}
+        return row.build(n, seed, args, max_directions)
+    except _KeyRefused as exc:
+        key, why = exc.args
+        raise ValueError(f"{spec!r}: {key}={raw[key]!r} {why}; "
+                         f"expected {form}") from None

@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from amplab.cli import (KEYS, ExperimentConfig, _build_parser, _fmt,
-                        load_config_file, main, parse_seeds, run_experiment)
+from amplab.cli import (KEYS, PRESET_KEYS, ExperimentConfig, _build_parser,
+                        _fmt, load_config_file, main, parse_seeds,
+                        run_experiment)
 from amplab.ensembles import build_wishart_coupling
 
 
@@ -448,6 +449,31 @@ class TestMainEntry:
         assert "degenerate" in warning["message"]
         assert error["error"] == "ValueError"
         assert "zero variance" in error["message"]
+
+    @pytest.mark.parametrize("ensemble", ["signed-sine", "sk"])
+    def test_zero_theta_refused_before_any_coupling(self, ensemble):
+        # q* ~ 7e-13 at theta = 0, beta = 0.5: the TAP state evolution
+        # collapses at step 1, which is refused before a coupling is built
+        script = ("import sys\nfrom amplab import cli, tap\n"
+                  "def no_build(*args, **kwargs):\n"
+                  "    raise AssertionError('a coupling was built')\n"
+                  "tap.build_coupling = no_build\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "tap", "--ensemble", ensemble,
+             "--theta", "0", "--beta", "0.5", "--N", "64", "--T", "2",
+             "--seeds", "1"], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        warning, error = map(json.loads, proc.stderr.splitlines())
+        assert warning == {"warning": "UserWarning", "message":
+                           "nonlinearity 'tap-g' is degenerate at step 1: "
+                           "downstream variances are zero"}
+        assert error["error"] == "ValueError"
+        assert re.fullmatch(
+            r"state evolution collapses to zero variance for theta = 0 and "
+            r"beta = 0\.5 \(q\* = \S+\); observables cannot be standardized "
+            r"\(pick a different theta or beta\)", error["message"])
 
     def test_check_ensemble_subcommand(self, capsys):
         rc = main(["check-ensemble", "--ensemble", "signed-sine",
@@ -899,3 +925,41 @@ class TestKeyTable:
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError",
             "message": f"{key} must be positive and finite, got {value}"}
+
+    @pytest.mark.parametrize("argv, preset, key", [
+        (["se", "--sigma0-sq", "nan", "--T", "2"], "tap", "sigma0_sq"),
+        (["se", "--preset", "tap", "--nonlinearity", "cubic-centered",
+          "--T", "2"], "tap", "nonlinearity"),
+        (["se", "--preset", "plain", "--phi", "2"], "plain", "phi"),
+        ("preset=plain\nbeta=3\n", "plain", "beta"),
+    ], ids=["sigma0-sq-flag", "nonlinearity-flag", "phi-flag", "beta-file"])
+    def test_key_its_preset_does_not_read_refused(self, capsys, tmp_path,
+                                                 argv, preset, key):
+        if isinstance(argv, str):
+            conf = tmp_path / "se.conf"
+            conf.write_text(argv)
+            argv = ["se", "--config", str(conf)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message":
+            f"the {preset} preset of se does not read {key}; it reads "
+            f"{', '.join(PRESET_KEYS[preset])}"}
+
+    def test_preset_keys_are_the_se_keys(self):
+        # each preset's keys in table order, and every se key read by one
+        for keys in PRESET_KEYS.values():
+            assert list(keys) == [key for key in KEYS["se"] if key in keys]
+        assert set().union(*PRESET_KEYS.values()) == set(KEYS["se"])
+
+    @pytest.mark.parametrize("argv", [
+        "se --preset tap --ensemble hopfield --T 10 --beta 1 --theta 2 "
+        "--phi 1 --degree 64",
+        "se --preset plain --nonlinearity square --T 10 --degree 24 "
+        "--sigma0-sq 1 --sigma-psi-sq 1",
+    ], ids=["tap", "plain"])
+    def test_benchmark_se_lines_still_run(self, capsys, argv):
+        # the two se command lines of benchmark/run.py's workloads
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out.startswith("t,sigma_sq,rho_prev,d_pred")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1148,6 +1149,97 @@ class TestOperatorSpecs:
         with pytest.raises(ValueError) as info:
             operator_from_spec(spec, 64, 1, max_directions=2)
         assert str(info.value) == f"{spec!r} takes no {key}=; expected {form}"
+
+
+    @pytest.mark.parametrize("spec, builder, edge", [
+        ("wigner-resolvent:lambda=1.5", "build_wigner_coupling",
+         "2 of the semicircle law"),
+        ("wigner-resolvent:lambda=2", "build_wigner_coupling",
+         "2 of the semicircle law"),
+        ("wishart-resolvent:phi=0.5,lambda=1", "build_wishart_coupling",
+         "4.12132 of the marchenko_pastur law"),
+    ], ids=["wigner-below", "wigner-at", "wishart-below"])
+    def test_lambda_not_above_the_edge_refused_before_the_build(
+            self, monkeypatch, spec, builder, edge):
+        def no_build(*args):
+            raise AssertionError("coupling built before lambda was checked")
+
+        monkeypatch.setattr(ensembles, builder, no_build)
+        with pytest.raises(ValueError) as info:
+            operator_from_spec(spec, 64, 1)
+        lam = spec.rpartition("=")[2]
+        form = spec.split(":")[0] + ":" + ",".join(
+            f"{key}=<{key}>" for key in ENSEMBLES[spec.split(":")[0]].keys)
+        assert str(info.value) == (f"{spec!r}: lambda={lam!r} is not above "
+                                   f"the right edge {edge}; expected {form}")
+
+
+# The operator that each row's builder gives, called directly: sign-perm
+# reads its spectrum file through SpectralLaw, which sorts it
+ROW_BUILDS = {
+    "signed-sine": ("signed-sine", lambda: build_signed_sine(64, 5)),
+    "signed-hadamard": ("signed-hadamard",
+                        lambda: build_signed_hadamard(64, 5)),
+    "random-orthogonal": ("random-orthogonal", lambda: build_random_orthogonal(
+        64, 5, max_directions=64)),
+    "sk": (None, lambda: build_wigner_coupling(64, 5)),
+    "hopfield": (None, lambda: build_wishart_coupling(64, 1.5, 5)),
+    "sign-perm": ("sign-perm:spectrum={path}", lambda: build_sign_perm(
+        64, 5, np.sort(np.linspace(2, -1, 64)))),
+    "wigner-resolvent": ("wigner-resolvent:lambda=2.5", lambda: (
+        centered_resolvent(build_wigner_coupling(64, 5), 2.5,
+                           resolvent_variance(SpectralLaw.semicircle(), 2.5)))),
+    "wishart-resolvent": ("wishart-resolvent:phi=1.5,lambda=6", lambda: (
+        centered_resolvent(build_wishart_coupling(64, 1.5, 5), 6.0,
+                           resolvent_variance(
+                               SpectralLaw.marchenko_pastur(1.5), 6.0)))),
+}
+
+
+class TestEnsembleRows:
+    @pytest.mark.parametrize("name", list(ENSEMBLES))
+    def test_spec_and_tap_paths_give_the_builders_bits(self, name, tmp_path):
+        # a row with spec keys is reached by operator_from_spec, a row with
+        # a law by tap.build_coupling; each refuses the other rows' names.
+        # Fresh operators each time: the lazy Haar store grows on first touch
+        path = tmp_path / "spectrum.txt"
+        path.write_text("\n".join(map(str, np.linspace(2, -1, 64))) + "\n")
+        spec, direct = ROW_BUILDS[name]
+        row, paths = ENSEMBLES[name], []
+        if row.keys is None:
+            with pytest.raises(ValueError, match="unknown operator spec"):
+                operator_from_spec(name, 64, 5)
+        else:
+            paths.append(lambda: operator_from_spec(
+                spec.format(path=path), 64, 5, max_directions=64))
+        if row.law is None:
+            with pytest.raises(ValueError, match="unknown ensemble"):
+                build_coupling(name, 64, 5)
+        else:
+            paths.append(lambda: build_coupling(name, 64, 5, 1.5,
+                                                max_directions=64))
+        assert paths
+        rng = substream(41, "rows")
+        for v in (rng.standard_normal(64), rng.standard_normal((64, 3))):
+            want = direct().matvec(v)
+            for build in paths:
+                assert np.array_equal(build().matvec(v), want)
+
+    def test_readme_lists_are_the_table(self):
+        with open(os.path.join(os.path.dirname(__file__), "..",
+                               "README.md")) as fh:
+            text = " ".join(fh.read().split())
+        specs = re.search(r"Operator spec strings, for [^:]*: (.*?)\. ",
+                          text).group(1)
+        forms = re.findall(r"`([a-z-]+):?([^`]*)`", specs)
+        assert [name for name, _ in forms] == [
+            name for name, row in ENSEMBLES.items() if row.keys is not None]
+        for name, keys in forms:
+            assert set(re.findall(r"(\w+)=", keys)) == set(ENSEMBLES[name].keys)
+        taps = re.search(r"`tap --ensemble` takes (.*?)\. ", text).group(1)
+        assert tuple(re.findall(r"`([a-z-]+)`", taps)) == TAP_ENSEMBLES
+        assert {name for name, _ in forms} | set(TAP_ENSEMBLES) == set(
+            ENSEMBLES)
 
 
 class TestBuilderInvariants:
