@@ -12,7 +12,8 @@ check-ensemble  semi-randomness diagnostics of an operator.
 Configuration comes from flags plus an optional key=value file (one pair
 per line, ``#`` comments); flags win.  ``KEYS`` declares each subcommand's
 keys once: each key is a flag and a file key, and a file value is checked
-against the key's type and choices as a flag is.  Seed ranges are
+against the key's type and choices as a flag is; ``se`` refuses a key
+that its preset does not read (``PRESET_KEYS``).  Seed ranges are
 written ``a..b`` (inclusive) or comma-separated.  ``AMP_LAB_THREADS`` caps
 the worker pool.  Output is deterministic: identical configuration gives
 byte-identical CSVs regardless of thread count.
@@ -414,7 +415,7 @@ def _experiment_command(args, **fixed) -> int:
 def _cmd_se(args) -> int:
     merged, given = _merged(args)
     reads = PRESET_KEYS[merged["preset"]]
-    if unread := [key for key in KEYS["se"] if key in given - set(reads)]:
+    if unread := [key for key in KEYS["se"] if key in given and key not in reads]:
         raise ValueError(f"the {merged['preset']} preset of se does not read "
                          f"{unread[0]}; it reads {', '.join(reads)}")
     if merged["preset"] == "tap":

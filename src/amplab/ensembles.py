@@ -951,7 +951,6 @@ def operator_from_spec(spec: str, n: int, seed: int, *,
         raise ValueError(f"{spec!r} lacks {missing[0]}=; expected {form}")
     if extra := [key for key in raw if key not in row.keys]:
         raise ValueError(f"{spec!r} takes no {extra[0]}=; expected {form}")
-
     try:
         args = {key: _finite(key, raw[key]) if kind is float
                 else raw.get(key, kind) for key, kind in row.keys.items()}
