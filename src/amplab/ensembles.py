@@ -59,9 +59,12 @@ _H16.flags.writeable = False
 # work array and result come to 5 blocks: 0.16 N x N at N = 1024.
 DENSE_BLOCK = 32
 
-# Columns of -J per copy into centered_resolvent's Fortran-ordered buffer:
-# the stripe's rows of J and its columns of the buffer stay in cache
-STRIPE = 64
+
+def _width(n):
+    # Columns per block of J written from a dense coupling's draw and per
+    # stripe of lam I - J: two float32 panels of X take phi / 8 N x N
+    # float64, the int8 draw's size; at N = 2048 the Gram costs one syrk
+    return min(256, max(64, n // 8))
 
 
 class MatrixOperator:
@@ -80,8 +83,12 @@ class MatrixOperator:
     trace : float or None
         Exact trace when it is cheap to know (diagonal-sum formulas).
     dense : ndarray or None
-        The full matrix of the dense SK and Hopfield couplings and of every
-        ``centered_resolvent``; ``dense_form`` and ``check_semi_random`` read it.
+        The full matrix of every ``centered_resolvent`` and of an operator
+        built around one; ``dense_form`` and ``check_semi_random`` read it.
+    blocks : callable or None
+        The SK and Hopfield couplings keep only their exact +/-1 draws, and
+        ``blocks(out, row, col)`` writes J[row:, col:] into a float64
+        ``out`` of the block's shape, from the draw: J is never held whole.
     coupling : MatrixOperator or None
         For resolvent and gauged operators, the underlying coupling J.
     haar_basis : _LazyHaar or None
@@ -93,7 +100,8 @@ class MatrixOperator:
     """
 
     def __init__(self, dim, apply, sigma_psi_sq, label, *, trace=None,
-                 dense=None, coupling=None, haar_basis=None, signs=None):
+                 dense=None, blocks=None, coupling=None, haar_basis=None,
+                 signs=None):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
         if sigma_psi_sq <= 0:
@@ -103,6 +111,7 @@ class MatrixOperator:
         self.label = str(label)
         self.trace = trace
         self.dense = dense
+        self.blocks = blocks
         self.coupling = coupling
         self.haar_basis = haar_basis
         self.signs = signs
@@ -520,31 +529,44 @@ def build_wigner_coupling(n: int, seed: int) -> MatrixOperator:
 
     Entries are +/-1 off the diagonal and +/-sqrt(2) on it.  The limiting
     spectrum is the semicircle on [-2, 2] and the stored sigma_psi_sq is
-    its second moment, 1.  J is the draw's own N x N buffer, written
-    straight from the integers a chunk at a time (see ``rademacher``), its
-    upper triangle mirrored below the diagonal.
+    its second moment, 1.  The operator keeps the exact draw, W in int8
+    with its upper triangle mirrored below the diagonal, and J's diagonal
+    apart.  ``blocks`` writes W / sqrt(N) in float64, the bits of a float64
+    draw; the matvec applies J a stripe of columns at a time.
     """
     _check_cap(n)
     rng = substream(seed, "wigner", "rademacher")  # the label keys every SK draw
-    j = rademacher(rng, n * n).reshape(n, n)
-    diag = np.sqrt(2.0) * rademacher(rng, n)
-    _mirror_upper(j)
-    np.fill_diagonal(j, diag)
-    j /= np.sqrt(n)
-    return MatrixOperator(n, lambda v: j @ v, 1.0, "wigner",
-                          trace=float(np.trace(j)), dense=j)
+    w = rademacher(rng, n * n, np.int8).reshape(n, n)
+    root = np.sqrt(n)
+    diag = np.sqrt(2.0) * rademacher(rng, n) / root
+    _mirror_upper(w)
+
+    def blocks(out, row, col):
+        rows, cols = out.shape
+        np.divide(w[row:row + rows, col:col + cols], root, out=out)
+        k = np.arange(max(row, col), min(row + rows, col + cols))
+        out[k - row, k - col] = diag[k]
+        return out
+
+    def apply(v):  # rows c of J v are J[:, c]^T v, from one stripe of J
+        return np.concatenate([blocks(np.empty((n, min(_width(n), n - i))),
+                                      0, i).T @ v
+                               for i in range(0, n, _width(n))])
+
+    return MatrixOperator(n, apply, 1.0, "wigner", trace=float(diag.sum()),
+                          blocks=blocks)
 
 
 def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
     """PSD coupling J = X^T X / sqrt(M N), M = round(phi N), X of +/-1 entries.
 
-    X is drawn in float32 and G = X^T X formed in float32: every entry of
-    G and every partial sum is an integer of size at most M, exact up to
-    2^24, so M > 2^24 is refused, as is M = 0.  X is dropped before J = G / sqrt(M N)
-    is written in float64, the bits of the float64 recipe; J is the
-    ``dense`` form and the one N x N array the operator keeps, and the
-    matvec is J v.  The trace, sum(X_ij^2) / sqrt(M N), is M N / sqrt(M N).
-    sigma_psi_sq stores the limiting spectral second moment 1 + phi.
+    The operator keeps X, drawn in int8.  ``blocks`` forms G = X^T X in
+    float32 from float32 panels of X: every entry and partial sum is an
+    integer of size at most M, exact up to 2^24, so M > 2^24 is refused,
+    as is M = 0; J = G / sqrt(M N) is written in float64, the bits of the
+    float64 recipe.  The matvec is X^T (X v) / sqrt(M N), O(M N).  The
+    trace, sum(X_ij^2) / sqrt(M N), is M N / sqrt(M N).  sigma_psi_sq
+    stores the limiting spectral second moment 1 + phi.
     """
     _check_cap(n)
     if not 0 < phi < np.inf:
@@ -556,15 +578,26 @@ def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
                          f"float32")
     # the "rademacher" label keys every Hopfield draw
     x = rademacher(substream(seed, "wishart", "rademacher"), m * n,
-                   np.float32).reshape(m, n)
-    gram = x.T @ x
-    del x
+                   np.int8).reshape(m, n)
     scale = np.sqrt(m * n)
-    j = np.divide(gram, scale, dtype=np.float64)
-    del gram
-    trace = float(m * n) / scale
-    return MatrixOperator(n, lambda v: j @ v, 1.0 + phi, "wishart",
-                          trace=trace, dense=j)
+
+    def blocks(out, row, col):  # in square blocks of out's width
+        rows, cols = out.shape
+        right = x[:, col:col + cols].astype(np.float32)
+        for i in range(0, rows, cols):
+            left = x[:, row + i:row + min(rows, i + cols)].astype(np.float32)
+            np.divide(left.T @ right, scale, out=out[i:i + cols],
+                      dtype=np.float64)
+        return out
+
+    def apply(v):  # X^T (X v) / sqrt(M N), a float64 panel of X at a time
+        panels = [slice(i, i + _width(n)) for i in range(0, n, _width(n))]
+        xv = sum(x[:, c].astype(np.float64) @ v[c] for c in panels)
+        return np.concatenate([x[:, c].astype(np.float64).T @ xv
+                               for c in panels]) / scale
+
+    return MatrixOperator(n, apply, 1.0 + phi, "wishart",
+                          trace=float(m * n) / scale, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -636,15 +669,20 @@ def conjugate_gradient(apply, b: np.ndarray, *, rtol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 def dense_form(op: MatrixOperator) -> np.ndarray:
-    """The N x N matrix of ``op``: its ``dense`` field, else ``matvec(I)``
-    taken DENSE_BLOCK columns at a time.  Materializing is refused before
-    any matvec above MATERIALIZATION_CAP.
+    """The N x N matrix of ``op``: its ``dense`` field, else one written a
+    stripe at a time from its ``blocks`` or from ``matvec(I)``, DENSE_BLOCK
+    columns at a time.  Materializing is refused before any matvec above
+    MATERIALIZATION_CAP.
     """
     if op.dense is not None:
         return op.dense
     n = op.dim
     _check_cap(n)
     out = np.empty((n, n))
+    if op.blocks is not None:
+        for start in range(0, n, _width(n)):
+            op.blocks(out[:, start:start + _width(n)], 0, start)
+        return out
     for start in range(0, n, DENSE_BLOCK):
         eye = np.eye(n, min(DENSE_BLOCK, n - start), -start)
         out[:, start:start + eye.shape[1]] = op.matvec(eye)
@@ -673,15 +711,15 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
                        sigma_psi_sq: float) -> MatrixOperator:
     """M(lam) = (lam I - J)^{-1} - (Tr (lam I - J)^{-1} / N) I as an operator.
 
-    The one N x N buffer held beyond J is Fortran-ordered: it takes
-    lam I - J, copied in column stripes of STRIPE, each checked for
-    entries that are not finite (refused with ValueError) before the next
-    is copied.  Its Cholesky factorization, made in place, reads the lower
-    triangle and proves lam is above the spectrum of J (a failed one
-    raises ValueError); LAPACK then inverts it in place too, and it
-    becomes the operator's ``dense``.  Its diagonal gives the centering
-    constant, and each matvec is one dense product.  A coupling without a
-    ``dense`` form is materialized from matvecs (see ``dense_form``).
+    The one N x N buffer is Fortran-ordered: it takes lam I - J in column
+    stripes of ``_width(N)``, each checked for entries that are not finite
+    (refused with ValueError) before the next is written.  A coupling's
+    ``blocks`` write the lower triangle from its draw; any other J is
+    copied whole from ``dense_form``.  Its Cholesky factorization, made in
+    place, reads the lower triangle and proves lam is above the spectrum
+    of J (a failed one raises ValueError); LAPACK then inverts it in place
+    too, and it becomes the operator's ``dense``.  Its diagonal gives the
+    centering constant, and each matvec is one dense product.
     ``sigma_psi_sq`` is supplied by the caller (closed form or algebraic
     identity for the law at hand).
 
@@ -692,13 +730,18 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     cold process about 0.25 s and 27 MB of resident memory, mostly for
     scipy's array-API layer; the file alone takes about 5 ms and 3 MB.
     """
-    n = j_op.dim
-    coupling, shifted = dense_form(j_op), np.empty((n, n), order="F")
-    for i in range(0, n, STRIPE):
-        stripe = np.negative(coupling[:, i:i + STRIPE],
-                             out=shifted[:, i:i + STRIPE])
+    n, width = j_op.dim, _width(j_op.dim)
+    coupling = None if j_op.blocks else dense_form(j_op)
+    shifted = np.empty((n, n), order="F")
+    for i in range(0, n, width):
+        if coupling is None:  # the lower triangle, from the draw
+            top, stripe = i, j_op.blocks(shifted[i:, i:i + width], i, i)
+        else:  # both triangles: a non-finite entry in either is refused
+            top, stripe = 0, shifted[:, i:i + width]
+            np.copyto(stripe, coupling[:, i:i + width])
+        np.negative(stripe, out=stripe)
         k = np.arange(stripe.shape[1])
-        stripe[i + k, k] += lam
+        stripe[i - top + k, k] += lam
         if not np.isfinite(stripe).all():
             raise ValueError(f"lam I - J has entries that are not finite "
                              f"(lambda = {lam}, {j_op.label})")

@@ -214,15 +214,15 @@ def resolvent_operator(coupling: MatrixOperator,
     Rademacher law (spectrum {-1, +1}, J^2 = I) the coupling takes the
     linear-polynomial shortcut of ``involution_resolvent``; under any other
     it gets the dense inverse of ``centered_resolvent``.  Under the
-    Rademacher law a coupling with a ``dense`` form is probed first, at
-    the cost of two N^2 products: J (J v) must give back one seeded
-    Gaussian v, else ValueError.  A matvec-only coupling is trusted to be
-    the involution the law describes.
+    Rademacher law a coupling with a ``dense`` form or ``blocks`` is
+    probed first, at the cost of two matvecs: J (J v) must give back one
+    seeded Gaussian v, else ValueError.  A matvec-only coupling is trusted
+    to be the involution the law describes.
     """
     lam, sig2 = params.lambda_star, params.sigma_psi_sq
     if params.law.kind != "rademacher":
         return centered_resolvent(coupling, lam, sig2)
-    if coupling.dense is not None:
+    if coupling.dense is not None or coupling.blocks is not None:
         v = substream(0, "involution-probe").standard_normal(coupling.dim)
         miss = np.linalg.norm(coupling.matvec(coupling.matvec(v)) - v)
         if not miss <= 1e-8 * np.linalg.norm(v):

@@ -800,16 +800,24 @@ class TestMainEntry:
                           for ensemble in ("signed-sine", "signed-hadamard"))
         assert sine - hadamard <= 16 * 1024
 
+    def dense_tap_beyond_one_square(self, tmp_path, ensemble):
+        # beyond the Hadamard run, a dense run holds its int8 draw, the
+        # resolvent (one N x N float64 array, 2 MB at N = 512) and LAPACK's
+        # code: 7.7 MB in all for hopfield and 7.2 for sk, where a float64
+        # J beside the resolvent took 10.2 and 8.8, and 24 MB when
+        # scipy.linalg was imported
+        dense, hadamard = (
+            self.tap_resident_peak(tmp_path, name, 512, 2)
+            for name in (ensemble, "signed-hadamard"))
+        return dense - 512 * 512 * 8 // 1024 - hadamard
+
     def test_hopfield_tap_resident_peak_near_the_hadamard_one(self,
                                                               tmp_path):
-        # beyond the Hadamard run, a dense run holds J and its resolvent
-        # (two N x N float64 arrays, 4 MB at N = 512) and LAPACK's code:
-        # 6 MB in all, against 24 MB when it imported scipy.linalg
-        hopfield, hadamard = (
-            self.tap_resident_peak(tmp_path, ensemble, 512, 2)
-            for ensemble in ("hopfield", "signed-hadamard"))
-        squares = 2 * 512 * 512 * 8 // 1024
-        assert hopfield - squares - hadamard <= 12 * 1024
+        assert self.dense_tap_beyond_one_square(tmp_path,
+                                                "hopfield") <= 12 * 1024
+
+    def test_sk_tap_resident_peak_near_the_hadamard_one(self, tmp_path):
+        assert self.dense_tap_beyond_one_square(tmp_path, "sk") <= 12 * 1024
 
     @staticmethod
     def csvs_at_thread_counts(tmp_path, argv, counts):

@@ -23,7 +23,8 @@ from amplab.ensembles import (ENSEMBLES, MATERIALIZATION_CAP, TAP_ENSEMBLES,
 from amplab.errors import NumericError, ResourceError
 from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, resolvent_variance
-from amplab.tap import build_coupling, gauge_conjugate
+from amplab.tap import (build_coupling, gauge_conjugate, resolvent_operator,
+                        solve_q_star)
 
 
 def random_vectors(n, count, seed=0):
@@ -704,19 +705,20 @@ class TestSignPerm:
 
 class TestWignerCoupling:
     def test_exact_symmetry(self):
-        op = build_wigner_coupling(256, seed=1)
-        np.testing.assert_array_equal(op.dense, op.dense.T)
+        j = dense_form(build_wigner_coupling(256, seed=1))
+        np.testing.assert_array_equal(j, j.T)
 
     def test_largest_eigenvalue_near_two(self):
         op = build_wigner_coupling(2048, seed=2)
-        top = np.linalg.eigvalsh(op.dense)[-1]
+        top = np.linalg.eigvalsh(dense_form(op))[-1]
         assert 1.9 <= top <= 2.2
 
     def test_second_moment_matches_frobenius_oracle(self):
         # (1/N) Tr J^2 = ||J||_F^2 / N; for this normalization the limit is
         # the semicircle second moment 1 (plus a 2/N diagonal correction).
         op = build_wigner_coupling(2048, seed=3)
-        frob = float(np.sum(op.dense * op.dense)) / op.dim
+        j = dense_form(op)
+        frob = float(np.sum(j * j)) / op.dim
         assert frob == pytest.approx(1.0, abs=0.01)
 
     @pytest.mark.parametrize("kind", ["rademacher"])
@@ -730,9 +732,9 @@ class TestWignerCoupling:
         want = want + want.T
         np.fill_diagonal(want, diag)
         want /= np.sqrt(n)
-        got = build_wigner_coupling(n, seed=12)
-        assert np.array_equal(got.dense, want)
-        assert got.dense.flags.c_contiguous
+        got = dense_form(build_wigner_coupling(n, seed=12))
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -747,7 +749,7 @@ class TestWishartCoupling:
 
     def test_largest_eigenvalue_phi_one(self):
         op = build_wishart_coupling(2048, 1.0, seed=2)
-        top = np.linalg.eigvalsh(op.dense)[-1]
+        top = np.linalg.eigvalsh(dense_form(op))[-1]
         assert 3.8 <= top <= 4.3
 
     def test_symmetry(self):
@@ -773,9 +775,10 @@ class TestWishartCoupling:
         want = x.T @ x
         want /= scale
         op = build_wishart_coupling(n, phi, seed=9)
-        assert np.array_equal(op.dense, want)
+        j = dense_form(op)
+        assert np.array_equal(j, want)
         assert op.trace == want_trace
-        assert np.array_equal(op.dense, op.dense.T)
+        assert np.array_equal(j, j.T)
 
     @pytest.mark.parametrize("n,phi", [(2, 2.0 ** 23 + 1), (256, 0.001)])
     def test_row_count_out_of_range_refused(self, n, phi):
@@ -851,6 +854,13 @@ def zero_operator(n):
                           trace=0.0)
 
 
+def dense_operator(op):
+    """``op`` as an operator built around its dense array."""
+    m = dense_form(op)
+    return MatrixOperator(op.dim, lambda v: m @ v, op.sigma_psi_sq, op.label,
+                          trace=op.trace, dense=m)
+
+
 class TestCenteredResolvent:
     def test_zero_coupling_gives_zero_operator(self):
         op = centered_resolvent(zero_operator(64), 2.0, 1.0)
@@ -860,12 +870,12 @@ class TestCenteredResolvent:
     def test_trace_removed_exactly_dense(self):
         j = build_wigner_coupling(256, seed=5)
         lam = 2.5
-        eigs = np.linalg.eigvalsh(j.dense)
+        eigs = np.linalg.eigvalsh(dense_form(j))
         resolvent_trace = float(np.sum(1.0 / (lam - eigs)))
         m = centered_resolvent(j, lam, resolvent_variance(
             SpectralLaw.semicircle(), lam))
         # dense route: the centering constant reproduces the exact trace
-        dense = np.linalg.inv(lam * np.eye(256) - j.dense)
+        dense = np.linalg.inv(lam * np.eye(256) - dense_form(j))
         centered = dense - resolvent_trace / 256 * np.eye(256)
         assert abs(np.trace(centered)) <= 1e-8
         v = np.random.default_rng(24).standard_normal(256)
@@ -908,17 +918,17 @@ print(np.array_equal(first, want), np.array_equal(again, want))
     def test_coupling_dense_left_unchanged(self, name):
         build, lam = DENSE_COUPLINGS[name]
         j = build()
-        before = j.dense.copy()
+        before = dense_form(j).copy()
         centered_resolvent(j, lam, 1.0)
-        assert np.array_equal(j.dense, before)
+        assert np.array_equal(dense_form(j), before)
         with pytest.raises(ValueError, match="spectrum"):
             centered_resolvent(j, 1.0, 1.0)
-        assert np.array_equal(j.dense, before)
+        assert np.array_equal(dense_form(j), before)
 
     @pytest.mark.parametrize("row,col", [(40, 3), (3, 40), (0, 0)])
     def test_nan_in_the_coupling_refused(self, row, col):
         # in either triangle of J: the factorization reads only the lower
-        j = build_wigner_coupling(64, seed=6)
+        j = dense_operator(build_wigner_coupling(64, seed=6))
         j.dense[row, col] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             centered_resolvent(j, 2.5, 1.0)
@@ -1066,26 +1076,44 @@ class TestDenseWorkingMemory:
         assert peak <= 1.3 * self.SQUARE
 
     def test_dense_check_holds_one_gram(self):
-        j = build_wigner_coupling(self.N, seed=13)
+        j = dense_operator(build_wigner_coupling(self.N, seed=13))
         _, peak = traced_peak(lambda: check_semi_random(j, "dense"))
         assert peak <= 1.2 * self.SQUARE
 
-    def test_wishart_coupling_keeps_j_only(self):
-        # float32 X and G = X^T X, then X dropped before the float64 J:
-        # 1.53 at phi = 1 and 2, where a float64 X peaked at 2.0 and 4.0
-        for phi in (1.0, 2.0):
-            build_wishart_coupling(self.N, phi, seed=13)
+    DRAWS = {  # builder and the bytes of its int8 draw
+        "sk": (lambda n: build_coupling("sk", n, 13), 1),
+        "hopfield-1": (lambda n: build_coupling("hopfield", n, 13, 1.0), 1),
+        "hopfield-2": (lambda n: build_coupling("hopfield", n, 13, 2.0), 2),
+    }
+
+    def test_coupling_keeps_its_draw_only(self):
+        # the int8 draw and, for sk, J's diagonal: 0.125 N x N at phi = 1,
+        # where a float64 J took 1.0; the slack is the Python objects
+        for name, (build, rows) in self.DRAWS.items():
+            build(self.N)
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                op = build_wishart_coupling(self.N, phi, seed=13)
-                held, peak = np.subtract(tracemalloc.get_traced_memory(),
-                                         start)
+                op = build(self.N)
+                held = tracemalloc.get_traced_memory()[0] - start
             finally:
                 tracemalloc.stop()
-            assert held <= 1.05 * self.SQUARE, phi
-            assert peak <= 1.6 * self.SQUARE, phi
-            assert op.dense.flags.owndata
+            assert held <= rows * self.N * self.N + 8 * self.N + 4096, name
+            assert op.dense is None
+
+    @pytest.mark.parametrize("name", sorted(DRAWS))
+    def test_build_and_resolvent_hold_one_buffer_beyond_the_draw(self, name):
+        # beyond the draw, the inverse and, for hopfield, two float32
+        # panels of X: 1.07 for sk, 1.19 at phi = 1 and 1.38 at phi = 2,
+        # where a float64 J beside the inverse took 1.94, 1.94 and 1.81
+        build, rows = self.DRAWS[name]
+        law = SpectralLaw.semicircle() if name == "sk" else (
+            SpectralLaw.marchenko_pastur(float(rows)))
+        params = solve_q_star(1.0, 1.0, law)
+        resolvent_operator(build(64), params)
+        _, peak = traced_peak(
+            lambda: resolvent_operator(build(self.N), params))
+        assert peak - rows * self.N * self.N <= 1.5 * self.SQUARE
 
     def test_dense_form_works_in_column_blocks(self):
         # one N x N result plus one block's FFT work arrays, not the

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from amplab.ensembles import build_wishart_coupling
+from amplab.ensembles import build_wishart_coupling, dense_form
 from amplab.spectral import (SpectralLaw, cauchy_derivative, cauchy_transform,
                              inverse_cauchy, r_transform, resolvent_variance,
                              sup_cauchy)
@@ -205,7 +205,8 @@ class TestMarchenkoPastur:
 
     @pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
     def test_matches_sampled_wishart_spectrum(self, phi):
-        eigs = np.linalg.eigvalsh(build_wishart_coupling(2048, phi, seed=3).dense)
+        eigs = np.linalg.eigvalsh(
+            dense_form(build_wishart_coupling(2048, phi, seed=3)))
         law = SpectralLaw.marchenko_pastur(phi)
         z = law.lambda_plus + 0.5
         sampled = cauchy_transform(SpectralLaw.empirical(eigs), z)
