@@ -11,8 +11,9 @@ defined there.  Everything is real-axis only.
 
 Closed forms are provided for the two-atom uniform +/-1 law ("rademacher"),
 the semicircle, and the Marchenko-Pastur law of the sample-covariance
-coupling J = X^T X / sqrt(M N).  Empirical laws average 1/(z - lambda_i)
-over their atoms.
+coupling J = X^T X / sqrt(M N), for G and for R, R' and G^{-1} alike, so
+that they stay exact as y -> 0.  Empirical laws average 1/(z - lambda_i)
+over their atoms and invert G by Newton's method.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def cauchy_transform(law: SpectralLaw, z: float) -> float:
     _check_above_edge(law, z)
     if law.kind == "rademacher":
         return z / (z * z - 1.0)
-    if law.kind == "semicircle":
-        return (z - np.sqrt(z * z - 4.0)) / 2.0
+    if law.kind == "semicircle":  # (z - sqrt(z^2 - 4)) / 2, without cancelling
+        return 2.0 / (z + np.sqrt(z * z - 4.0))
     if law.kind == "marchenko_pastur":
         return float(_mp_cauchy(law.phi, z)[0])
     return float(np.mean(1.0 / (z - law.eigenvalues)))
@@ -149,16 +150,19 @@ def sup_cauchy(law: SpectralLaw) -> float:
 
 
 def inverse_cauchy(law: SpectralLaw, y: float) -> float:
-    """z = G^{-1}(y), by safeguarded Newton on (lambda_plus, inf).
+    """z = G^{-1}(y): 1/y + R(y) for a closed-form law, else by
+    safeguarded Newton on (lambda_plus, inf).
 
-    Stops at |G(z) - y| <= 1e-14, well inside the contracted 1e-12.  The
-    initial bracket upper end lambda_plus + 1/y + 1 works because
-    G(z) < 1/(z - lambda_plus).
+    Newton stops at |G(z) - y| <= 1e-14, well inside the contracted
+    1e-12.  The initial bracket upper end lambda_plus + 1/y + 1 works
+    because G(z) < 1/(z - lambda_plus).
     """
     sup = sup_cauchy(law)
     if not 0.0 < y < sup:
         raise ValueError(
             f"y = {y} outside the attainable range (0, {sup}) of G")
+    if law.kind != "empirical":
+        return float(1.0 / y + r_transform(law, y)[0])
     lo = law.lambda_plus
     hi = law.lambda_plus + 1.0 / y + 1.0
     while cauchy_transform(law, hi) > y:  # paranoia; cannot trigger for atoms
@@ -185,15 +189,32 @@ def inverse_cauchy(law: SpectralLaw, y: float) -> float:
 
 
 def r_transform(law: SpectralLaw, y: float):
-    """(R(y), R'(y)) with R(y) = G^{-1}(y) - 1/y.
+    """(R(y), R'(y)) with R(y) = G^{-1}(y) - 1/y, for 0 < y < sup G.
 
-    The derivative uses the inverse-function rule
-    d G^{-1}/dy = 1/G'(G^{-1}(y)), so R'(y) = 1/G'(G^{-1}(y)) + 1/y^2.
+    Closed forms, exact as y -> 0: the semicircle's R = y; Rademacher's
+    R = 2y / (1 + s), s = sqrt(1 + 4 y^2); Marchenko-Pastur's
+    R = sqrt(phi) / (1 - y / sqrt(phi)).  An empirical law takes the
+    inverse-function rule d G^{-1}/dy = 1/G'(G^{-1}(y)), so
+    R'(y) = 1/G'(G^{-1}(y)) + 1/y^2; as y -> 0 its two terms cancel, and
+    where more than 6 of the 16 digits cancel it raises NumericError.
     """
+    if law.kind == "semicircle":
+        return float(y), 1.0
+    if law.kind == "rademacher":
+        s = np.sqrt(1.0 + 4.0 * y * y)
+        return (float(2.0 * y / (1.0 + s)),
+                float(2.0 / (1.0 + s) - 8.0 * y * y / (s * (1.0 + s) ** 2)))
+    if law.kind == "marchenko_pastur":
+        a = 1.0 - y / np.sqrt(law.phi)
+        return float(np.sqrt(law.phi) / a), float(1.0 / (a * a))
     z = inverse_cauchy(law, y)
-    r = z - 1.0 / y
-    r_prime = 1.0 / cauchy_derivative(law, z) + 1.0 / (y * y)
-    return float(r), float(r_prime)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_sq = 1.0 / np.square(np.float64(y))  # inf once y^2 underflows
+        r_prime = 1.0 / np.float64(cauchy_derivative(law, z)) + inv_sq
+    if not abs(r_prime) * 1e6 > inv_sq:
+        raise NumericError(f"R'(y) at y = {y:.6g} cancels in the "
+                           f"inverse-function rule of the empirical law")
+    return float(z - 1.0 / y), float(r_prime)
 
 
 def resolvent_variance(law: SpectralLaw, lam: float) -> float:

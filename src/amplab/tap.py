@@ -42,7 +42,7 @@ import numpy as np
 from .amp import AmpTrace, gaussian_init, keep_iterates, run_amp
 from .ensembles import (MatrixOperator, centered_resolvent,
                         involution_resolvent, scale_rows, tap_ensemble)
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericError
 from .hermite import gaussian_expectation
 from .rng import substream
 from .spectral import (SpectralLaw, inverse_cauchy, r_transform,
@@ -80,8 +80,8 @@ class TapParameters:
     @property
     def r_shift(self) -> float:
         """beta * R(beta - beta q*): the Onsager-like shift in the fixed point."""
-        y = self.beta * (1.0 - self.q_star)
-        return self.beta * (self.lambda_star - 1.0 / y)
+        return self.beta * r_transform(self.law,
+                                       self.beta * (1.0 - self.q_star))[0]
 
 
 def ensemble_law(ensemble: str, phi: float = 1.0) -> SpectralLaw:
@@ -126,8 +126,11 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
     def sigma_sq_of(q):
         if q == 0.0:
             return 0.0
-        y = beta * (1.0 - q)
-        _, r_prime = r_transform(law, y)
+        try:
+            _, r_prime = r_transform(law, beta * (1.0 - q))
+        except NumericError as exc:
+            raise NumericError(f"beta = {beta} is too small for the "
+                               f"{law.kind} law: {exc}") from None
         return beta * beta * q * r_prime
 
     def phi_of(q):
@@ -175,6 +178,9 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
         # q* = 0 (no external field): the closed-form ratio is 0/0, but the
         # constant is still the resolvent variance at lambda*.
         sigma_psi_sq = resolvent_variance(law, lambda_star)
+    if sigma_psi_sq == 0.0:  # about beta^4, below the smallest float
+        raise ValueError(f"beta = {beta} is too small: sigma_psi^2 of the "
+                         f"resolvent underflows to 0 (pick a larger beta)")
     return TapParameters(beta, theta, q, sigma_star_sq, lambda_star,
                          sigma_psi_sq, law, iterations, abs(resid))
 

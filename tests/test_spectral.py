@@ -121,6 +121,21 @@ class TestRTransform:
                       - r_transform(law, y - h)[0]) / (2 * h)
                 assert rp == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.parametrize("law", [
+        RADEMACHER, SEMICIRCLE, SpectralLaw.marchenko_pastur(0.5),
+        SpectralLaw.marchenko_pastur(2.0)], ids=["rademacher", "semicircle",
+                                                 "mp-0.5", "mp-2"])
+    def test_closed_forms_are_the_inverse_function_rule(self, law):
+        # away from y -> 0, where 1/G'(z) + 1/y^2 keeps its digits
+        for dz in (0.2, 1.0, 4.0):
+            z = law.lambda_plus + dz
+            y = cauchy_transform(law, z)
+            r, rp = r_transform(law, y)
+            assert r == pytest.approx(z - 1 / y, rel=1e-12, abs=1e-13)
+            assert rp == pytest.approx(
+                1 / cauchy_derivative(law, z) + 1 / y ** 2, rel=1e-11)
+            assert inverse_cauchy(law, y) == pytest.approx(z, rel=1e-13)
+
     def test_semicircle_r_is_identity(self):
         # free additive convolution: R_sc(y) = y, via the round-trip
         # construction itself (inverse_cauchy + algebra)

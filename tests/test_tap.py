@@ -10,11 +10,11 @@ from amplab import tap
 from amplab.ensembles import (ENSEMBLES, TAP_ENSEMBLES, MatrixOperator,
                               build_sign_perm, dense_form, fwht,
                               involution_resolvent)
-from amplab.errors import ConvergenceError
+from amplab.errors import ConvergenceError, NumericError
 from amplab.hermite import gaussian_expectation
 from amplab.metrics import observable_row
 from amplab.rng import rademacher, substream
-from amplab.spectral import SpectralLaw, resolvent_variance
+from amplab.spectral import SpectralLaw, r_transform, resolvent_variance
 from amplab.tap import (build_coupling, ensemble_law, g_nonlinearity,
                         gauge_conjugate, resolvent_operator,
                         run_field_iteration, run_tap_amp, solve_q_star,
@@ -84,6 +84,31 @@ class TestSolveQStar:
         # semicircle at beta >= 2 and of the MP law at beta >= 1
         params = solve_q_star(beta, 2.0, law)
         assert params.lambda_star > law.lambda_plus
+
+    @pytest.mark.parametrize("law", [
+        pytest.param(RADEMACHER, id="rademacher"),
+        pytest.param(SpectralLaw.semicircle(), id="semicircle"),
+        pytest.param(SpectralLaw.marchenko_pastur(2.0), id="mp"),
+    ])
+    @pytest.mark.parametrize("beta", [1e-3, 5e-4, 1e-4, 1e-8])
+    def test_small_beta_keeps_the_closed_form(self, law, beta):
+        # R'(y) = 1 + O(y) for these laws, and exactly 1 for the
+        # semicircle: 1/G'(z) + 1/y^2 cancelled to 1.0012 at beta = 1e-3,
+        # and failed outright below
+        params = solve_q_star(beta, 1.0, law)
+        y = beta * (1.0 - params.q_star)
+        assert params.sigma_star_sq == pytest.approx(
+            beta * beta * params.q_star, rel=1e-12 if law.kind ==
+            "semicircle" else 4 * y)
+        assert params.lambda_star == 1.0 / y + r_transform(law, y)[0]
+        oracle = tanh_sq_expectation_quad(1.0, np.sqrt(params.sigma_star_sq))
+        assert abs(params.q_star - oracle) <= 1e-10
+
+    def test_empirical_rule_cancelling_names_beta(self):
+        law = SpectralLaw.empirical([-1.0, 0.5, 1.0])
+        assert solve_q_star(0.5, 1.0, law).sigma_star_sq > 0
+        with pytest.raises(NumericError, match=r"beta = 1e-06 .*cancels"):
+            solve_q_star(1e-6, 1.0, law)
 
     def test_no_admissible_fixed_point_raises(self):
         # without a field the overlap map of the MP law points below the
