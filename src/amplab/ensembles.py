@@ -13,8 +13,9 @@ sigma_psi^2 of its conjugated core.  The builders cover:
                      from one builder, with one matvec,
 * random orthogonal- U diag(lam) U^T with U Haar, a uniform reflection
                      revealed lazily, so the full matrix is never sampled,
-* Wigner / Wishart couplings (dense), and their trace-centered resolvents
-  (a dense inverse from one Cholesky factorization, applied as one gemv).
+* Wigner / Wishart couplings, kept as their int8 +/-1 draws and written a
+  block of J at a time, and their trace-centered resolvents (a dense
+  inverse from one Cholesky factorization, applied as one gemv).
 
 Signed sine, signed Hadamard and random orthogonal have spectrum {-1, +1}
 (they square to the identity): their law is the Rademacher one, and for
@@ -87,8 +88,9 @@ class MatrixOperator:
         built around one; ``dense_form`` and ``check_semi_random`` read it.
     blocks : callable or None
         The SK and Hopfield couplings keep only their exact +/-1 draws, and
-        ``blocks(out, row, col)`` writes J[row:, col:] into a float64
-        ``out`` of the block's shape, from the draw: J is never held whole.
+        ``blocks(out, row, col)`` writes J[row:, col:] from the draw into a
+        float64 ``out`` of the block's shape, a block of a few rows, and
+        returns it: J is never held whole.
     coupling : MatrixOperator or None
         For resolvent and gauged operators, the underlying coupling J.
     haar_basis : _LazyHaar or None
@@ -548,9 +550,9 @@ def build_wigner_coupling(n: int, seed: int) -> MatrixOperator:
         out[k - row, k - col] = diag[k]
         return out
 
-    def apply(v):  # rows c of J v are J[:, c]^T v, from one stripe of J
-        return np.concatenate([blocks(np.empty((n, min(_width(n), n - i))),
-                                      0, i).T @ v
+    def apply(v):  # J v a block of rows of J at a time
+        return np.concatenate([blocks(np.empty((min(_width(n), n - i), n)),
+                                      i, 0) @ v
                                for i in range(0, n, _width(n))])
 
     return MatrixOperator(n, apply, 1.0, "wigner", trace=float(diag.sum()),
@@ -581,12 +583,12 @@ def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
                    np.int8).reshape(m, n)
     scale = np.sqrt(m * n)
 
-    def blocks(out, row, col):  # in square blocks of out's width
+    def blocks(out, row, col):  # in square blocks of out's height
         rows, cols = out.shape
-        right = x[:, col:col + cols].astype(np.float32)
-        for i in range(0, rows, cols):
-            left = x[:, row + i:row + min(rows, i + cols)].astype(np.float32)
-            np.divide(left.T @ right, scale, out=out[i:i + cols],
+        left = x[:, row:row + rows].astype(np.float32)
+        for j in range(0, cols, rows):
+            right = x[:, col + j:col + min(cols, j + rows)].astype(np.float32)
+            np.divide(left.T @ right, scale, out=out[:, j:j + rows],
                       dtype=np.float64)
         return out
 
@@ -681,7 +683,7 @@ def dense_form(op: MatrixOperator) -> np.ndarray:
     out = np.empty((n, n))
     if op.blocks is not None:
         for start in range(0, n, _width(n)):
-            op.blocks(out[:, start:start + _width(n)], 0, start)
+            op.blocks(out[start:start + _width(n)], start, 0)
         return out
     for start in range(0, n, DENSE_BLOCK):
         eye = np.eye(n, min(DENSE_BLOCK, n - start), -start)
@@ -734,8 +736,9 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     coupling = None if j_op.blocks else dense_form(j_op)
     shifted = np.empty((n, n), order="F")
     for i in range(0, n, width):
-        if coupling is None:  # the lower triangle, from the draw
-            top, stripe = i, j_op.blocks(shifted[i:, i:i + width], i, i)
+        if coupling is None:  # the lower triangle from the draw, as rows
+            # of the symmetric J in the transpose's memory order
+            top, stripe = i, j_op.blocks(shifted[i:, i:i + width].T, i, i).T
         else:  # both triangles: a non-finite entry in either is refused
             top, stripe = 0, shifted[:, i:i + width]
             np.copyto(stripe, coupling[:, i:i + width])
