@@ -212,8 +212,8 @@ def r_transform(law: SpectralLaw, y: float):
         inv_sq = 1.0 / np.square(np.float64(y))  # inf once y^2 underflows
         r_prime = 1.0 / np.float64(cauchy_derivative(law, z)) + inv_sq
     if not abs(r_prime) * 1e6 > inv_sq:
-        raise NumericError(f"R'(y) at y = {y:.6g} cancels in the "
-                           f"inverse-function rule of the empirical law")
+        raise NumericError(f"R'(y) at y = {y:.6g} cancels in the empirical "
+                           f"law's inverse-function rule (pick a larger y)")
     return float(z - 1.0 / y), float(r_prime)
 
 

@@ -129,8 +129,7 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
         try:
             _, r_prime = r_transform(law, beta * (1.0 - q))
         except NumericError as exc:
-            raise NumericError(f"beta = {beta} is too small for the "
-                               f"{law.kind} law: {exc}") from None
+            raise NumericError(f"at beta = {beta}: {exc}") from None
         return beta * beta * q * r_prime
 
     def phi_of(q):

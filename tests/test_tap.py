@@ -107,7 +107,7 @@ class TestSolveQStar:
     def test_empirical_rule_cancelling_names_beta(self):
         law = SpectralLaw.empirical([-1.0, 0.5, 1.0])
         assert solve_q_star(0.5, 1.0, law).sigma_star_sq > 0
-        with pytest.raises(NumericError, match=r"beta = 1e-06 .*cancels"):
+        with pytest.raises(NumericError, match=r"at beta = 1e-06: .* cancels"):
             solve_q_star(1e-6, 1.0, law)
 
     def test_no_admissible_fixed_point_raises(self):
