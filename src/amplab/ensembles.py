@@ -62,8 +62,8 @@ DENSE_BLOCK = 32
 
 
 def _width(n):
-    # Columns per block of J written from a dense coupling's draw and per
-    # stripe of lam I - J: two float32 panels of X take phi / 8 N x N
+    # Rows per block of J written from a dense coupling's draw, and columns
+    # per stripe of lam I - J: two float32 panels of X take phi / 8 N x N
     # float64, the int8 draw's size; at N = 2048 the Gram costs one syrk
     return min(256, max(64, n // 8))
 
@@ -87,10 +87,9 @@ class MatrixOperator:
         The full matrix of every ``centered_resolvent`` and of an operator
         built around one; ``dense_form`` and ``check_semi_random`` read it.
     blocks : callable or None
-        The SK and Hopfield couplings keep only their exact +/-1 draws, and
-        ``blocks(out, row, col)`` writes J[row:, col:] from the draw into a
-        float64 ``out`` of the block's shape, a block of a few rows, and
-        returns it: J is never held whole.
+        For the SK and Hopfield couplings, which keep only their exact +/-1
+        draws: ``blocks(out, row, col)`` writes J[row:, col:] into a float64
+        ``out`` of a few rows, as far as it reaches, and returns it.
     coupling : MatrixOperator or None
         For resolvent and gauged operators, the underlying coupling J.
     haar_basis : _LazyHaar or None
@@ -534,7 +533,7 @@ def build_wigner_coupling(n: int, seed: int) -> MatrixOperator:
     its second moment, 1.  The operator keeps the exact draw, W in int8
     with its upper triangle mirrored below the diagonal, and J's diagonal
     apart.  ``blocks`` writes W / sqrt(N) in float64, the bits of a float64
-    draw; the matvec applies J a stripe of columns at a time.
+    draw; the matvec applies J a block of rows at a time.
     """
     _check_cap(n)
     rng = substream(seed, "wigner", "rademacher")  # the label keys every SK draw
@@ -671,10 +670,10 @@ def conjugate_gradient(apply, b: np.ndarray, *, rtol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 def dense_form(op: MatrixOperator) -> np.ndarray:
-    """The N x N matrix of ``op``: its ``dense`` field, else one written a
-    stripe at a time from its ``blocks`` or from ``matvec(I)``, DENSE_BLOCK
-    columns at a time.  Materializing is refused before any matvec above
-    MATERIALIZATION_CAP.
+    """The N x N matrix of ``op``: its ``dense`` field, else one written
+    from its ``blocks``, a block of rows at a time, or from ``matvec(I)``,
+    DENSE_BLOCK columns at a time.  Materializing is refused before any
+    matvec above MATERIALIZATION_CAP.
     """
     if op.dense is not None:
         return op.dense
@@ -736,8 +735,7 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     coupling = None if j_op.blocks else dense_form(j_op)
     shifted = np.empty((n, n), order="F")
     for i in range(0, n, width):
-        if coupling is None:  # the lower triangle from the draw, as rows
-            # of the symmetric J in the transpose's memory order
+        if coupling is None:  # rows of the symmetric J, in stripe.T's order
             top, stripe = i, j_op.blocks(shifted[i:, i:i + width].T, i, i).T
         else:  # both triangles: a non-finite entry in either is refused
             top, stripe = 0, shifted[:, i:i + width]
