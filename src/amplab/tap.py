@@ -299,7 +299,8 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
     iterate identity z^t(J, h) = diag(h) z^t(Jbar, 1) holds entrywise.
     Jbar keeps the spectrum and the trace of J, so under the same law it
     takes the same resolvent.  For J = S K S (J has ``signs``) it is
-    (h S) K (h S), at J's cost.
+    (h S) K (h S), at J's cost; a J with ``blocks`` gives Jbar's blocks,
+    so its resolvent is written from J's draw too.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (j_op.dim,):
@@ -312,10 +313,17 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
     def apply(v):
         return scale_rows(h, j_op.matvec(scale_rows(h, v)))
 
+    def blocks(out, row, col):
+        j_op.blocks(out, row, col)
+        out *= h[row:row + len(out), None]
+        out *= h[col:col + out.shape[1]]
+        return out
+
     trace = j_op.trace  # diag(h) J diag(h) has the same diagonal
     return MatrixOperator(j_op.dim, apply if signs is None else j_op._apply,
                           j_op.sigma_psi_sq, f"{j_op.label}-gauged",
-                          trace=trace, coupling=j_op, signs=signs)
+                          trace=trace, coupling=j_op, signs=signs,
+                          blocks=None if j_op.blocks is None else blocks)
 
 
 def run_field_iteration(coupling: MatrixOperator, h: np.ndarray,

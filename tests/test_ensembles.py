@@ -925,6 +925,21 @@ print(np.array_equal(first, want), np.array_equal(again, want))
             centered_resolvent(j, 1.0, 1.0)
         assert np.array_equal(dense_form(j), before)
 
+    @pytest.mark.parametrize("name", ["sk", "hopfield"])
+    def test_gauged_coupling_is_written_from_the_draw(self, name):
+        # diag(h) J diag(h) signs the rows and columns of J's blocks, so
+        # its resolvent is not materialized from matvecs, and keeps the
+        # bits of the materialized Jbar's
+        build, lam = DENSE_COUPLINGS[name]
+        j = build()
+        h = np.where(np.arange(j.dim) % 3 == 0, -1.0, 1.0)
+        jbar = gauge_conjugate(j, h)
+        assert jbar.blocks is not None
+        assert np.array_equal(dense_form(jbar), dense_form(j) * np.outer(h, h))
+        assert np.array_equal(
+            centered_resolvent(jbar, lam, 1.0).dense,
+            centered_resolvent(dense_operator(jbar), lam, 1.0).dense)
+
     @pytest.mark.parametrize("row,col", [(40, 3), (3, 40), (0, 0)])
     def test_nan_in_the_coupling_refused(self, row, col):
         # in either triangle of J: the factorization reads only the lower
