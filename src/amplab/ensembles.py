@@ -88,8 +88,9 @@ class MatrixOperator:
         built around one; ``dense_form`` and ``check_semi_random`` read it.
     blocks : callable or None
         For the SK and Hopfield couplings, which keep only their exact +/-1
-        draws: ``blocks(out, row, col)`` writes J[row:, col:] into a float64
-        ``out`` of a few rows, as far as it reaches, and returns it.
+        draws: ``blocks(out, row, col)`` writes the block of J at (row, col)
+        with the shape of ``out``, a float64 array of a few rows, into it
+        and returns it.
     coupling : MatrixOperator or None
         For resolvent and gauged operators, the underlying coupling J.
     haar_basis : _LazyHaar or None
@@ -732,7 +733,7 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     scipy's array-API layer; the file alone takes about 5 ms and 3 MB.
     """
     n, width = j_op.dim, _width(j_op.dim)
-    coupling = None if j_op.blocks else dense_form(j_op)
+    coupling = dense_form(j_op) if j_op.blocks is None else None
     shifted = np.empty((n, n), order="F")
     for i in range(0, n, width):
         if coupling is None:  # rows of the symmetric J, in stripe.T's order
