@@ -35,10 +35,10 @@ for beta in (2.0, 4.0):
         for seed in SEEDS:
             # the Haar budget has room for one residual: m^10's below, as
             # m^1 lies in the revealed span and its residual reveals nothing
-            result = run_tap_amp(ens, beta, 2.0, N, T, seed, params=params,
-                                 observe=keep_iterates)
-            iterates = result.trace.steps + result.trace.iterates
-            coupling = result.coupling
+            trace, resolvent = run_tap_amp(ens, params, N, T, seed,
+                                           observe=keep_iterates)
+            iterates = trace.steps + trace.iterates
+            coupling = resolvent.coupling
             acc += successive_diff(iterates)
         curves[ens] = acc / len(SEEDS)
         # On random-orthogonal the residual of m^10 depends on the vectors

@@ -10,8 +10,9 @@ Run:  python3 demos/06_gauge_symmetry.py
 
 import numpy as np
 
-from amplab import (SpectralLaw, build_signed_sine, gauge_conjugate,
-                    run_field_iteration, solve_q_star)
+from amplab import (SpectralLaw, build_signed_sine, g_nonlinearity,
+                    gauge_conjugate, keep_iterates, resolvent_operator,
+                    run_amp, solve_q_star)
 from amplab.rng import rademacher, substream
 
 N, T = 1024, 6
@@ -20,9 +21,19 @@ coupling = build_signed_sine(N, seed=21)
 h = rademacher(substream(99, "field"), N)
 gauged = gauge_conjugate(coupling, h)
 
+
+
+def field_iterates(j, field, z0):
+    """z^0..z^T of the TAP iteration on J with the +/-1 field vector."""
+    trace = run_amp(resolvent_operator(j, params),
+                    [g_nonlinearity(params, field)] * T, z0, T,
+                    observe=keep_iterates)
+    return trace.steps + trace.iterates
+
+
 zbar0 = substream(17, "z0").normal(0.0, np.sqrt(params.sigma_star_sq), N)
-with_field = run_field_iteration(coupling, h, params, T, h * zbar0)
-unit_field = run_field_iteration(gauged, np.ones(N), params, T, zbar0)
+with_field = field_iterates(coupling, h, h * zbar0)
+unit_field = field_iterates(gauged, np.ones(N), zbar0)
 
 print("entrywise identity diag(h) z^t(Jbar, 1) = z^t(J, h):")
 for t in range(T + 1):

@@ -6,7 +6,8 @@ deterministic state-evolution recursion, and applies both to the
 high-temperature TAP equations of mean-field Ising models.
 """
 
-from .amp import AmpTrace, gaussian_init, keep_iterates, run_amp
+from .amp import (AmpTrace, Plan, gaussian_init, keep_iterates, run_amp,
+                  run_plan)
 from .ensembles import (ENSEMBLES, EnsembleDiagnostics, MatrixOperator,
                         build_random_orthogonal, build_sign_perm,
                         build_signed_hadamard, build_signed_sine,
@@ -22,8 +23,8 @@ from .spectral import (SpectralLaw, cauchy_derivative, cauchy_transform,
 from .state_evolution import (Nonlinearity, SECovariance,
                               center_divergence_free, preset_nonlinearity,
                               run_state_evolution)
-from .tap import (TapParameters, TapRunResult, ensemble_law, g_nonlinearity,
-                  gauge_conjugate, run_field_iteration, run_tap_amp,
-                  solve_q_star, tap_residual)
+from .tap import (TapParameters, ensemble_law, g_nonlinearity,
+                  gauge_conjugate, resolvent_operator, run_tap_amp,
+                  solve_q_star, tap_plan, tap_residual, tap_state_evolution)
 
 __version__ = "0.1.0"

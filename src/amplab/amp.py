@@ -1,4 +1,4 @@
-"""The memory-free iteration itself.
+"""The memory-free iteration itself, and the plan that runs it per seed.
 
 Two modes:
 
@@ -12,14 +12,17 @@ Two modes:
 A run keeps only z^{t-1} and z^t alive and, after each matvec, what
 ``observe(t, z^{t-1}, z^t)`` returns: the CLI's observer gives the step's
 ``metrics.observable_row``, ``keep_iterates`` the iterates for tests,
-demos, the field iteration and trace dumps.  Standardization constants
-always come from state evolution, never from in-loop estimates.
+demos and trace dumps.  Standardization constants always come from state
+evolution, never from in-loop estimates.
+
+A ``Plan`` is one experiment, and ``run_plan`` runs one seed of it: every
+seed of ``run`` and ``tap`` (``tap.tap_plan``) goes through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .ensembles import MatrixOperator
 from .errors import NumericError
 from .metrics import _chunked_sum
 from .rng import substream
-from .state_evolution import Nonlinearity
+from .state_evolution import Nonlinearity, SECovariance
 
 MODES = ("simple", "projected")
 
@@ -45,10 +48,6 @@ class AmpTrace:
     ensemble_label: str
     alphas: list = field(default_factory=list)  # projected mode only
     steps: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def gaussian_init(n: int, sigma0: float, seed: int) -> np.ndarray:
@@ -127,3 +126,27 @@ def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
         _check_finite(z, t + 1)
         steps.append(observe(t + 1, prev, z))
     return AmpTrace(op.dim, T, [z], mode, seed, op.label, alphas, steps)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """One experiment: ``se`` predicts it (``se.cov[0, 0]`` is Var z^0 and
+    ``se.T`` the run length), ``operator(seed)`` builds the seed's M, and
+    ``label`` names the trace (None: M's own label)."""
+
+    se: SECovariance
+    operator: Callable[[int], MatrixOperator]
+    nonlins: Sequence[Nonlinearity]
+    mode: str = "simple"
+    label: str | None = None
+
+
+def run_plan(plan: Plan, seed: int, observe=None):
+    """Run one seed of ``plan`` from z^0 ~ N(0, se.cov[0, 0] I) drawn by
+    ``gaussian_init``.  Returns (trace, M); the caller drops M to free it."""
+    op = plan.operator(seed)
+    # z^0 is passed, not held, so run_amp can free it after step 1
+    trace = run_amp(op, plan.nonlins,
+                    gaussian_init(op.dim, np.sqrt(plan.se.cov[0, 0]), seed),
+                    plan.se.T, plan.mode, seed=seed, observe=observe)
+    return replace(trace, ensemble_label=plan.label or op.label), op

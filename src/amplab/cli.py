@@ -6,6 +6,8 @@ run             memory-free AMP with a named nonlinearity preset on any
                 operator spec string, plus its state-evolution prediction.
 tap             the Ising magnetization pipeline (parameters, iteration,
                 observables) for one of the TAP ensembles.
+
+Both build one ``amp.Plan`` and run each seed of it with ``amp.run_plan``.
 se              state evolution only.
 check-ensemble  semi-randomness diagnostics of an operator.
 
@@ -75,10 +77,6 @@ class ExperimentConfig:
         if self.dump_trace and not self.out:
             raise ValueError("dump_trace needs out: trace dumps go beside it")
 
-    @property
-    def haar_budget(self) -> int:  # directions T matvecs can reveal
-        return min(2 * self.T, self.N)
-
 
 def parse_seeds(text: str) -> tuple:
     """"a..b" (inclusive) or comma-separated integers."""
@@ -124,85 +122,57 @@ def _worker_count(n_jobs: int) -> int:
 # experiment pipelines
 # ---------------------------------------------------------------------------
 
-def _tap_prediction(ensemble, beta, theta, phi, T):
-    """TAP parameters and their state evolution, shared by ``tap`` and ``se``."""
-    params = tap.solve_q_star(beta, theta, tap.ensemble_law(ensemble, phi))
-    se = state_evolution.run_state_evolution(
-        [tap.g_nonlinearity(params)] * T, params.sigma_star_sq,
-        params.sigma_psi_sq, T)
-    return params, se
-
-
-def _tap_experiment(config: ExperimentConfig):
-    params, se = _tap_prediction(config.ensemble, config.beta, config.theta,
-                                 config.phi, config.T)
-
-    def one_seed(seed, observe):
-        return tap.run_tap_amp(config.ensemble, config.beta, config.theta,
-                               config.N, config.T, seed, phi=config.phi,
-                               params=params, observe=observe).trace
-
-    header = {key: getattr(params, key) for key in (
-        "beta", "theta", "q_star", "sigma_star_sq", "lambda_star",
-        "sigma_psi_sq")}
-    collapse = (f"theta = {config.theta:g} and beta = {config.beta:g} "
+def _experiment_plan(config: ExperimentConfig) -> tuple:
+    """(plan, report header, what a collapse of its state evolution names,
+    what to change then) of a ``tap`` or ``run`` configuration."""
+    if config.mode == "tap":
+        params = tap.solve_q_star(config.beta, config.theta,
+                                  tap.ensemble_law(config.ensemble, config.phi))
+        header = {key: getattr(params, key) for key in ("beta", "theta", "q_star",
+                  "sigma_star_sq", "lambda_star", "sigma_psi_sq")}
+        return (tap.tap_plan(config.ensemble, params, config.N, config.T,
+                             config.phi), header,
+                f"theta = {config.theta:g} and beta = {config.beta:g} "
                 f"(q* = {params.q_star:.3g})", "theta or beta")
-    return se, one_seed, header, collapse
-
-
-def _plain_experiment(config: ExperimentConfig):
     base = state_evolution.preset_nonlinearity(config.nonlinearity)
-    sample_op = ensembles.operator_from_spec(
-        config.ensemble, config.N, config.seeds[0],
-        max_directions=config.haar_budget)
+    budget = min(2 * config.T, config.N)  # directions T matvecs can reveal
+    # the first seed's operator, built for sigma_psi^2, is handed to that seed
+    # and dropped, so a lazy Haar store does not stay resident for later seeds
+    built = {config.seeds[0]: ensembles.operator_from_spec(
+        config.ensemble, config.N, config.seeds[0], max_directions=budget)}
+    sigma_psi_sq = built[config.seeds[0]].sigma_psi_sq
     se = state_evolution.run_state_evolution(
-        [base] * config.T, config.sigma0_sq, sample_op.sigma_psi_sq,
-        config.T)
+        [base] * config.T, config.sigma0_sq, sigma_psi_sq, config.T)
     # The simple iteration tracks state evolution only with divergence-free
     # steps: each one centered at its input scale, as the recursion built it.
     nonlins = (list(se.centered) if config.mode == "simple"
                else [base] * config.T)
 
+    def operator(seed):
+        return built.pop(seed, None) or ensembles.operator_from_spec(
+            config.ensemble, config.N, seed, max_directions=budget)
+
     header = {"nonlinearity": config.nonlinearity, "mode": config.mode,
-              "sigma0_sq": config.sigma0_sq,
-              "sigma_psi_sq": sample_op.sigma_psi_sq}
-    # the first seed's operator is handed over once and then dropped, so a
-    # lazy Haar store does not stay resident while later seeds run
-    built = {config.seeds[0]: sample_op}
-
-    def one_seed(seed, observe):
-        op = built.pop(seed, None) or ensembles.operator_from_spec(
-            config.ensemble, config.N, seed, max_directions=config.haar_budget)
-        return amp.run_amp(
-            op, nonlins,
-            amp.gaussian_init(config.N, np.sqrt(config.sigma0_sq), seed),
-            config.T, config.mode, seed=seed, observe=observe)
-
-    collapse = (f"nonlinearity {config.nonlinearity!r} with sigma_psi_sq = "
-                f"{sample_op.sigma_psi_sq:g}", "preset or operator")
-    return se, one_seed, header, collapse
-
-
-def _run_seeds(fn, seeds, workers):
-    if workers == 1:
-        return [fn(seed) for seed in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
+              "sigma0_sq": config.sigma0_sq, "sigma_psi_sq": sigma_psi_sq}
+    return (amp.Plan(se, operator, nonlins, config.mode), header,
+            f"nonlinearity {config.nonlinearity!r} with sigma_psi_sq = "
+            f"{sigma_psi_sq:g}", "preset or operator")
 
 
 def run_experiment(config: ExperimentConfig):
-    """Build, solve, run all seeds, write the report's CSVs.  Returns it.
+    """Run every seed of the configuration's plan, write the report's CSVs,
+    and return the report.
 
     Each seed's observable rows are filled inside its run, whose trace then
-    keeps z^0..z^T for a trace dump and no iterate otherwise."""
+    keeps z^0..z^T for a trace dump and no iterate otherwise; the seed's
+    operator is dropped when its run ends."""
     workers = _worker_count(len(config.seeds))
-    pipeline = _tap_experiment if config.mode == "tap" else _plain_experiment
-    se, one_seed, header, (cause, remedy) = pipeline(config)
-    if se.degenerate:  # before any seed runs, and before tap builds a coupling
+    plan, header, cause, remedy = _experiment_plan(config)
+    if plan.se.degenerate:  # before any seed runs or tap builds a coupling
         raise ValueError(f"state evolution collapses to zero variance for "
                          f"{cause}; observables cannot be standardized "
                          f"(pick a different {remedy})")
-    sigma = np.sqrt(se.sigma_sq)
+    sigma = np.sqrt(plan.se.sigma_sq)
 
     def run_seed(seed):
         kept = []
@@ -212,11 +182,16 @@ def run_experiment(config: ExperimentConfig):
                 kept[t - 1:] = [z_prev, z]  # z^0..z^t
             return metrics.observable_row(z_prev, z, sigma[t])
 
-        return replace(one_seed(seed, observe), iterates=kept)
+        trace, _ = amp.run_plan(plan, seed, observe)
+        return replace(trace, iterates=kept)
 
-    traces = _run_seeds(run_seed, config.seeds, workers)
+    if workers == 1:
+        traces = [run_seed(seed) for seed in config.seeds]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            traces = list(pool.map(run_seed, config.seeds))
     report = metrics.report_from_traces(
-        traces, se.succ_diff_prediction(),
+        traces, plan.se.succ_diff_prediction(),
         beta=config.beta, theta=config.theta,
         params={**header, "seed": _format_seeds(config.seeds)})
     if config.out:
@@ -419,8 +394,9 @@ def _cmd_se(args) -> int:
         raise ValueError(f"the {merged['preset']} preset of se does not read "
                          f"{unread[0]}; it reads {', '.join(reads)}")
     if merged["preset"] == "tap":
-        _, se = _tap_prediction(merged["ensemble"], merged["beta"],
-                                merged["theta"], merged["phi"], merged["T"])
+        params = tap.solve_q_star(merged["beta"], merged["theta"], tap.ensemble_law(
+            merged["ensemble"], merged["phi"]))
+        se = tap.tap_state_evolution(params, merged["T"])
     else:
         base = state_evolution.preset_nonlinearity(merged["nonlinearity"])
         se = state_evolution.run_state_evolution(

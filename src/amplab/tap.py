@@ -14,12 +14,13 @@ here follows the classical two-stage route:
    range of the Cauchy transform G, then derives
    lambda* = G^{-1}(beta - beta q*) and the variance constant sigma_psi^2
    of the trace-centered resolvent M(lambda*).
-2. ``run_tap_amp`` iterates z^{t+1} = M(lambda*) g(z^t) from
-   z^0 ~ N(0, sigma*^2 I) with
+2. ``tap_plan``, an ``amp.Plan``, iterates z^{t+1} = M(lambda*) g(z^t)
+   from z^0 ~ N(0, sigma*^2 I) with
        g(z) = [tanh(theta + z)/(1 - q*) - z] / (beta - beta q*),
    which is divergence-free at scale sigma*, so the simple memory-free
    iteration applies and the state-evolution variance stays constant at
-   sigma*^2 for every step.  ``tap_residual`` measures how far the
+   sigma*^2 for every step.  A random field h enters as
+   ``g_nonlinearity(params, h)``.  ``tap_residual`` measures how far the
    magnetization m^t = tanh(theta 1 + z^t) is from the fixed point.
 
 Ensembles are the rows of ``ensembles.ENSEMBLES`` that have a limiting
@@ -35,11 +36,13 @@ and Hopfield couplings, the dense Cholesky inverse of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .amp import AmpTrace, gaussian_init, keep_iterates, run_amp
+from . import state_evolution
+# run_amp is not called here, but the benchmark's tracer wraps tap.run_amp
+from .amp import Plan, run_amp, run_plan
 from .ensembles import (MatrixOperator, centered_resolvent,
                         involution_resolvent, scale_rows, tap_ensemble)
 from .errors import ConvergenceError, NumericError
@@ -47,7 +50,7 @@ from .hermite import gaussian_expectation
 from .rng import substream
 from .spectral import (SpectralLaw, inverse_cauchy, r_transform,
                        resolvent_variance, sup_cauchy)
-from .state_evolution import Nonlinearity
+from .state_evolution import Nonlinearity, SECovariance
 
 # Relative distance from the edge sup G that the q* iteration keeps: G^{-1}
 # loses accuracy next to a square-root edge such as the semicircle's.
@@ -238,13 +241,6 @@ def resolvent_operator(coupling: MatrixOperator,
     return involution_resolvent(coupling, lam, sig2)
 
 
-@dataclass
-class TapRunResult:
-    trace: AmpTrace              # labelled with the ensemble name
-    params: TapParameters
-    coupling: MatrixOperator = field(repr=False)
-
-
 def tap_residual(m: np.ndarray, coupling: MatrixOperator,
                  params: TapParameters) -> float:
     """(1/N) || m - tanh(theta 1 + beta J m - beta R(beta - beta q*) m) ||^2.
@@ -252,40 +248,41 @@ def tap_residual(m: np.ndarray, coupling: MatrixOperator,
     On a random-orthogonal coupling the value depends on the vectors the
     coupling was applied to before m: its lazy store reveals M in query
     order (see ``ensembles.build_random_orthogonal``).  Its one matvec
-    reveals up to two new directions; ``run_tap_amp`` reserves room for
-    one such call.
+    reveals up to two new directions; ``tap_plan`` reserves room for one
+    such call.
     """
     rhs = np.tanh(params.theta + params.beta * coupling.matvec(m)
                   - params.r_shift * m)
     return float(np.mean((m - rhs) ** 2))
 
 
-def run_tap_amp(ensemble: str, beta: float, theta: float, n: int, T: int,
-                seed: int, *, phi: float = 1.0,
-                params: TapParameters | None = None,
-                observe=None) -> TapRunResult:
-    """Full TAP pipeline: solve parameters, build J and M(lambda*), iterate.
+def tap_state_evolution(params: TapParameters, T: int) -> SECovariance:
+    """f_t = g at every step from sigma*^2: ``tap_plan``'s prediction."""
+    return state_evolution.run_state_evolution(
+        [g_nonlinearity(params)] * T, params.sigma_star_sq,
+        params.sigma_psi_sq, T)
 
-    The iteration is the simple memory-free run with f_t = g for all t and
-    z^0 ~ N(0, sigma*^2 I); the trace is labelled with ``ensemble``.
-    ``observe`` goes to ``run_amp``, whose trace keeps z^T and what it
-    returns at each step.  A random-orthogonal coupling gets the Haar
-    budget of its T matvecs and of one residual, min(2T + 2, n), so after
-    ``tap_residual(np.tanh(theta + z), result.coupling, result.params)``
-    for any z a further matvec that reveals a new direction raises
-    ResourceError.  No TAP residual is computed here.
-    """
-    if params is None:
-        params = solve_q_star(beta, theta, ensemble_law(ensemble, phi))
-    coupling = build_coupling(ensemble, n, seed, phi,
-                              max_directions=min(2 * T + 2, n))
-    operator = resolvent_operator(coupling, params)
-    g = g_nonlinearity(params)
-    trace = run_amp(operator, [g] * T,
-                    gaussian_init(n, np.sqrt(params.sigma_star_sq), seed), T,
-                    "simple", seed=seed, observe=observe)
-    return TapRunResult(replace(trace, ensemble_label=ensemble), params,
-                        coupling)
+
+def tap_plan(ensemble: str, params: TapParameters, n: int, T: int,
+             phi: float = 1.0) -> Plan:
+    """The simple run of g for T steps on each seed's M(lambda*), whose
+    ``coupling`` is the seed's J, traced as ``ensemble``.  A random-orthogonal
+    J gets the Haar budget of T matvecs and one ``tap_residual``,
+    min(2T + 2, n); a further matvec that reveals a direction raises
+    ResourceError."""
+    def operator(seed):
+        return resolvent_operator(
+            build_coupling(ensemble, n, seed, phi,
+                           max_directions=min(2 * T + 2, n)), params)
+
+    return Plan(tap_state_evolution(params, T), operator,
+                [g_nonlinearity(params)] * T, "simple", ensemble)
+
+
+def run_tap_amp(ensemble: str, params: TapParameters, n: int, T: int,
+                seed: int, *, phi: float = 1.0, observe=None):
+    """One seed of ``tap_plan``: (trace, M(lambda*))."""
+    return run_plan(tap_plan(ensemble, params, n, T, phi), seed, observe)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +321,3 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
                           j_op.sigma_psi_sq, f"{j_op.label}-gauged",
                           trace=trace, coupling=j_op, signs=signs,
                           blocks=None if j_op.blocks is None else blocks)
-
-
-def run_field_iteration(coupling: MatrixOperator, h: np.ndarray,
-                        params: TapParameters, T: int, z0: np.ndarray) -> list:
-    """Memory-free TAP iteration with a +/-1 external field vector h.
-
-    ``run_amp`` with the TAP g shifted by the field:
-    z^{t+1} = M(lambda*) [tanh(theta h + z^t)/(1-q*) - z^t] / (beta - beta q*).
-    Returns the list of iterates z^0..z^T (T >= 1).
-    """
-    g = g_nonlinearity(params, np.asarray(h, dtype=np.float64))
-    operator = resolvent_operator(coupling, params)
-    trace = run_amp(operator, [g] * T, z0, T, observe=keep_iterates)
-    return trace.steps + trace.iterates

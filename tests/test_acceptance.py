@@ -28,7 +28,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 
-from amplab.amp import gaussian_init, keep_iterates, run_amp
+from amplab.amp import gaussian_init, keep_iterates, run_amp, run_plan
 from amplab.cli import ExperimentConfig, run_experiment
 from amplab.ensembles import (build_random_orthogonal, build_signed_sine,
                               build_wigner_coupling, build_wishart_coupling,
@@ -40,8 +40,8 @@ from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, resolvent_variance
 from amplab.state_evolution import (preset_nonlinearity, run_state_evolution)
 from amplab.tap import (build_coupling, g_nonlinearity, gauge_conjugate,
-                        resolvent_operator, run_field_iteration, run_tap_amp,
-                        solve_q_star)
+                        resolvent_operator, run_tap_amp, solve_q_star,
+                        tap_plan)
 
 BETAS = (2.0, 4.0, 10.0)
 THETA = 2.0
@@ -90,10 +90,10 @@ def univ_curves(tap_params, tap_se):
         params = tap_params[beta]
         for ens in ENSEMBLES:
             acc = np.zeros(10)
+            plan = tap_plan(ens, params, CRIT12_N, 10)
             for seed in CRIT12_SEEDS:
-                res = run_tap_amp(ens, beta, THETA, CRIT12_N, 10, seed,
-                                  params=params, observe=keep_iterates)
-                acc += successive_diff(res.trace.steps + res.trace.iterates)
+                trace, _ = run_plan(plan, seed, keep_iterates)
+                acc += successive_diff(trace.steps + trace.iterates)
             curves[(beta, ens)] = acc / len(CRIT12_SEEDS)
     return curves
 
@@ -154,10 +154,10 @@ class TestCriterion3:
             params = tap_params[beta]
             sigma = np.sqrt(params.sigma_star_sq)
             sums = np.zeros((10, 4))
+            plan = tap_plan("signed-hadamard", params, n, 10)
             for seed in range(1, 9):
-                res = run_tap_amp("signed-hadamard", beta, THETA, n, 10,
-                                  seed, params=params, observe=keep_iterates)
-                its = res.trace.steps + res.trace.iterates
+                trace, _ = run_plan(plan, seed, keep_iterates)
+                its = trace.steps + trace.iterates
                 for t in range(1, 11):
                     for k in range(1, 5):
                         sums[t - 1, k - 1] += hermite_moment(its[t], k, sigma)
@@ -167,10 +167,9 @@ class TestCriterion3:
             params = tap_params[beta]
             sigma = np.sqrt(params.sigma_star_sq)
             for ens in ENSEMBLES:
-                res = run_tap_amp(ens, beta, THETA, 8192, 10, 3,
-                                  params=params)
+                trace, _ = run_tap_amp(ens, params, 8192, 10, 3)
                 ks_worst = max(ks_worst,
-                               ks_statistic(res.trace.iterates[-1], sigma))
+                               ks_statistic(trace.iterates[-1], sigma))
         ok = worst <= bound and ks_worst <= 0.03
         verdict(3, ok,
                 f"max seed-avg |H_k moment| at N=65536: {worst:.5f} "
@@ -275,6 +274,14 @@ class TestCriterion8:
                 f"N=4096: {ratio:.3f} (band [1.3, 3.0])")
 
 
+def field_iterates(coupling, h, params, T, z0):
+    """z^0..z^T of the TAP iteration on J with a +/-1 field vector h."""
+    trace = run_amp(resolvent_operator(coupling, params),
+                    [g_nonlinearity(params, h)] * T, z0, T,
+                    observe=keep_iterates)
+    return trace.steps + trace.iterates
+
+
 class TestCriterion9:
     def test_gauge_identity(self, tap_params):
         n, t_max = 512, 5
@@ -284,8 +291,8 @@ class TestCriterion9:
         jbar = gauge_conjugate(j, h)
         zbar0 = substream(12, "z0").normal(0.0,
                                            np.sqrt(params.sigma_star_sq), n)
-        zs = run_field_iteration(j, h, params, t_max, h * zbar0)
-        zbars = run_field_iteration(jbar, np.ones(n), params, t_max, zbar0)
+        zs = field_iterates(j, h, params, t_max, h * zbar0)
+        zbars = field_iterates(jbar, np.ones(n), params, t_max, zbar0)
         gap = max(float(np.max(np.abs(zs[t] - h * zbars[t])))
                   for t in range(t_max + 1))
         verdict(9, gap <= 1e-12,

@@ -144,9 +144,9 @@ def tap_run(ensemble):
     params = solve_q_star(1.0, 1.0, ensemble_law(ensemble))
 
     def run(observe):
-        result = run_tap_amp(ensemble, 1.0, 1.0, 256, 4, seed=2,
-                             params=params, observe=observe)
-        return result.trace, result.coupling
+        trace, resolvent = run_tap_amp(ensemble, params, 256, 4, seed=2,
+                                       observe=observe)
+        return trace, resolvent.coupling
 
     return run, np.full(5, np.sqrt(params.sigma_star_sq))
 

@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from amplab.cli import (KEYS, PRESET_KEYS, ExperimentConfig, _build_parser,
                         _fmt, load_config_file, main, parse_seeds,
                         run_experiment)
+from amplab import ensembles, tap
 from amplab.ensembles import build_wishart_coupling
 
 
@@ -93,6 +96,47 @@ def read_rows(path):
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("config", [
+        ExperimentConfig("random-orthogonal", N=256, T=3, seeds=(1, 2),
+                         mode="projected", beta=0.0, theta=0.0),
+        ExperimentConfig("hopfield", N=128, T=3, seeds=(1, 2), beta=1.0)],
+        ids=["run", "tap"])
+    def test_each_operator_is_freed_when_its_seed_ends(self, monkeypatch,
+                                                        config):
+        # weak references to every operator the run builds: each must be
+        # gone, by reference counting alone, before the next seed builds its
+        # own and after run_experiment returns
+        monkeypatch.setenv("AMP_LAB_THREADS", "1")
+        refs, alive_at_build = [], []
+
+        def recording(build, is_builder):
+            def wrapper(*args, **kwargs):
+                if is_builder:
+                    alive_at_build.append(sum(ref() is not None for ref in refs))
+                op = build(*args, **kwargs)
+                refs.append(weakref.ref(op))
+                return op
+            return wrapper
+
+        monkeypatch.setattr(ensembles, "operator_from_spec",
+                            recording(ensembles.operator_from_spec, True))
+        monkeypatch.setattr(tap, "build_coupling",
+                            recording(tap.build_coupling, True))
+        monkeypatch.setattr(tap, "resolvent_operator",
+                            recording(tap.resolvent_operator, False))
+        was_enabled = gc.isenabled()
+        gc.disable()  # a cycle would then keep its operator alive
+        try:
+            run_experiment(config)
+            alive_after = sum(ref() is not None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+        per_seed = 2 if config.mode == "tap" else 1  # tap: J and M(lambda*)
+        assert len(refs) == per_seed * len(config.seeds)
+        assert alive_at_build == [0, 0]
+        assert alive_after == 0
+
     def test_simple_mode_writes_report_and_seed_files(self, tmp_path):
         out = tmp_path / "report.csv"
         config = ExperimentConfig("signed-sine", N=256, T=3, seeds=(1, 2),

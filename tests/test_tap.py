@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from amplab.amp import keep_iterates
+from amplab.amp import keep_iterates, run_amp
 from amplab.cli import _build_parser
 from amplab import tap
 from amplab.ensembles import (ENSEMBLES, TAP_ENSEMBLES, MatrixOperator,
@@ -16,9 +16,8 @@ from amplab.metrics import observable_row
 from amplab.rng import rademacher, substream
 from amplab.spectral import SpectralLaw, r_transform, resolvent_variance
 from amplab.tap import (build_coupling, ensemble_law, g_nonlinearity,
-                        gauge_conjugate, resolvent_operator,
-                        run_field_iteration, run_tap_amp, solve_q_star,
-                        tap_residual)
+                        gauge_conjugate, resolvent_operator, run_tap_amp,
+                        solve_q_star, tap_residual)
 
 RADEMACHER = SpectralLaw.rademacher()
 
@@ -171,29 +170,38 @@ def test_g_fwht_and_resolvent_leave_their_inputs_unchanged():
         assert np.array_equal(x, before)
 
 
-def magnetization(result, t):
+def magnetization(trace, params, t):
     """m^t of a run that kept its iterates (``observe=keep_iterates``)."""
-    trace = result.trace
-    return np.tanh(result.params.theta + (trace.steps + trace.iterates)[t])
+    return np.tanh(params.theta + (trace.steps + trace.iterates)[t])
+
+
+def field_iterates(coupling, h, params, T, z0):
+    """z^0..z^T of the TAP iteration on J with a +/-1 field vector h."""
+    trace = run_amp(resolvent_operator(coupling, params),
+                    [g_nonlinearity(params, h)] * T, z0, T,
+                    observe=keep_iterates)
+    return trace.steps + trace.iterates
 
 
 class TestRunTapAmp:
     def test_magnetization_strictly_inside_cube(self):
-        result = run_tap_amp("signed-sine", 2.0, 2.0, 512, 5, seed=1,
-                             observe=keep_iterates)
-        for t in range(result.trace.T + 1):
-            assert np.all(np.abs(magnetization(result, t)) < 1.0)
+        params = solve_q_star(2.0, 2.0, RADEMACHER)
+        trace, _ = run_tap_amp("signed-sine", params, 512, 5, seed=1,
+                               observe=keep_iterates)
+        for t in range(trace.T + 1):
+            assert np.all(np.abs(magnetization(trace, params, t)) < 1.0)
 
     def test_residual_decreases_from_first_step(self):
         # seed-averaged trend: the iteration approaches a TAP solution
+        params = solve_q_star(2.0, 2.0, RADEMACHER)
         first, last = 0.0, 0.0
         for seed in range(1, 9):
-            result = run_tap_amp("signed-sine", 2.0, 2.0, 1024, 10, seed=seed,
-                                 observe=keep_iterates)
-            first += tap_residual(magnetization(result, 1), result.coupling,
-                                  result.params)
-            last += tap_residual(magnetization(result, 10), result.coupling,
-                                 result.params)
+            trace, resolvent = run_tap_amp("signed-sine", params, 1024, 10,
+                                           seed=seed, observe=keep_iterates)
+            first += tap_residual(magnetization(trace, params, 1),
+                                  resolvent.coupling, params)
+            last += tap_residual(magnetization(trace, params, 10),
+                                 resolvent.coupling, params)
         assert last <= first
 
     def test_one_coupling_matvec_per_step(self, monkeypatch):
@@ -210,8 +218,9 @@ class TestRunTapAmp:
                                   trace=j.trace)
 
         monkeypatch.setattr(tap, "build_coupling", counting_build)
-        result = run_tap_amp("signed-sine", 2.0, 2.0, 256, 6, seed=1)
-        assert result.trace.T == 6
+        params = solve_q_star(2.0, 2.0, RADEMACHER)
+        trace, _ = run_tap_amp("signed-sine", params, 256, 6, seed=1)
+        assert trace.T == 6
         assert len(calls) == 6
 
     @pytest.mark.parametrize("n, cap", [(256, 14), (8, 8)])
@@ -219,19 +228,19 @@ class TestRunTapAmp:
         # T = 6 matvecs and one residual reveal at most min(2T + 2, N)
         # directions
         params = solve_q_star(1.0, 1.0, RADEMACHER)
-        result = run_tap_amp("random-orthogonal", 1.0, 1.0, n, 6, seed=2,
-                             params=params)
-        assert result.coupling.haar_basis.cap == cap
-        assert result.trace.T == 6
+        trace, resolvent = run_tap_amp("random-orthogonal", params, n, 6,
+                                       seed=2)
+        assert resolvent.coupling.haar_basis.cap == cap
+        assert trace.T == 6
 
     def test_coupling_has_room_for_the_final_residual(self):
         params = solve_q_star(2.0, 2.0, RADEMACHER)
-        result = run_tap_amp("random-orthogonal", 2.0, 2.0, 256, 3, seed=1,
-                             params=params)
-        z = result.trace.iterates[-1]
-        resid = tap_residual(np.tanh(2.0 + z), result.coupling, result.params)
+        trace, resolvent = run_tap_amp("random-orthogonal", params, 256, 3,
+                                       seed=1)
+        z = trace.iterates[-1]
+        resid = tap_residual(np.tanh(2.0 + z), resolvent.coupling, params)
         assert np.isfinite(resid)
-        basis = result.coupling.haar_basis
+        basis = resolvent.coupling.haar_basis
         assert basis.q.shape[0] == basis.cap == 8
 
     @staticmethod
@@ -242,13 +251,12 @@ class TestRunTapAmp:
         def rows(t, z_prev, z):
             return observable_row(z_prev, z, sigma)
 
-        run_tap_amp(ensemble, 2.0, 2.0, n, T, seed=1, params=params,
+        run_tap_amp(ensemble, params, n, T, seed=1,
                     observe=rows)  # fills the sine kernel's per-size cache
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run_tap_amp(ensemble, 2.0, 2.0, n, T, seed=1, params=params,
-                        observe=rows)
+            run_tap_amp(ensemble, params, n, T, seed=1, observe=rows)
             return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -271,8 +279,8 @@ class TestRunTapAmp:
 
     def test_trace_carries_the_ensemble_name(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
-        result = run_tap_amp("sk", 0.8, 1.0, 64, 2, seed=5, params=params)
-        assert result.trace.ensemble_label == "sk"
+        trace, _ = run_tap_amp("sk", params, 64, 2, seed=5)
+        assert trace.ensemble_label == "sk"
 
     def test_involution_and_cg_paths_agree(self):
         params = solve_q_star(2.0, 2.0, RADEMACHER)
@@ -318,18 +326,18 @@ class TestRunTapAmp:
 
     def test_sk_small_run(self):
         params = solve_q_star(0.8, 1.0, SpectralLaw.semicircle())
-        result = run_tap_amp("sk", 0.8, 1.0, 256, 3, seed=5, params=params,
-                             observe=keep_iterates)
-        assert result.trace.T == 3
-        assert np.all(np.abs(magnetization(result, 3)) < 1.0)
+        trace, _ = run_tap_amp("sk", params, 256, 3, seed=5,
+                               observe=keep_iterates)
+        assert trace.T == 3
+        assert np.all(np.abs(magnetization(trace, params, 3)) < 1.0)
 
     def test_hopfield_small_run(self):
         law = SpectralLaw.marchenko_pastur(1.0)
         params = solve_q_star(0.6, 1.0, law)
-        result = run_tap_amp("hopfield", 0.6, 1.0, 256, 3, seed=6,
-                             params=params, observe=keep_iterates)
-        assert result.trace.T == 3
-        assert np.all(np.abs(magnetization(result, 3)) < 1.0)
+        trace, _ = run_tap_amp("hopfield", params, 256, 3, seed=6,
+                               observe=keep_iterates)
+        assert trace.T == 3
+        assert np.all(np.abs(magnetization(trace, params, 3)) < 1.0)
 
     def test_unknown_ensemble(self):
         with pytest.raises(ValueError, match="ensemble"):
@@ -417,8 +425,8 @@ class TestGaugeTransform:
         zbar0 = substream(12, "z0").normal(
             0.0, np.sqrt(params.sigma_star_sq), n)
         z0 = h * zbar0
-        zs = run_field_iteration(j, h, params, t_max, z0)
-        zbars = run_field_iteration(jbar, np.ones(n), params, t_max, zbar0)
+        zs = field_iterates(j, h, params, t_max, z0)
+        zbars = field_iterates(jbar, np.ones(n), params, t_max, zbar0)
         for t in range(t_max + 1):
             np.testing.assert_allclose(zs[t], h * zbars[t], atol=1e-12)
 
@@ -434,9 +442,8 @@ class TestGaugeTransform:
             jbar = gauge_conjugate(j, h)
             zbar0 = substream(200 + seed, "z0").normal(
                 0.0, np.sqrt(params.sigma_star_sq), n)
-            zs = run_field_iteration(j, h, params, t_max, h * zbar0)
-            zbars = run_field_iteration(jbar, np.ones(n), params, t_max,
-                                        zbar0)
+            zs = field_iterates(j, h, params, t_max, h * zbar0)
+            zbars = field_iterates(jbar, np.ones(n), params, t_max, zbar0)
             lhs = float(np.mean(h * zs[t_max]))
             rhs = float(np.mean(zbars[t_max]))
             assert lhs == pytest.approx(rhs, abs=1e-14)
