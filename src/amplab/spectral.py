@@ -192,7 +192,8 @@ def r_transform(law: SpectralLaw, y: float):
     """(R(y), R'(y)) with R(y) = G^{-1}(y) - 1/y, for 0 < y < sup G.
 
     Closed forms, exact as y -> 0: the semicircle's R = y; Rademacher's
-    R = 2y / (1 + s), s = sqrt(1 + 4 y^2); Marchenko-Pastur's
+    R = 2y / (1 + s) and R' = 2 / (s (1 + s)), s = sqrt(1 + 4 y^2), which
+    subtract nothing at any y; Marchenko-Pastur's
     R = sqrt(phi) / (1 - y / sqrt(phi)).  An empirical law takes the
     inverse-function rule d G^{-1}/dy = 1/G'(G^{-1}(y)), so
     R'(y) = 1/G'(G^{-1}(y)) + 1/y^2; as y -> 0 its two terms cancel, and
@@ -202,8 +203,7 @@ def r_transform(law: SpectralLaw, y: float):
         return float(y), 1.0
     if law.kind == "rademacher":
         s = np.sqrt(1.0 + 4.0 * y * y)
-        return (float(2.0 * y / (1.0 + s)),
-                float(2.0 / (1.0 + s) - 8.0 * y * y / (s * (1.0 + s) ** 2)))
+        return float(2.0 * y / (1.0 + s)), float(2.0 / (s * (1.0 + s)))
     if law.kind == "marchenko_pastur":
         a = 1.0 - y / np.sqrt(law.phi)
         return float(np.sqrt(law.phi) / a), float(1.0 / (a * a))

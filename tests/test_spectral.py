@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -135,6 +137,19 @@ class TestRTransform:
             assert rp == pytest.approx(
                 1 / cauchy_derivative(law, z) + 1 / y ** 2, rel=1e-11)
             assert inverse_cauchy(law, y) == pytest.approx(z, rel=1e-13)
+
+    @pytest.mark.parametrize("y", [1e-8, 0.5, 3.0, 1e8, 1e12])
+    def test_rademacher_derivative_against_50_digits(self, y):
+        # R' = 2/(1+s) - 8y^2/(s(1+s)^2), s = sqrt(1 + 4y^2), the derivative
+        # of R = 2y/(1+s) as written, at 50 digits, where its cancellation
+        # costs nothing; its float64 evaluation lost 4.8e-5 at y = 1e12
+        with localcontext() as ctx:
+            ctx.prec = 50
+            yd = Decimal(y)
+            s = (1 + 4 * yd * yd).sqrt()
+            want = 2 / (1 + s) - 8 * yd * yd / (s * (1 + s) ** 2)
+            _, got = r_transform(RADEMACHER, y)
+            assert abs((Decimal(got) - want) / want) <= Decimal("1e-14")
 
     def test_semicircle_r_is_identity(self):
         # free additive convolution: R_sc(y) = y, via the round-trip

@@ -103,6 +103,16 @@ class TestSolveQStar:
         oracle = tanh_sq_expectation_quad(1.0, np.sqrt(params.sigma_star_sq))
         assert abs(params.q_star - oracle) <= 1e-10
 
+    @pytest.mark.parametrize("beta", [1e6, 1e7, 3e7, 1e8, 1e12])
+    def test_large_beta_rademacher_converges(self, beta):
+        # R'(y) = 2/(s(1+s)) keeps its digits as y = beta (1 - q) grows; the
+        # cancelling form missed Q_STAR_TOL at 1e6 and stalled from 1e7
+        params = solve_q_star(beta, 1.0, RADEMACHER)
+        assert params.iterations < 100
+        assert params.residual <= 1e-12
+        oracle = tanh_sq_expectation_quad(1.0, np.sqrt(params.sigma_star_sq))
+        assert abs(params.q_star - oracle) <= 1e-10
+
     def test_empirical_rule_cancelling_names_beta(self):
         law = SpectralLaw.empirical([-1.0, 0.5, 1.0])
         assert solve_q_star(0.5, 1.0, law).sigma_star_sq > 0
