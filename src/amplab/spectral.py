@@ -97,17 +97,21 @@ class SpectralLaw:
 
 
 def _mp_cauchy(phi: float, z: float):
-    """(G, G') of the Marchenko-Pastur law of J = sqrt(phi) W at z.
+    """(G, G', -G' - G^2) of the Marchenko-Pastur law of J = sqrt(phi) W
+    at z.
 
     G_W(w) is the root of c w G^2 - (w - 1 + c) G + 1 = 0 that behaves as
     1/w at infinity (atom included), written without cancellation, and
-    G_W' = -G (1 - c G) / sqrt((w - 1 - c)^2 - 4 c).
+    G_W' = -G (1 - c G) / r with r = sqrt((w - 1 - c)^2 - 4 c).  Since
+    (w - 1 - c - r)(w - 1 - c + r) = 4 c, -G_W' - G_W^2 is
+    2 c G_W^2 / (r (w - 1 - c + r)), which subtracts nothing.
     """
     c, s = 1.0 / phi, np.sqrt(phi)
     w = z / s
     root = np.sqrt((w - (1.0 + 1.0 / s) ** 2) * (w - (1.0 - 1.0 / s) ** 2))
     g = 2.0 / (w - 1.0 + c + root)
-    return g / s, -g * (1.0 - c * g) / root / phi
+    return (g / s, -g * (1.0 - c * g) / root / phi,
+            2.0 * c * g * g / (root * (w - 1.0 - c + root)) / phi)
 
 
 def _check_above_edge(law: SpectralLaw, z: float):
@@ -221,7 +225,21 @@ def resolvent_variance(law: SpectralLaw, lam: float) -> float:
     """sigma_psi^2 of the trace-centered resolvent at shift lam.
 
     This is -G'(lam) - G(lam)^2 = lim (1/N) Tr M(lam)^2 for the centered
-    resolvent M(lam) of a coupling with spectral law ``law``.
+    resolvent M(lam) of a coupling with spectral law ``law``: the variance
+    of 1/(lam - lambda) under the law, about Var(lambda) / lam^4 at large
+    lam.  The two terms of -G' - G^2 are about 1/lam^2 each, so each law
+    takes a form that subtracts nothing: 1/(lam^2 - 1)^2 for Rademacher,
+    G^3 / sqrt(lam^2 - 4) for the semicircle, ``_mp_cauchy``'s for
+    Marchenko-Pastur, and the mean squared deviation of 1/(lam - lambda_i)
+    over an empirical law's atoms.
     """
-    g = cauchy_transform(law, lam)
-    return float(-cauchy_derivative(law, lam) - g * g)
+    _check_above_edge(law, lam)
+    if law.kind == "rademacher":
+        return float(1.0 / ((lam - 1.0) * (lam + 1.0)) ** 2)
+    if law.kind == "semicircle":
+        return float(cauchy_transform(law, lam) ** 3
+                     / np.sqrt((lam - 2.0) * (lam + 2.0)))
+    if law.kind == "marchenko_pastur":
+        return float(_mp_cauchy(law.phi, lam)[2])
+    u = 1.0 / (lam - law.eigenvalues)
+    return float(np.mean((u - np.mean(u)) ** 2))

@@ -540,6 +540,15 @@ class TestMainEntry:
         assert float(record["psi_inf_norm"]) == pytest.approx(
             2 / np.sqrt(1025), abs=1e-6)
 
+    def test_check_ensemble_on_a_far_resolvent(self, capsys):
+        # sigma_psi^2 ~ 1e-24 here; -G' - G^2 read -2.2e-17 and the
+        # operator refused it as not positive
+        rc = main(["check-ensemble", "--ensemble",
+                   "wigner-resolvent:lambda=1e6", "--N", "256", "--mode",
+                   "probe"])
+        assert rc == 0
+        assert "psi_inf_norm=" in capsys.readouterr().out
+
     def test_check_ensemble_dense_haar_refused_up_front(self, capsys):
         rc = main(["check-ensemble", "--ensemble", "random-orthogonal",
                    "--N", "1024", "--mode", "dense"])

@@ -243,10 +243,39 @@ class TestMarchenkoPastur:
         assert cauchy_transform(law, z) == pytest.approx(sampled, abs=2e-3)
 
 
+VARIANCE_LAWS = [
+    pytest.param(RADEMACHER, id="rademacher"),
+    pytest.param(SEMICIRCLE, id="semicircle"),
+    pytest.param(SpectralLaw.marchenko_pastur(1.0), id="mp-1"),
+    pytest.param(SpectralLaw.marchenko_pastur(1.5), id="mp-1.5"),
+    pytest.param(SpectralLaw.marchenko_pastur(0.5), id="mp-0.5")]
+
+
 class TestResolventVarianceBridge:
     def test_semicircle_positive_above_edge(self):
         for lam in 2.0 + np.linspace(0.01, 8.0, 40):
             assert resolvent_variance(SEMICIRCLE, lam) > 0
+
+    @pytest.mark.parametrize("law", VARIANCE_LAWS)
+    @pytest.mark.parametrize("lam", [1e3, 1e6, 1e8])
+    def test_large_lambda_is_the_variance_over_lambda_to_the_fourth(
+            self, law, lam):
+        # each law has variance 1; -G' - G^2 cancelled here, reading
+        # -2.2e-17 for the semicircle at lambda = 1e6
+        value = resolvent_variance(law, lam)
+        assert value > 0
+        assert value == pytest.approx(1.0 / lam ** 4, rel=0.01)
+
+    @pytest.mark.parametrize("law", VARIANCE_LAWS + [pytest.param(
+        SpectralLaw.empirical([-1.0, 0.25, 0.5, 2.0]), id="empirical")])
+    def test_equals_minus_g_prime_minus_g_squared_near_the_edge(self, law):
+        # where the two terms still keep their digits
+        for lam in law.lambda_plus + np.array([0.05, 0.5, 1.0]):
+            if lam > 5.0:
+                continue
+            g = cauchy_transform(law, lam)
+            assert resolvent_variance(law, lam) == pytest.approx(
+                -cauchy_derivative(law, lam) - g * g, rel=3e-14)
 
     def test_marchenko_pastur_edge(self):
         law = SpectralLaw.marchenko_pastur(1.0)
