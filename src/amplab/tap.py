@@ -110,7 +110,9 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
     reached from the standard start.
 
     beta must be positive and finite, theta nonnegative and finite, and
-    the equation needs y = beta (1 - q) < sup G.
+    the equation needs y = beta (1 - q) < sup G.  A beta too large for
+    float64, where beta^2 overflows or lambda* rounds to the edge of the
+    spectrum, is refused with ValueError naming it.
     The standard start (q = 0.5, or 0.01 without a field) is kept where it
     meets that, else the iteration starts halfway into the set; iterates
     are clamped to it (within ``EDGE_MARGIN``), and one pinned at its lower
@@ -125,6 +127,9 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
                          f"positive and finite")
     if not 0 <= theta < np.inf:
         raise ValueError(f"theta = {theta} must be nonnegative and finite")
+    if beta * beta == np.inf:  # sigma*^2(q) = beta^2 q R'(y) is not finite
+        raise ValueError(f"beta = {beta} is too large: beta^2 overflows "
+                         f"(pick a smaller beta)")
 
     def sigma_sq_of(q):
         if q == 0.0:
@@ -173,6 +178,10 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
     sigma_star_sq = sigma_sq_of(q)
     y = beta * (1.0 - q)
     lambda_star = inverse_cauchy(law, y)
+    if not lambda_star > law.lambda_plus:  # G^{-1}(y) = edge + O(1/y)
+        raise ValueError(f"beta = {beta} is too large: lambda* rounds to the "
+                         f"spectral edge {law.lambda_plus:g} (pick a smaller "
+                         f"beta)")
     denom = q - (1.0 - q) ** 2 * sigma_star_sq
     if q > 1e-10 and abs(denom) > 1e-14:
         sigma_psi_sq = beta ** 2 * (1.0 - q) ** 4 * sigma_star_sq / denom

@@ -531,6 +531,22 @@ class TestMainEntry:
         record = json.loads(capsys.readouterr().err)
         assert f"beta = {float(beta)}" in record["message"]
 
+    @pytest.mark.parametrize("ensemble,beta", [
+        ("signed-sine", "1e20"), ("signed-sine", "1e200"), ("sk", "1e200"),
+        ("hopfield", "1e200")])
+    def test_huge_beta_gives_one_error_record(self, ensemble, beta, capsys):
+        # lambda* rounded to the Rademacher edge at 1e20, and sigma*^2
+        # overflowed at 1e200 into "integrand not finite at node ..."
+        rc = main(["tap", "--ensemble", ensemble, "--beta", beta, "--N", "64",
+                   "--T", "2", "--seeds", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert f"beta = {float(beta)} is too large" in record["message"]
+        assert "pick a smaller beta" in record["message"]
+
     def test_check_ensemble_subcommand(self, capsys):
         rc = main(["check-ensemble", "--ensemble", "signed-sine",
                    "--N", "512"])
