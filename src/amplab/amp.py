@@ -137,7 +137,7 @@ class Plan:
     se: SECovariance
     operator: Callable[[int], MatrixOperator]
     nonlins: Sequence[Nonlinearity]
-    mode: str = "simple"
+    mode: str
     label: str | None = None
 
 

@@ -6,10 +6,11 @@ run             memory-free AMP with a named nonlinearity preset on any
                 operator spec string, plus its state-evolution prediction.
 tap             the Ising magnetization pipeline (parameters, iteration,
                 observables) for one of the TAP ensembles.
-
-Both build one ``amp.Plan`` and run each seed of it with ``amp.run_plan``.
 se              state evolution only.
 check-ensemble  semi-randomness diagnostics of an operator.
+
+``run`` and ``tap`` each build one ``amp.Plan`` and run every seed of it
+with ``amp.run_plan``; ``se --preset tap`` shares the TAP plan's prediction.
 
 Configuration comes from flags plus an optional key=value file (one pair
 per line, ``#`` comments); flags win.  ``KEYS`` declares each subcommand's
