@@ -129,8 +129,9 @@ def _experiment_plan(config: ExperimentConfig) -> tuple:
     if config.mode == "tap":
         params = tap.solve_q_star(config.beta, config.theta,
                                   tap.ensemble_law(config.ensemble, config.phi))
-        header = {key: getattr(params, key) for key in ("beta", "theta", "q_star",
-                  "sigma_star_sq", "lambda_star", "sigma_psi_sq")}
+        header = {key: getattr(params, key) for key in (
+            "beta", "theta", "q_star", "sigma_star_sq", "lambda_star",
+            "sigma_psi_sq")}
         return (tap.tap_plan(config.ensemble, params, config.N, config.T,
                              config.phi), header,
                 f"theta = {config.theta:g} and beta = {config.beta:g} "
@@ -395,9 +396,9 @@ def _cmd_se(args) -> int:
         raise ValueError(f"the {merged['preset']} preset of se does not read "
                          f"{unread[0]}; it reads {', '.join(reads)}")
     if merged["preset"] == "tap":
-        params = tap.solve_q_star(merged["beta"], merged["theta"], tap.ensemble_law(
-            merged["ensemble"], merged["phi"]))
-        se = tap.tap_state_evolution(params, merged["T"])
+        law = tap.ensemble_law(merged["ensemble"], merged["phi"])
+        se = tap.tap_state_evolution(
+            tap.solve_q_star(merged["beta"], merged["theta"], law), merged["T"])
     else:
         base = state_evolution.preset_nonlinearity(merged["nonlinearity"])
         se = state_evolution.run_state_evolution(
