@@ -9,11 +9,13 @@ Two modes:
                 which removes the linear component in-sample and needs no
                 divergence-free assumption.
 
-A run keeps only z^{t-1} and z^t alive and, after each matvec, what
-``observe(t, z^{t-1}, z^t)`` returns: the CLI's observer gives the step's
-``metrics.observable_row``, ``keep_iterates`` the iterates for tests,
-demos and trace dumps.  Standardization constants always come from state
-evolution, never from in-loop estimates.
+A run holds two N-vectors, z^{t-1} and z^t, and no step allocates
+another: f(z^t) is written over z^{t-1} and M is applied in place.  After
+each matvec it keeps what ``observe(t, z^{t-1}, z^t)`` returns: the CLI's
+observer gives the step's ``metrics.observable_row``, ``keep_iterates``
+copies of the iterates for tests, demos and trace dumps.  Standardization
+constants always come from state evolution, never from in-loop
+estimates.
 
 A ``Plan`` is one experiment, and ``run_plan`` runs one seed of it: every
 seed of ``run`` and ``tap`` (``tap.tap_plan``) goes through it.
@@ -29,7 +31,7 @@ import numpy as np
 from .ensembles import MatrixOperator
 from .errors import NumericError
 from .metrics import _chunked_sum
-from .rng import substream
+from .rng import CHUNK, substream
 from .state_evolution import Nonlinearity, SECovariance
 
 MODES = ("simple", "projected")
@@ -56,13 +58,17 @@ def gaussian_init(n: int, sigma0: float, seed: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if sigma0 <= 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    return sigma0 * substream(seed, "init").standard_normal(n)
+    z = substream(seed, "init").standard_normal(n)
+    z *= sigma0
+    return z
 
 
 def _check_finite(z: np.ndarray, t: int):
-    if not np.all(np.isfinite(z)):
-        idx = int(np.flatnonzero(~np.isfinite(z))[0])
-        raise NumericError(f"non-finite value at iteration {t}, index {idx}")
+    for i in range(0, z.size, CHUNK):
+        bad = ~np.isfinite(z[i:i + CHUNK])
+        if bad.any():
+            idx = i + int(np.flatnonzero(bad)[0])
+            raise NumericError(f"non-finite value at iteration {t}, index {idx}")
 
 
 def _projection_sums(fz: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -78,8 +84,9 @@ def _projection_sums(fz: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def keep_iterates(t: int, z_prev: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``observe`` keeping each step's input: steps + iterates is z^0..z^T."""
-    return z_prev
+    """``observe`` keeping a copy of each step's input: steps + iterates is
+    z^0..z^T."""
+    return z_prev.copy()
 
 
 def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
@@ -91,10 +98,14 @@ def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
     t < T.  In projected mode the per-step coefficient alpha_t is recorded;
     a zero-norm iterate there is an error (the projection is undefined).
 
-    After the matvec of step t = 1..T, ``observe(t, z^{t-1}, z^t)`` runs
-    and its value is appended to the trace's ``steps``.  No nonlinearity or
-    matvec writes into its input, so an observer may keep the arrays it is
-    given; what it does not keep is freed as the loop moves on.
+    z0 is copied into the first of two buffers and never written.  Step
+    t + 1 writes f(z^t) into the other, which holds z^{t-1}, and the matvec
+    turns it into z^{t+1} in place.  After the matvec of step t = 1..T,
+    ``observe(t, z^{t-1}, z^t)`` runs and its value is appended to the
+    trace's ``steps``.  The observer may overwrite z^{t-1}, whose buffer
+    the next step writes anyway, but must not write z^t; both buffers are
+    reused, so it keeps only copies.  The trace's ``iterates`` holds the
+    buffer with z^T.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -103,28 +114,29 @@ def run_amp(op: MatrixOperator, nonlins: Sequence[Nonlinearity],
     if len(nonlins) < T:
         raise ValueError(f"need {T} nonlinearities, got {len(nonlins)}")
     observe = observe or (lambda t, z_prev, z: None)
-    z = np.asarray(z0, dtype=np.float64)
-    del z0  # z^0 is freed after step 1 unless the caller or observer holds it
+    z = np.array(z0, dtype=np.float64)
+    del z0  # a z^0 passed, not held, is freed before the second buffer
     if z.shape != (op.dim,):
         raise ValueError(f"z0 has shape {z.shape}, operator dim is {op.dim}")
     _check_finite(z, 0)
 
     alphas, steps = [], []
+    nxt = np.empty_like(z)
     for t in range(T):
-        prev = z
-        fz = np.asarray(nonlins[t].eval(z), dtype=np.float64)
+        nonlins[t].eval(z, nxt)
         if mode == "projected":
-            fz_z, norm_sq = _projection_sums(fz, z)
+            fz_z, norm_sq = _projection_sums(nxt, z)
             if norm_sq == 0.0:
                 raise NumericError(f"zero-norm iterate at step {t}; "
                                    "projection coefficient undefined")
             alpha = float(fz_z / norm_sq)
             alphas.append(alpha)
-            fz = fz - alpha * z
-        z = op.matvec(fz)
-        del fz  # not needed while the step is observed
-        _check_finite(z, t + 1)
-        steps.append(observe(t + 1, prev, z))
+            for i in range(0, z.size, CHUNK):  # no N-sized alpha * z
+                nxt[i:i + CHUNK] -= alpha * z[i:i + CHUNK]
+        op.matvec(nxt, out=nxt)
+        _check_finite(nxt, t + 1)
+        steps.append(observe(t + 1, z, nxt))
+        z, nxt = nxt, z
     return AmpTrace(op.dim, T, [z], mode, seed, op.label, alphas, steps)
 
 
@@ -145,7 +157,7 @@ def run_plan(plan: Plan, seed: int, observe=None):
     """Run one seed of ``plan`` from z^0 ~ N(0, se.cov[0, 0] I) drawn by
     ``gaussian_init``.  Returns (trace, M); the caller drops M to free it."""
     op = plan.operator(seed)
-    # z^0 is passed, not held, so run_amp can free it after step 1
+    # z^0 is passed, not held, so run_amp can free it once it is copied
     trace = run_amp(op, plan.nonlins,
                     gaussian_init(op.dim, np.sqrt(plan.se.cov[0, 0]), seed),
                     plan.se.T, plan.mode, seed=seed, observe=observe)

@@ -165,9 +165,10 @@ def run_experiment(config: ExperimentConfig):
     """Run every seed of the configuration's plan, write the report's CSVs,
     and return the report.
 
-    Each seed's observable rows are filled inside its run, whose trace then
-    keeps z^0..z^T for a trace dump and no iterate otherwise; the seed's
-    operator is dropped when its run ends."""
+    Each seed's observable rows are filled inside its run, which sorts
+    the KS distance's copy of z^t into z^{t-1}'s buffer; the trace then
+    keeps copies of z^0..z^T for a trace dump and no iterate otherwise.
+    The seed's operator is dropped when its run ends."""
     workers = _worker_count(len(config.seeds))
     plan, header, cause, remedy = _experiment_plan(config)
     if plan.se.degenerate:  # before any seed runs or tap builds a coupling
@@ -180,9 +181,9 @@ def run_experiment(config: ExperimentConfig):
         kept = []
 
         def observe(t, z_prev, z):
-            if config.dump_trace:
-                kept[t - 1:] = [z_prev, z]  # z^0..z^t
-            return metrics.observable_row(z_prev, z, sigma[t])
+            if config.dump_trace:  # z^0..z^t, copied before z_prev is sorted over
+                kept[t - 1:] = [z_prev.copy(), z.copy()]
+            return metrics.observable_row(z_prev, z, sigma[t], scratch=z_prev)
 
         trace, _ = amp.run_plan(plan, seed, observe)
         return replace(trace, iterates=kept)

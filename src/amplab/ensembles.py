@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 from importlib.util import find_spec, module_from_spec
@@ -72,6 +72,9 @@ class MatrixOperator:
     """Symmetric operator known only through products w = M v.
 
     ``apply`` must take a vector (N,) and a column block (N, K) alike.
+    With ``writes_out`` it is ``apply(v, out)`` (``apply(v, signs, out)``
+    with ``signs``), which writes M v into ``out``, an array of v's shape
+    that may be v itself, and returns it; else ``apply(v)`` returns M v.
 
     Attributes
     ----------
@@ -99,11 +102,18 @@ class MatrixOperator:
     signs : int8 ndarray or None
         S of an operator S K S, passed to ``apply`` as its second argument
         so that a gauge field can be folded into it.
+    spectrum : ndarray or None
+        lam of a sign-perm operator S H P diag(lam) P^T H S, in P's order.
+        Its ``apply`` also takes ``shift`` and ``scale`` and then applies
+        S H P diag((lam - shift) / scale) P^T H S, the operator
+        (M - shift I) / scale.
+    writes_out : bool
+        Whether ``apply`` writes into an ``out`` argument (see above).
     """
 
     def __init__(self, dim, apply, sigma_psi_sq, label, *, trace=None,
                  dense=None, blocks=None, coupling=None, haar_basis=None,
-                 signs=None):
+                 signs=None, spectrum=None, writes_out=False):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
         if sigma_psi_sq <= 0:
@@ -117,15 +127,22 @@ class MatrixOperator:
         self.coupling = coupling
         self.haar_basis = haar_basis
         self.signs = signs
+        self.spectrum = spectrum
+        self.writes_out = writes_out
         self._apply = apply
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
+    def matvec(self, v: np.ndarray, out=None) -> np.ndarray:
+        """M v, written into ``out`` when it is given; ``out`` may be v."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape[0] != self.dim:
             raise ValueError(f"vector length {v.shape[0]} != dim {self.dim}")
-        if self.signs is None:
-            return self._apply(v)
-        return self._apply(v, self.signs)
+        args = (v,) if self.signs is None else (v, self.signs)
+        if self.writes_out:
+            return self._apply(*args, np.empty(v.shape) if out is None else out)
+        if out is None:
+            return self._apply(*args)
+        np.copyto(out, self._apply(*args))
+        return out
 
     def __repr__(self):
         return f"MatrixOperator({self.label!r}, dim={self.dim})"
@@ -153,9 +170,11 @@ def fwht(v: np.ndarray) -> np.ndarray:
     return _fwht(a, np.empty(a.shape))
 
 
-def _fwht(a, out, d_in=None, d_out=None, scratch=None):
+def _fwht(a, out, d_in=None, d_out=None, scratch=None, shift=0.0, scale=1.0):
     # out = diag(d_out) H diag(d_in) a, d_in applied at the first copy-in
-    # and d_out at the last write-out; C-ordered ``out`` may be ``a``
+    # and d_out at the last write-out; C-ordered ``out`` may be ``a``.  A
+    # shift or scale gives diag((d_out - shift) / scale) in its place, made
+    # a chunk at a time in the scratch buffer that the chunk's result is not in
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
@@ -183,6 +202,10 @@ def _fwht(a, out, d_in=None, d_out=None, scratch=None):
                          s2[:x.size].reshape(r, -1)).reshape(x.shape)
         y /= np.sqrt(n)
         d = 1 if d_out is None else d_out.reshape(r, b)[:, j:j + m, None]
+        if shift or scale != 1.0:
+            free = s2 if np.may_share_memory(y, s1) else s1
+            d = np.subtract(d, shift, out=free[:r * m].reshape(r, m, 1))
+            d /= scale
         np.multiply(y, d, out=dst[:, j:j + m])
     return out
 
@@ -199,7 +222,8 @@ def _butterflies(src, dst):
     return src
 
 
-def dst_matvec(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+def dst_matvec(v: np.ndarray, d: np.ndarray | None = None, *,
+               out=None) -> np.ndarray:
     """Apply the symmetric orthogonal sine kernel C, C_ij = 2 sin(2 pi i j / L) / sqrt(L)
     with L = 2N + 1 and i, j = 1..N.  C is an involution: C(Cv) = v.
 
@@ -208,14 +232,17 @@ def dst_matvec(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     exp(i pi m^2 / L), which one power-of-two FFT pair of length
     M >= 2N - 1 makes in one complex work array along axis 0, for (N,)
     vectors and (N, K) blocks alike.  Given a diagonal d, it returns
-    C diag(d) v, writing d v straight into the work array.
+    C diag(d) v, writing d v straight into the work array.  The result
+    goes into ``out`` if given, which may be v: v is read into the work
+    array first, and the result written from it last.
     """
     a = np.asarray(v, dtype=np.float64)
     n = a.shape[0]
     c, kernel = (_along_rows(x, a) for x in _chirp(n))
     # the result first: made after the FFTs, it could split the hole their
     # buffers left, and the next call would grow the heap for them
-    out = np.empty(a.shape)
+    if out is None:
+        out = np.empty(a.shape)
     work = np.zeros(kernel.shape[:1] + a.shape[1:], dtype=np.complex128)
     head = work[:n]
     np.multiply(a, 1 if d is None else _along_rows(d, a), out=head.real)
@@ -254,9 +281,10 @@ def _along_rows(d, v):  # d shaped to scale the rows of v, (N,) or (N, K)
     return d[:, None] if v.ndim == 2 else d
 
 
-def scale_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """diag(d) v for v (N,) or (N, K); an int8 +/-1 d keeps float64 bits."""
-    return _along_rows(d, v) * v
+def scale_rows(d: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """diag(d) v for v (N,) or (N, K), into ``out`` if given (which may be
+    v); an int8 +/-1 d keeps float64 bits."""
+    return np.multiply(_along_rows(d, v), v, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +302,14 @@ def build_signed_sine(n: int, seed: int) -> MatrixOperator:
     _check_size(n)
     signs = rademacher(substream(seed, "signs"), n, np.int8)
 
-    def apply(v, s):
-        out = dst_matvec(v, s)
+    def apply(v, s, out):
+        dst_matvec(v, s, out=out)
         out *= _along_rows(s, out)
         return out
 
     # Tr C, a quadratic Gauss sum, is 0 for L = 1 mod 4 (n even), else 1
     return MatrixOperator(n, apply, 1.0, "signed-sine", trace=float(n % 2),
-                          signs=signs)
+                          signs=signs, writes_out=True)
 
 
 def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
@@ -303,17 +331,17 @@ def _signed_hadamard(n, seed, label, lam, *, permute):
     if permute:  # P diag(lam) P^T is lam permuted: entry i is lam[inv[i]]
         lam = lam[np.argsort(substream(seed, "perm").permutation(n))]
 
-    def apply(v, s):  # S in, lam at the first write-out, S at the last
-        # the result before the shared scratch pair: a pair carved from the
-        # hole a freed N-vector left would make malloc grow the heap for it.
-        # lam at the second copy-in gives the same bits, but a float64 lam
-        # read there made the matvec 4-8% slower at N = 2^16 on a 2-CPU Xeon
-        out = np.empty(v.shape)
+    def apply(v, s, out, shift=0.0, scale=1.0):
+        # S in, lam at the first write-out, S at the last; one scratch pair
+        # serves both.  lam at the second copy-in gives the same bits, but a
+        # float64 lam read there made the matvec 4-8% slower at N = 2^16 on
+        # a 2-CPU Xeon
         scratch = np.empty((2, min(v.size, CHUNK)))
-        _fwht(v, out, s, lam, scratch)
+        _fwht(v, out, s, lam, scratch, shift, scale)
         return _fwht(out, out, d_out=s, scratch=scratch)
 
-    return MatrixOperator(n, apply, sig2, label, trace=trace, signs=signs)
+    return MatrixOperator(n, apply, sig2, label, trace=trace, signs=signs,
+                          spectrum=lam, writes_out=True)
 
 
 class _LazyHaar:
@@ -373,9 +401,10 @@ class _LazyHaar:
             return np.matmul(c, b, out=scratch[:len(c) * b.shape[1]]
                              .reshape(len(c), -1))
 
-        for j in spans:
+        for j in spans:  # ||x[0]||^2 as pairwise sums, as in _finish_pair
             c1 += x[:, j] @ basis[:, j].T
-            before += x[0, j] @ x[0, j]
+            x0 = x[0, j]
+            before += np.add.reduce(np.square(x0, out=scratch[:x0.size]))
         for j in spans:
             x[:, j] -= times_basis(c1, j)
             c2 += x[:, j] @ basis[:, j].T
@@ -399,15 +428,17 @@ class _LazyHaar:
         spans = [(slice(i, i + CHUNK), tmp[:min(CHUNK, n - i)])
                  for i in range(0, n, CHUNK)]
         again = 0.0
+        # the dots as pairwise sums of each chunk's products: a BLAS dot's
+        # threads split the sum, and its bits moved with their count
         for j, t in spans:
             out[j] += np.multiply(u[j], a, out=t)
             u[j] /= rnorm
             w[j] -= np.multiply(u[j], ug, out=t)
-            again += u[j] @ w[j]
+            again += np.add.reduce(np.multiply(u[j], w[j], out=t))
         sq = 0.0
         for j, t in spans:
             w[j] -= np.multiply(u[j], again, out=t)
-            sq += w[j] @ w[j]
+            sq += np.add.reduce(np.multiply(w[j], w[j], out=t))
         draws = 1
         while sq <= 1e-16 * n:  # degenerate: draw again, off B and u at once
             if draws == 8:
@@ -420,7 +451,7 @@ class _LazyHaar:
             w[j] /= norm
             out[j] += np.multiply(w[j], rnorm * s, out=t)
 
-    def apply(self, v):  # M v for one vector
+    def apply(self, v, out=None):  # M v for one vector, into out (may be v)
         k, n = self._count, v.shape[0]
         pos, neg = self._left
         rows = 2 if pos and neg else 1
@@ -432,8 +463,9 @@ class _LazyHaar:
             if rows == 2:
                 beta = self.rng.beta(pos / 2, neg / 2)
                 self.rng.standard_normal(n, out=x[1])
-        x[0] = v
-        out = np.empty(n)
+        x[0] = v  # read before out is written
+        if out is None:
+            out = np.empty(n)
         before, gram = self._project(x, k, out)
         if gram[0, 0] <= self._DROP ** 2 * before:  # v is inside the span
             return out
@@ -483,13 +515,15 @@ def build_random_orthogonal(n: int, seed: int, *,
                       int(n + trace) // 2)
 
     # not recursive: a self-referencing closure lives until the cycle collector
-    def apply(v):
+    def apply(v, out):
         if v.ndim == 1:
-            return basis.apply(v)
-        return np.stack([basis.apply(col) for col in v.T], axis=1)
+            return basis.apply(v, out)
+        for col, res in zip(v.T, out.T):
+            basis.apply(col, res)
+        return out
 
     return MatrixOperator(n, apply, 1.0, "random-orthogonal", trace=trace,
-                          haar_basis=basis)
+                          haar_basis=basis, writes_out=True)
 
 
 def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
@@ -550,13 +584,16 @@ def build_wigner_coupling(n: int, seed: int) -> MatrixOperator:
         out[k - row, k - col] = diag[k]
         return out
 
-    def apply(v):  # J v a block of rows of J at a time
-        return np.concatenate([blocks(np.empty((min(_width(n), n - i), n)),
-                                      i, 0) @ v
-                               for i in range(0, n, _width(n))])
+    def apply(v, out):  # J v a block of rows of J at a time
+        if np.may_share_memory(v, out):  # every block reads all of v
+            v = v.copy()
+        for i in range(0, n, _width(n)):
+            rows = blocks(np.empty((min(_width(n), n - i), n)), i, 0)
+            np.matmul(rows, v, out=out[i:i + len(rows)])
+        return out
 
     return MatrixOperator(n, apply, 1.0, "wigner", trace=float(diag.sum()),
-                          blocks=blocks)
+                          blocks=blocks, writes_out=True)
 
 
 def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
@@ -592,14 +629,16 @@ def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
                       dtype=np.float64)
         return out
 
-    def apply(v):  # X^T (X v) / sqrt(M N), a float64 panel of X at a time
+    def apply(v, out):  # X^T (X v) / sqrt(M N), a float64 panel of X at a time
         panels = [slice(i, i + _width(n)) for i in range(0, n, _width(n))]
         xv = sum(x[:, c].astype(np.float64) @ v[c] for c in panels)
-        return np.concatenate([x[:, c].astype(np.float64).T @ xv
-                               for c in panels]) / scale
+        for c in panels:  # v is read whole before out is written
+            np.divide(x[:, c].astype(np.float64).T @ xv, scale, out=out[c])
+        return out
 
     return MatrixOperator(n, apply, 1.0 + phi, "wishart",
-                          trace=float(m * n) / scale, blocks=blocks)
+                          trace=float(m * n) / scale, blocks=blocks,
+                          writes_out=True)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +760,8 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     place, reads the lower triangle and proves lam is above the spectrum
     of J (a failed one raises ValueError); LAPACK then inverts it in place
     too, and it becomes the operator's ``dense``.  Its diagonal gives the
-    centering constant, and each matvec is one dense product.
+    centering constant, and each matvec is one dense product (into v
+    itself, numpy first copies v, N entries).
     ``sigma_psi_sq`` is supplied by the caller (closed form or algebraic
     identity for the law at hand).
 
@@ -760,9 +800,9 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
     _mirror_upper(inverse.T)
     inverse[np.diag_indices(n)] -= np.trace(inverse) / n
 
-    return MatrixOperator(n, lambda v: inverse @ v, sigma_psi_sq,
-                          f"{j_op.label}-resolvent", trace=0.0, dense=inverse,
-                          coupling=j_op)
+    return MatrixOperator(n, lambda v, out: np.matmul(inverse, v, out=out),
+                          sigma_psi_sq, f"{j_op.label}-resolvent", trace=0.0,
+                          dense=inverse, coupling=j_op, writes_out=True)
 
 
 def involution_resolvent(j_op: MatrixOperator, lam: float,
@@ -770,9 +810,15 @@ def involution_resolvent(j_op: MatrixOperator, lam: float,
     """Centered resolvent of a coupling with J^2 = I, without any solve.
 
     For a two-point spectrum the resolvent is a linear polynomial in J:
-    M(lam) = (J - (Tr J / N) I) / (lam^2 - 1).  Requires lam > 1 and the
-    exact trace to be known on the coupling.  ``sigma_psi_sq`` is supplied
-    by the caller, as for ``centered_resolvent``.
+    M(lam) = (J - c I) / (lam^2 - 1), c = Tr J / N.  Requires lam > 1 and
+    the exact trace to be known on the coupling.  ``sigma_psi_sq`` is
+    supplied by the caller, as for ``centered_resolvent``.
+
+    Every matvec may write into v.  A sign-perm coupling (one with a
+    ``spectrum``, signed Hadamard among them) gives a sign-perm operator,
+    S H P diag((lam_i - c) / (lam^2 - 1)) P^T H S, with no call to J's
+    matvec.  Any other coupling applies J and then, when c is not 0,
+    subtracts c v from a copy of v that it keeps while J is applied.
     """
     if lam <= 1.0:
         raise ValueError(f"lambda = {lam} must exceed the spectral edge 1")
@@ -780,16 +826,24 @@ def involution_resolvent(j_op: MatrixOperator, lam: float,
         raise ValueError(f"{j_op.label}: exact trace unknown")
     center = j_op.trace / j_op.dim
     denom = lam * lam - 1.0
+    label = f"{j_op.label}-resolvent"
+    if j_op.spectrum is not None:
+        return MatrixOperator(j_op.dim, partial(j_op._apply, shift=center,
+                                                scale=denom),
+                              sigma_psi_sq, label, trace=0.0, coupling=j_op,
+                              signs=j_op.signs, writes_out=True)
 
-    def apply(v):
-        out = j_op.matvec(v)  # a new array: (J v - center v) / denom in place
-        for i in range(0, len(v), CHUNK):
-            out[i:i + CHUNK] -= center * v[i:i + CHUNK]
+    def apply(v, out):  # (J v - c v) / denom
+        kept = v.copy() if center and np.may_share_memory(v, out) else v
+        j_op.matvec(v, out=out)
+        if center:
+            for i in range(0, len(v), CHUNK):
+                out[i:i + CHUNK] -= center * kept[i:i + CHUNK]
         out /= denom
         return out
 
-    return MatrixOperator(j_op.dim, apply, sigma_psi_sq,
-                          f"{j_op.label}-resolvent", trace=0.0, coupling=j_op)
+    return MatrixOperator(j_op.dim, apply, sigma_psi_sq, label, trace=0.0,
+                          coupling=j_op, writes_out=True)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ calls it inside ``amp.run_amp``'s loop, and ``report_from_traces``
 averages the rows the runs kept.  Its sums run over chunks of at most
 ``LEAF`` entries and rebuild numpy's pairwise summation tree from them,
 so each equals np.mean of the whole N-vector bit for bit; only the KS
-distance's sorted copy is a full N-vector.  The KS
+distance's sorted copy is a full N-vector, and the CLI's observer sorts
+it into z^{t-1}'s buffer, which the next step overwrites anyway.  The KS
 distance evaluates the Gaussian CDF with an in-package port of the Cephes
 ``ndtr`` that ``scipy.special.ndtr`` runs, bit for bit, so this module
 loads no scipy.
@@ -124,8 +125,11 @@ def _ks_gaps(k, phi, n):  # the KS objective at sorted indices k
     return np.maximum(phi - k / n, (k + 1) / n - phi)
 
 
-def ks_statistic(v: np.ndarray, sigma: float) -> float:
+def ks_statistic(v: np.ndarray, sigma: float, scratch=None) -> float:
     """Exact sup distance between the empirical CDF of v and N(0, sigma^2).
+
+    The sorted copy of v is made in ``scratch``, a float64 array of v's
+    size, when it is given, and in a new array otherwise.
 
     The value is max_k max(Phi_k - k/n, (k+1)/n - Phi_k) over the sorted
     v / sigma, with Phi = scipy.special.ndtr bit for bit.  Phi is first
@@ -139,7 +143,12 @@ def ks_statistic(v: np.ndarray, sigma: float) -> float:
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    u = np.sort(np.asarray(v, dtype=np.float64))
+    if scratch is None:
+        u = np.sort(np.asarray(v, dtype=np.float64))
+    else:
+        u = scratch
+        np.copyto(u, v)
+        u.sort()
     if np.isnan(u[-1]):  # sort puts NaN last
         raise ValueError("ks_statistic got NaN entries")
     u /= sigma
@@ -181,17 +190,21 @@ def _hermite_sums(z, sigma, lo, hi) -> np.ndarray:
     return np.array(sums)
 
 
-def observable_row(prev: np.ndarray, z: np.ndarray, sigma_t: float) -> list:
+def observable_row(prev: np.ndarray, z: np.ndarray, sigma_t: float,
+                   scratch=None) -> list:
     """One step's observables: succ_diff, Hermite moments 1..4, KS.
 
     ``prev`` and ``z`` are z^{t-1} and z^t; the four moments of
     z^t / sigma_t each equal ``hermite_moment(z, k, sigma_t)`` bit for bit.
+    succ_diff is computed first; the KS distance then sorts a copy of z
+    into ``scratch`` if it is given, which may be ``prev``.
     """
     if sigma_t <= 0:
         raise ValueError(f"sigma must be positive, got {sigma_t}")
     sums = _chunked_sum(z.size, functools.partial(_hermite_sums, z, sigma_t))
-    return ([_mean_sq_diff(prev, z)] + [float(m) for m in sums / z.size]
-            + [ks_statistic(z, sigma_t)])
+    diff = _mean_sq_diff(prev, z)
+    return ([diff] + [float(m) for m in sums / z.size]
+            + [ks_statistic(z, sigma_t, scratch)])
 
 
 @dataclass

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import NumericError
 from .hermite import gaussian_cross_moment, gaussian_expectation
+from .rng import CHUNK
 
 # A variance at or below this is treated as a degenerate (effectively
 # linear) nonlinearity; the recursion cannot be standardized past it.
@@ -42,10 +43,25 @@ _DEGENERATE_VAR = 1e-14
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Scalar function applied entrywise by the iteration."""
+    """Scalar function applied entrywise by the iteration.
 
-    eval: Callable
+    ``func(x)`` returns f(x); with ``writes_out`` it is ``func(x, out)``,
+    which writes f(x) into ``out`` (an array other than x) or, with out
+    None, into a new array.  ``eval(x, out)`` takes either kind.
+    """
+
+    func: Callable
     label: str = "f"
+    writes_out: bool = False
+
+    def eval(self, x, out=None):
+        """f(x), written into ``out`` when it is given."""
+        if self.writes_out:
+            return self.func(x, out)
+        if out is None:
+            return self.func(x)
+        np.copyto(out, self.func(x))
+        return out
 
     def __call__(self, x):
         return self.eval(x)
@@ -67,12 +83,16 @@ def center_divergence_free(f: Nonlinearity, sigma: float) -> Nonlinearity:
     zero and fbar == f up to roundoff.
     """
     coeff = linear_coefficient(f, sigma)
-    func = f.eval
 
-    def centered(x):
-        return func(x) - coeff * x
+    def centered(x, out=None):
+        if out is None and (not f.writes_out or np.ndim(x) == 0):
+            return f.eval(x) - coeff * x  # f may hand back x itself
+        out = f.eval(x, out)
+        for i in range(0, len(out), CHUNK):  # no N-sized coeff * x
+            out[i:i + CHUNK] -= coeff * x[i:i + CHUNK]
+        return out
 
-    return Nonlinearity(centered, f"{f.label}-centered")
+    return Nonlinearity(centered, f"{f.label}-centered", writes_out=True)
 
 
 @dataclass(frozen=True)
@@ -167,21 +187,27 @@ def run_state_evolution(nonlins: Sequence[Nonlinearity], sigma0_sq: float,
 # named nonlinearity presets (CLI and experiments)
 # ---------------------------------------------------------------------------
 
-def _square(x):
-    return x * x / np.sqrt(3.0)
+# Each writes into ``out`` when it is given: x * x / sqrt(3) and
+# x ** 3 / sqrt(15) in the same operations, so with the same bits
+def _square(x, out=None):
+    return np.divide(np.multiply(x, x, out=out), np.sqrt(3.0), out=out)
 
 
-def _cubic(x):
-    return x ** 3 / np.sqrt(15.0)
+def _cubic(x, out=None):
+    return np.divide(np.power(x, 3, out=out), np.sqrt(15.0), out=out)
+
+
+def _tanh(x, out=None):
+    return np.tanh(x, out=out)
 
 
 PRESETS = {
     # Even, hence divergence-free as-is; E[f^2] = 1 at unit input scale.
-    "square": Nonlinearity(_square, "square"),
+    "square": Nonlinearity(_square, "square", writes_out=True),
     # Centered per-step by the engine (the run pipeline removes the linear
     # component at the running scale before iterating).
-    "tanh-centered": Nonlinearity(np.tanh, "tanh-centered"),
-    "cubic-centered": Nonlinearity(_cubic, "cubic-centered"),
+    "tanh-centered": Nonlinearity(_tanh, "tanh-centered", writes_out=True),
+    "cubic-centered": Nonlinearity(_cubic, "cubic-centered", writes_out=True),
 }
 
 

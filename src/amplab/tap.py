@@ -58,6 +58,7 @@ EDGE_MARGIN = 1e-3
 
 Q_STAR_TOL = 1e-12
 Q_STAR_MAX_ITER = 10_000
+Q_CLIP = 1.0 - 1e-12  # the largest overlap the q* iteration takes
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,9 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
 
     beta must be positive and finite, theta nonnegative and finite, and
     the equation needs y = beta (1 - q) < sup G.  A beta too large for
-    float64, where beta^2 overflows or lambda* rounds to the edge of the
-    spectrum, is refused with ValueError naming it.
+    float64, where beta^2 overflows, where that set lies above the
+    iteration's largest overlap ``Q_CLIP`` or where lambda* rounds to the
+    edge of the spectrum, is refused with ValueError naming it.
     The standard start (q = 0.5, or 0.01 without a field) is kept where it
     meets that, else the iteration starts halfway into the set; iterates
     are clamped to it (within ``EDGE_MARGIN``), and one pinned at its lower
@@ -149,6 +151,11 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
 
     sup = sup_cauchy(law)
     q_lo = max(0.0, 1.0 - (1.0 - EDGE_MARGIN) * sup / beta)
+    if q_lo >= Q_CLIP:  # the clip below would hold q under q_lo for good
+        raise ValueError(f"beta = {beta} is too large: beta (1 - q) < "
+                         f"sup G = {sup:.6g} needs 1 - q below "
+                         f"{1.0 - Q_CLIP:.0e}, the closest to 1 that the q* "
+                         f"iteration goes (pick a smaller beta)")
     q = 0.5 if theta > 0 else 0.01
     if q <= q_lo:
         q = 0.5 * (q_lo + 1.0)
@@ -169,7 +176,7 @@ def solve_q_star(beta: float, theta: float, law: SpectralLaw) -> TapParameters:
                 f"{{q : beta (1 - q) < sup G = {sup:.6g}}}: the iteration is "
                 f"pinned at its lower end q = {q_lo:.6g}", residual=resid)
         q = q + eta * resid
-        q = float(np.clip(q, q_lo, 1.0 - 1e-12))
+        q = float(np.clip(q, q_lo, Q_CLIP))
     else:
         raise ConvergenceError(
             f"q* iteration did not converge in {Q_STAR_MAX_ITER} steps "
@@ -211,16 +218,18 @@ def g_nonlinearity(params: TapParameters, h=1.0) -> Nonlinearity:
         raise ValueError("beta (1 - q*) vanishes; g is undefined")
     one_minus_q = 1.0 - q
 
-    def g(z):
-        # in one new array; [()] makes the 0-d result of a scalar z a scalar
-        out = np.add(shift, z, out=np.empty(np.broadcast(shift, z).shape))
+    def g(z, out=None):
+        # in ``out`` or one new array; [()] makes a 0-d result a scalar
+        if out is None:
+            out = np.empty(np.broadcast(shift, z).shape)
+        np.add(shift, z, out=out)
         np.tanh(out, out=out)
         out /= one_minus_q
         out -= z
         out /= scale
-        return out[()]
+        return out if out.ndim else out[()]
 
-    return Nonlinearity(g, "tap-g")
+    return Nonlinearity(g, "tap-g", writes_out=True)
 
 
 def resolvent_operator(coupling: MatrixOperator,
@@ -305,8 +314,10 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
     iterate identity z^t(J, h) = diag(h) z^t(Jbar, 1) holds entrywise.
     Jbar keeps the spectrum and the trace of J, so under the same law it
     takes the same resolvent.  For J = S K S (J has ``signs``) it is
-    (h S) K (h S), at J's cost; a J with ``blocks`` gives Jbar's blocks,
-    so its resolvent is written from J's draw too.
+    (h S) K (h S), at J's cost, and a sign-perm J keeps its ``spectrum``,
+    so its closed-form resolvent stays a sign-perm operator; a J with
+    ``blocks`` gives Jbar's blocks, so its resolvent is written from J's
+    draw too.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (j_op.dim,):
@@ -316,8 +327,8 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
     h = h.astype(np.int8)
     signs = None if j_op.signs is None else h * j_op.signs
 
-    def apply(v):
-        return scale_rows(h, j_op.matvec(scale_rows(h, v)))
+    def apply(v, out):
+        return scale_rows(h, j_op.matvec(scale_rows(h, v), out=out), out=out)
 
     def blocks(out, row, col):
         j_op.blocks(out, row, col)
@@ -326,7 +337,11 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
         return out
 
     trace = j_op.trace  # diag(h) J diag(h) has the same diagonal
-    return MatrixOperator(j_op.dim, apply if signs is None else j_op._apply,
-                          j_op.sigma_psi_sq, f"{j_op.label}-gauged",
-                          trace=trace, coupling=j_op, signs=signs,
+    if signs is None:
+        apply, writes_out, spectrum = apply, True, None
+    else:
+        apply, writes_out, spectrum = j_op._apply, j_op.writes_out, j_op.spectrum
+    return MatrixOperator(j_op.dim, apply, j_op.sigma_psi_sq,
+                          f"{j_op.label}-gauged", trace=trace, coupling=j_op,
+                          signs=signs, spectrum=spectrum, writes_out=writes_out,
                           blocks=None if j_op.blocks is None else blocks)

@@ -264,7 +264,7 @@ class TestCriterion8:
                 op = build_signed_sine(n, seed)
                 trace = run_amp(op, [SQUARE, SQUARE],
                                 gaussian_init(n, 1.0, seed), 2, seed=seed,
-                                observe=lambda t, z_prev, z: z)
+                                observe=lambda t, z_prev, z: z.copy())
                 vals.append(float(np.mean(trace.steps[0] * trace.steps[1])))
             return float(np.var(vals, ddof=1))
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from amplab.amp import gaussian_init, keep_iterates, run_amp
+from amplab.amp import gaussian_init, keep_iterates, run_amp, run_plan
 from amplab.ensembles import (build_random_orthogonal, build_signed_hadamard,
                               build_signed_sine, power_iteration_norm)
 from amplab.errors import NumericError
 from amplab.metrics import hermite_moment, observable_row
 from amplab.state_evolution import Nonlinearity, preset_nonlinearity
-from amplab.tap import ensemble_law, run_tap_amp, solve_q_star
+from amplab.tap import ensemble_law, run_tap_amp, solve_q_star, tap_plan
 
 SQUARE = preset_nonlinearity("square")
 
@@ -180,6 +180,45 @@ class TestStreamedRun:
         if ensemble == "random-orthogonal":
             for op in (bare_op, rows_op):
                 assert np.array_equal(op.haar_basis.q, kept_op.haar_basis.q)
+
+    @pytest.mark.parametrize("ensemble, mode", [
+        ("signed-sine", "tap"), ("signed-hadamard", "tap"),
+        ("random-orthogonal", "tap"), ("sk", "tap"),
+        ("signed-hadamard", "projected"), ("random-orthogonal", "simple")])
+    def test_caller_z0_is_left_unchanged(self, ensemble, mode):
+        # the loop's two buffers are its own: z0 is copied into one of them
+        n, T = 256, 4
+        if mode == "tap":
+            params = solve_q_star(1.0, 1.0, ensemble_law(ensemble))
+            plan = tap_plan(ensemble, params, n, T)
+            op, nonlins = plan.operator(5), plan.nonlins
+        else:
+            op = (build_signed_hadamard(n, 5) if ensemble == "signed-hadamard"
+                  else build_random_orthogonal(n, 5, max_directions=2 * T))
+            nonlins = [Nonlinearity(np.tanh, "tanh")] * T
+        z0 = gaussian_init(n, 1.0, 5)
+        before = z0.copy()
+        trace = run_amp(op, nonlins, z0, T, "simple" if mode == "tap" else mode,
+                        observe=lambda t, z_prev, z: observable_row(
+                            z_prev, z, 1.0, scratch=z_prev))
+        assert np.array_equal(z0, before)
+        assert not np.shares_memory(trace.iterates[0], z0)
+
+    @pytest.mark.parametrize("ensemble", ["signed-hadamard", "random-orthogonal",
+                                          "hopfield"])
+    def test_kept_iterates_equal_reruns(self, ensemble):
+        # keep_iterates copies each z^{t-1} before its buffer is reused;
+        # z^t of a t-step rerun on a fresh operator is the oracle
+        n, T, seed = 256, 4, 2
+        params = solve_q_star(1.0, 1.0, ensemble_law(ensemble))
+        plan = tap_plan(ensemble, params, n, T)
+        trace, _ = run_plan(plan, seed, keep_iterates)
+        kept = trace.steps + trace.iterates
+        z0 = gaussian_init(n, np.sqrt(plan.se.cov[0, 0]), seed)
+        assert np.array_equal(kept[0], z0)
+        for t in range(1, T + 1):
+            rerun = run_amp(plan.operator(seed), plan.nonlins, z0, t)
+            assert np.array_equal(kept[t], rerun.iterates[0]), t
 
     def test_nonpositive_sigma_rejected(self):
         op = build_signed_sine(64, seed=7)

@@ -424,6 +424,30 @@ class TestRunExperiment:
         assert len(rows) == 3  # t = 0..2
         assert len(rows[0].split(",")) == 65  # t column + 64 entries
 
+    def test_dumped_iterates_equal_reruns(self, tmp_path, monkeypatch):
+        # the observer copies z^{t-1} and z^t before it sorts the KS copy
+        # over z^{t-1}; z^t of a t-step rerun on a fresh operator is the
+        # oracle, and .17g round-trips every float64
+        from amplab.amp import gaussian_init, run_amp
+
+        monkeypatch.setenv("AMP_LAB_THREADS", "2")
+        n, T, seeds = 256, 3, (1, 2)
+        assert main(["tap", "--ensemble", "signed-hadamard", "--N", str(n),
+                     "--T", str(T), "--beta", "2", "--theta", "2",
+                     "--seeds", "1..2", "--dump-trace",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        plan = tap.tap_plan("signed-hadamard", tap.solve_q_star(
+            2.0, 2.0, tap.ensemble_law("signed-hadamard")), n, T)
+        for seed in seeds:
+            dump = (tmp_path / f"d.seed{seed}.trace.csv").read_text()
+            rows = [line.split(",") for line in dump.splitlines()[1:]]
+            z0 = gaussian_init(n, np.sqrt(plan.se.cov[0, 0]), seed)
+            assert [int(row[0]) for row in rows] == list(range(T + 1))
+            for t, row in enumerate(rows):
+                want = z0 if t == 0 else run_amp(
+                    plan.operator(seed), plan.nonlins, z0, t).iterates[0]
+                assert np.array_equal(np.array(row[1:], dtype=float), want)
+
 
 class TestMainEntry:
     def test_se_subcommand_constant_variance(self, capsys):
@@ -546,6 +570,32 @@ class TestMainEntry:
         assert record["error"] == "ValueError"
         assert f"beta = {float(beta)} is too large" in record["message"]
         assert "pick a smaller beta" in record["message"]
+
+    @pytest.mark.parametrize("ensemble,beta", [
+        ("sk", "1e12"), ("sk", "1e16"), ("hopfield", "9.98e11"),
+        ("hopfield", "1e12")])
+    def test_beta_past_the_overlap_clip_gives_one_error_record(
+            self, ensemble, beta, capsys):
+        # beta (1 - q) < sup G put the lower end of the q* iteration above
+        # its clip at 1 - 1e-12, so it was never reached: 10,000 steps,
+        # then "did not converge"
+        rc = main(["tap", "--ensemble", ensemble, "--beta", beta, "--N", "64",
+                   "--T", "2", "--theta", "1", "--seeds", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert f"beta = {float(beta)} is too large" in record["message"]
+        assert "pick a smaller beta" in record["message"]
+
+    def test_beta_inside_the_overlap_clip_stays_pinned(self, capsys):
+        rc = main(["tap", "--ensemble", "sk", "--beta", "1e10", "--N", "64",
+                   "--T", "2", "--theta", "1", "--seeds", "1"])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConvergenceError"
+        assert "pinned at its lower end" in record["message"]
 
     def test_check_ensemble_subcommand(self, capsys):
         rc = main(["check-ensemble", "--ensemble", "signed-sine",
@@ -922,13 +972,21 @@ class TestMainEntry:
     def test_blas_threads_leave_the_hadamard_csvs_unchanged(self, tmp_path):
         # fwht's stages are BLAS products; a threaded OpenBLAS splits their
         # columns among threads, not a column's sum, and the projected
-        # mode's alpha is a pairwise sum, not a BLAS dot: no CSV byte may move
+        # mode's alpha is a pairwise sum, not a BLAS dot: no CSV byte may
+        # move.  The Haar store's products split the same way, and its
+        # norms and dots are pairwise sums too
         for argv in (["tap", "--ensemble", "signed-hadamard"],
                      ["run", "--ensemble", "signed-hadamard", "--mode",
                       "projected", "--nonlinearity", "square",
+                      "--sigma0-sq", "1"],
+                     ["tap", "--ensemble", "random-orthogonal"],
+                     ["run", "--ensemble", "random-orthogonal", "--T", "6",
+                      "--mode", "projected", "--nonlinearity", "square",
                       "--sigma0-sq", "1"]):
+            case = tmp_path / "-".join(argv[:3])
+            case.mkdir()
             one, two = self.csvs_at_thread_counts(
-                tmp_path, argv + ["--N", "65536", "--seeds", "1..2"],
+                case, argv + ["--N", "65536", "--seeds", "1..2"],
                 [("1", "1"), ("2", "2")])
             assert one == two
 

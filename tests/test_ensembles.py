@@ -1367,6 +1367,92 @@ class TestMatrixInput:
         assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
+def row_operator(name, n, seed, spectrum_path):
+    """The operator of an ``ENSEMBLES`` row, built through its builder."""
+    args = {"sign-perm": {"spectrum": spectrum_path, "base": "hadamard"},
+            "wigner-resolvent": {"lambda": 2.5},
+            "wishart-resolvent": {"phi": 1.5, "lambda": 6.0}}
+    return ENSEMBLES[name].build(n, seed, args.get(name, {"phi": 1.0}), 16)
+
+
+def rademacher_resolvents(n, seed):
+    """``involution_resolvent`` on each +/-1 coupling: signed sine at even
+    and odd N (Tr J / N = 0 and not), random orthogonal, signed Hadamard
+    (folded into a sign-perm operator) and a gauged signed Hadamard."""
+    lam = 2.5684900248
+    sig = resolvent_variance(SpectralLaw.rademacher(), lam)
+    field = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+    couplings = {
+        "signed-sine": lambda: build_signed_sine(n, seed),
+        "signed-sine-odd": lambda: build_signed_sine(n - 1, seed),
+        "random-orthogonal": lambda: build_random_orthogonal(
+            n, seed, max_directions=16),
+        "signed-hadamard": lambda: build_signed_hadamard(n, seed),
+        "gauged-hadamard": lambda: gauge_conjugate(
+            build_signed_hadamard(n, seed), field),
+    }
+    return {name: (lambda build=build: involution_resolvent(build(), lam, sig))
+            for name, build in couplings.items()}
+
+
+class TestMatvecIntoItsInput:
+    """``matvec(v, out=v)``, the AMP loop's call, gives ``matvec(v)``."""
+
+    N = 256
+
+    @pytest.mark.parametrize("name", sorted(ENSEMBLES))
+    def test_every_row(self, name, tmp_path):
+        path = tmp_path / "spectrum.txt"
+        np.savetxt(path, np.linspace(-1.0, 2.0, self.N))
+        rng = np.random.default_rng(37)
+        for v in (rng.standard_normal(self.N),
+                  rng.standard_normal((self.N, 3))):
+            # two copies: the lazy Haar store grows on first touch
+            want = row_operator(name, self.N, 38, path).matvec(v)
+            x = v.copy()
+            assert row_operator(name, self.N, 38, path).matvec(x, out=x) is x
+            assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("name", sorted(rademacher_resolvents(8, 1)))
+    def test_closed_form_resolvents(self, name):
+        build = rademacher_resolvents(self.N, 39)[name]
+        rng = np.random.default_rng(40)
+        for v in (rng.standard_normal(build().dim),
+                  rng.standard_normal((build().dim, 3))):
+            want = build().matvec(v)
+            x = v.copy()
+            assert build().matvec(x, out=x) is x
+            assert np.array_equal(x, want)
+
+    def test_dense_resolvent(self):
+        op = centered_resolvent(build_wishart_coupling(self.N, 0.5, 41),
+                                5.0, 1.0)
+        v = np.random.default_rng(42).standard_normal(self.N)
+        want = op.matvec(v)
+        assert np.array_equal(op.matvec(v, out=v), want)
+
+    @pytest.mark.parametrize("gauged", [False, True])
+    def test_folded_hadamard_resolvent_is_the_polynomial(self, gauged):
+        # (J - c I) / (lam^2 - 1) with c = Tr J / N folded into the
+        # spectrum's write-out: a sign-perm operator that never applies J
+        n, lam = 2 ** 16, 2.5684900248
+        j = build_signed_hadamard(n, 43)
+        if gauged:
+            j = gauge_conjugate(j, rademacher(substream(1, "field"), n))
+        calls = []
+        plain = j.matvec
+        j.matvec = lambda *args, **kwargs: calls.append(1) or plain(
+            *args, **kwargs)
+        op = involution_resolvent(j, lam, 1.0)
+        center = j.trace / n
+        assert center != 0.0 and op.spectrum is None
+        for v in random_vectors(n, 3, seed=44):
+            got = op.matvec(v)
+            assert calls == []
+            want = (plain(v) - center * v) / (lam * lam - 1.0)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
 class TestPowerIteration:
     def test_norm_of_orthogonal_conjugation(self):
         op = build_signed_hadamard(256, seed=1)

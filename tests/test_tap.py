@@ -254,12 +254,14 @@ class TestRunTapAmp:
         assert basis.q.shape[0] == basis.cap == 8
 
     @staticmethod
-    def traced_seed_peak(ensemble, n, T=3):
+    def traced_seed_peak(ensemble, n, T=3, scratch=False):
+        # scratch: sort the KS copy into z^{t-1}'s buffer, as the CLI does
         params = solve_q_star(2.0, 2.0, RADEMACHER)
         sigma = np.sqrt(params.sigma_star_sq)
 
         def rows(t, z_prev, z):
-            return observable_row(z_prev, z, sigma)
+            return observable_row(z_prev, z, sigma,
+                                  scratch=z_prev if scratch else None)
 
         run_tap_amp(ensemble, params, n, T, seed=1,
                     observe=rows)  # fills the sine kernel's per-size cache
@@ -272,18 +274,30 @@ class TestRunTapAmp:
             tracemalloc.stop()
 
     def test_hadamard_seed_peaks_below_four_vectors(self):
-        # 3.85 N-vectors: z^t, g(z^t) and the matvec's one new array beside
-        # fwht's two 512 KB scratch buffers and int8 diagonals; separate
-        # arrays per scaling and transform, and Hermite moments over whole
-        # N-vectors, came to 5.35
+        # 3.57 N-vectors: the loop's two buffers and int8 diagonals beside
+        # the KS distance's sorted copy and the observables' 256 KB chunks.
+        # z^t, g(z^t) and a new array per matvec came to 3.85;
+        # separate arrays per scaling and transform, and Hermite moments
+        # over whole N-vectors, to 5.35
         n = 2 ** 18
         assert self.traced_seed_peak("signed-hadamard", n) <= 4 * n * 8 + 8192
 
+    def test_hadamard_seed_runs_in_two_vectors(self):
+        # 2.41 N-vectors at 2^20: the loop's two buffers and the int8 S and
+        # lam (0.25), beside fwht's scratch pair (0.125) during a matvec and
+        # the observables' chunks after it, with the KS copy sorted into
+        # z^{t-1}; 3.41 when each matvec and the KS sort made a new N-vector.
+        # At 2^16 the scratch pair alone is 2 N-vectors
+        n = 2 ** 20
+        peak = self.traced_seed_peak("signed-hadamard", n, scratch=True)
+        assert peak <= 2.45 * n * 8
+
     def test_sine_seed_peaks_below_seven_and_a_half_vectors(self):
-        # 7.13 N-vectors: z^t and g(z^t) beside the sine kernel's complex
-        # work array (2N entries) and its result.  The odd-length FFT this
-        # replaced peaked at 6.13 here, but kept ~20 MB of work arrays
-        # outside tracemalloc's view; test_cli bounds the resident peak.
+        # 6.26 N-vectors: the loop's two buffers beside the sine kernel's
+        # complex work array (2N entries); 7.13 when the matvec also made
+        # its result.  The odd-length FFT this replaced
+        # peaked at 6.13 here, but kept ~20 MB of work arrays outside
+        # tracemalloc's view; test_cli bounds the resident peak.
         n = 2 ** 16
         assert self.traced_seed_peak("signed-sine", n) <= 7.5 * n * 8
 
