@@ -20,7 +20,9 @@ sigma_psi^2 of its conjugated core.  The builders cover:
 Signed sine, signed Hadamard and random orthogonal have spectrum {-1, +1}
 (they square to the identity): their law is the Rademacher one, and for
 that law the TAP driver uses the centered resolvent in closed form,
-(J - (Tr J / N) I) / (lam^2 - 1), of ``involution_resolvent``.
+(J - (Tr J / N) I) / (lam^2 - 1), of ``involution_resolvent``: for a
+sign-perm coupling, signed Hadamard among them, a sign-perm operator
+again.  Every matvec can write its product over its input.
 ``ENSEMBLES`` declares every name that ``run``, ``tap`` or
 ``check-ensemble`` takes once: its spec keys, its builder and, for a
 coupling that ``tap`` takes, its law.  The resolvent rows wrap the ``sk``

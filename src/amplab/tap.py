@@ -337,11 +337,9 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
         return out
 
     trace = j_op.trace  # diag(h) J diag(h) has the same diagonal
-    if signs is None:
-        apply, writes_out, spectrum = apply, True, None
-    else:
-        apply, writes_out, spectrum = j_op._apply, j_op.writes_out, j_op.spectrum
-    return MatrixOperator(j_op.dim, apply, j_op.sigma_psi_sq,
-                          f"{j_op.label}-gauged", trace=trace, coupling=j_op,
-                          signs=signs, spectrum=spectrum, writes_out=writes_out,
+    return MatrixOperator(j_op.dim, apply if signs is None else j_op._apply,
+                          j_op.sigma_psi_sq, f"{j_op.label}-gauged",
+                          trace=trace, coupling=j_op, signs=signs,
+                          spectrum=j_op.spectrum,
+                          writes_out=signs is None or j_op.writes_out,
                           blocks=None if j_op.blocks is None else blocks)
