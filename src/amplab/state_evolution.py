@@ -187,8 +187,9 @@ def run_state_evolution(nonlins: Sequence[Nonlinearity], sigma0_sq: float,
 # named nonlinearity presets (CLI and experiments)
 # ---------------------------------------------------------------------------
 
-# Each writes into ``out`` when it is given: x * x / sqrt(3) and
-# x ** 3 / sqrt(15) in the same operations, so with the same bits
+# Each writes into ``out`` when it is given (a ufunc takes it as its second
+# argument): x * x / sqrt(3) and x ** 3 / sqrt(15) in the same operations,
+# so with the same bits
 def _square(x, out=None):
     return np.divide(np.multiply(x, x, out=out), np.sqrt(3.0), out=out)
 
@@ -197,16 +198,12 @@ def _cubic(x, out=None):
     return np.divide(np.power(x, 3, out=out), np.sqrt(15.0), out=out)
 
 
-def _tanh(x, out=None):
-    return np.tanh(x, out=out)
-
-
 PRESETS = {
     # Even, hence divergence-free as-is; E[f^2] = 1 at unit input scale.
     "square": Nonlinearity(_square, "square", writes_out=True),
     # Centered per-step by the engine (the run pipeline removes the linear
     # component at the running scale before iterating).
-    "tanh-centered": Nonlinearity(_tanh, "tanh-centered", writes_out=True),
+    "tanh-centered": Nonlinearity(np.tanh, "tanh-centered", writes_out=True),
     "cubic-centered": Nonlinearity(_cubic, "cubic-centered", writes_out=True),
 }
 
