@@ -36,7 +36,7 @@ for n in (256, 512, 1024):
           f"{diag.max_diag_gram_dev:10.2e}")
 
 print("\nthe identity matrix fails delocalization (diagnostic, not error):")
-eye = MatrixOperator(256, lambda v: v.copy(), 1.0, "identity")
+eye = MatrixOperator(256, np.positive, 1.0, "identity")
 diag = check_semi_random(eye, "dense")
 print(f"  psi_inf_norm = {diag.psi_inf_norm} (localized), "
       f"inf_ratio = {diag.inf_ratio:.1f} (does not decay)")

@@ -73,10 +73,9 @@ def _width(n):
 class MatrixOperator:
     """Symmetric operator known only through products w = M v.
 
-    ``apply`` must take a vector (N,) and a column block (N, K) alike.
-    With ``writes_out`` it is ``apply(v, out)`` (``apply(v, signs, out)``
-    with ``signs``), which writes M v into ``out``, an array of v's shape
-    that may be v itself, and returns it; else ``apply(v)`` returns M v.
+    ``apply(v, out)`` writes M v into ``out``, a float64 array of v's
+    shape that may be v itself, and returns it; it must take a vector (N,)
+    and a column block (N, K) alike.
 
     Attributes
     ----------
@@ -102,20 +101,18 @@ class MatrixOperator:
         A random-orthogonal operator's lazy store: its revealed orthonormal
         rows ``q`` and their ``cap``.
     signs : int8 ndarray or None
-        S of an operator S K S, passed to ``apply`` as its second argument
+        S of an operator S K S, bound to ``apply`` as its ``signs`` keyword
         so that a gauge field can be folded into it.
     spectrum : ndarray or None
         lam of a sign-perm operator S H P diag(lam) P^T H S, in P's order.
         Its ``apply`` also takes ``shift`` and ``scale`` and then applies
         S H P diag((lam - shift) / scale) P^T H S, the operator
         (M - shift I) / scale.
-    writes_out : bool
-        Whether ``apply`` writes into an ``out`` argument (see above).
     """
 
     def __init__(self, dim, apply, sigma_psi_sq, label, *, trace=None,
                  dense=None, blocks=None, coupling=None, haar_basis=None,
-                 signs=None, spectrum=None, writes_out=False):
+                 signs=None, spectrum=None):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
         if sigma_psi_sq <= 0:
@@ -130,21 +127,18 @@ class MatrixOperator:
         self.haar_basis = haar_basis
         self.signs = signs
         self.spectrum = spectrum
-        self.writes_out = writes_out
         self._apply = apply
 
     def matvec(self, v: np.ndarray, out=None) -> np.ndarray:
-        """M v, written into ``out`` when it is given; ``out`` may be v."""
+        """M v, written into ``out`` when it is given; ``out`` may be v.  An
+        ``out`` of another shape or dtype is refused before ``apply`` runs."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape[0] != self.dim:
             raise ValueError(f"vector length {v.shape[0]} != dim {self.dim}")
-        args = (v,) if self.signs is None else (v, self.signs)
-        if self.writes_out:
-            return self._apply(*args, np.empty(v.shape) if out is None else out)
-        if out is None:
-            return self._apply(*args)
-        np.copyto(out, self._apply(*args))
-        return out
+        if out is not None and (out.shape != v.shape or out.dtype != np.float64):
+            raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}; "
+                             f"expected {v.shape} and float64")
+        return self._apply(v, np.empty(v.shape) if out is None else out)
 
     def __repr__(self):
         return f"MatrixOperator({self.label!r}, dim={self.dim})"
@@ -304,14 +298,14 @@ def build_signed_sine(n: int, seed: int) -> MatrixOperator:
     _check_size(n)
     signs = rademacher(substream(seed, "signs"), n, np.int8)
 
-    def apply(v, s, out):
-        dst_matvec(v, s, out=out)
-        out *= _along_rows(s, out)
+    def apply(v, out, *, signs):
+        dst_matvec(v, signs, out=out)
+        out *= _along_rows(signs, out)
         return out
 
     # Tr C, a quadratic Gauss sum, is 0 for L = 1 mod 4 (n even), else 1
-    return MatrixOperator(n, apply, 1.0, "signed-sine", trace=float(n % 2),
-                          signs=signs, writes_out=True)
+    return MatrixOperator(n, partial(apply, signs=signs), 1.0, "signed-sine",
+                          trace=float(n % 2), signs=signs)
 
 
 def build_signed_hadamard(n: int, seed: int) -> MatrixOperator:
@@ -333,17 +327,17 @@ def _signed_hadamard(n, seed, label, lam, *, permute):
     if permute:  # P diag(lam) P^T is lam permuted: entry i is lam[inv[i]]
         lam = lam[np.argsort(substream(seed, "perm").permutation(n))]
 
-    def apply(v, s, out, shift=0.0, scale=1.0):
+    def apply(v, out, *, signs, shift=0.0, scale=1.0):
         # S in, lam at the first write-out, S at the last; one scratch pair
         # serves both.  lam at the second copy-in gives the same bits, but a
         # float64 lam read there made the matvec 4-8% slower at N = 2^16 on
         # a 2-CPU Xeon
         scratch = np.empty((2, min(v.size, CHUNK)))
-        _fwht(v, out, s, lam, scratch, shift, scale)
-        return _fwht(out, out, d_out=s, scratch=scratch)
+        _fwht(v, out, signs, lam, scratch, shift, scale)
+        return _fwht(out, out, d_out=signs, scratch=scratch)
 
-    return MatrixOperator(n, apply, sig2, label, trace=trace, signs=signs,
-                          spectrum=lam, writes_out=True)
+    return MatrixOperator(n, partial(apply, signs=signs), sig2, label,
+                          trace=trace, signs=signs, spectrum=lam)
 
 
 class _LazyHaar:
@@ -525,7 +519,7 @@ def build_random_orthogonal(n: int, seed: int, *,
         return out
 
     return MatrixOperator(n, apply, 1.0, "random-orthogonal", trace=trace,
-                          haar_basis=basis, writes_out=True)
+                          haar_basis=basis)
 
 
 def build_sign_perm(n: int, seed: int, eigenvalues) -> MatrixOperator:
@@ -595,7 +589,7 @@ def build_wigner_coupling(n: int, seed: int) -> MatrixOperator:
         return out
 
     return MatrixOperator(n, apply, 1.0, "wigner", trace=float(diag.sum()),
-                          blocks=blocks, writes_out=True)
+                          blocks=blocks)
 
 
 def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
@@ -639,8 +633,7 @@ def build_wishart_coupling(n: int, phi: float, seed: int) -> MatrixOperator:
         return out
 
     return MatrixOperator(n, apply, 1.0 + phi, "wishart",
-                          trace=float(m * n) / scale, blocks=blocks,
-                          writes_out=True)
+                          trace=float(m * n) / scale, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +797,7 @@ def centered_resolvent(j_op: MatrixOperator, lam: float,
 
     return MatrixOperator(n, lambda v, out: np.matmul(inverse, v, out=out),
                           sigma_psi_sq, f"{j_op.label}-resolvent", trace=0.0,
-                          dense=inverse, coupling=j_op, writes_out=True)
+                          dense=inverse, coupling=j_op)
 
 
 def involution_resolvent(j_op: MatrixOperator, lam: float,
@@ -833,7 +826,7 @@ def involution_resolvent(j_op: MatrixOperator, lam: float,
         return MatrixOperator(j_op.dim, partial(j_op._apply, shift=center,
                                                 scale=denom),
                               sigma_psi_sq, label, trace=0.0, coupling=j_op,
-                              signs=j_op.signs, writes_out=True)
+                              signs=j_op.signs)
 
     def apply(v, out):  # (J v - c v) / denom
         kept = v.copy() if center and np.may_share_memory(v, out) else v
@@ -845,7 +838,7 @@ def involution_resolvent(j_op: MatrixOperator, lam: float,
         return out
 
     return MatrixOperator(j_op.dim, apply, sigma_psi_sq, label, trace=0.0,
-                          coupling=j_op, writes_out=True)
+                          coupling=j_op)
 
 
 @dataclass(frozen=True)

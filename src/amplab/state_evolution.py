@@ -45,26 +45,13 @@ _DEGENERATE_VAR = 1e-14
 class Nonlinearity:
     """Scalar function applied entrywise by the iteration.
 
-    ``func(x)`` returns f(x); with ``writes_out`` it is ``func(x, out)``,
-    which writes f(x) into ``out`` (an array other than x) or, with out
-    None, into a new array.  ``eval(x, out)`` takes either kind.
+    ``eval(x, out=None)`` writes f(x) into ``out``, an array of x's shape
+    other than x, and returns it; with out None it returns f(x) in a new
+    array, or a scalar for a scalar x.
     """
 
-    func: Callable
+    eval: Callable
     label: str = "f"
-    writes_out: bool = False
-
-    def eval(self, x, out=None):
-        """f(x), written into ``out`` when it is given."""
-        if self.writes_out:
-            return self.func(x, out)
-        if out is None:
-            return self.func(x)
-        np.copyto(out, self.func(x))
-        return out
-
-    def __call__(self, x):
-        return self.eval(x)
 
 
 def linear_coefficient(f: Nonlinearity, sigma: float) -> float:
@@ -85,14 +72,14 @@ def center_divergence_free(f: Nonlinearity, sigma: float) -> Nonlinearity:
     coeff = linear_coefficient(f, sigma)
 
     def centered(x, out=None):
-        if out is None and (not f.writes_out or np.ndim(x) == 0):
-            return f.eval(x) - coeff * x  # f may hand back x itself
+        if np.ndim(x) == 0:
+            return f.eval(x) - coeff * x
         out = f.eval(x, out)
         for i in range(0, len(out), CHUNK):  # no N-sized coeff * x
             out[i:i + CHUNK] -= coeff * x[i:i + CHUNK]
         return out
 
-    return Nonlinearity(centered, f"{f.label}-centered", writes_out=True)
+    return Nonlinearity(centered, f"{f.label}-centered")
 
 
 @dataclass(frozen=True)
@@ -200,11 +187,11 @@ def _cubic(x, out=None):
 
 PRESETS = {
     # Even, hence divergence-free as-is; E[f^2] = 1 at unit input scale.
-    "square": Nonlinearity(_square, "square", writes_out=True),
+    "square": Nonlinearity(_square, "square"),
     # Centered per-step by the engine (the run pipeline removes the linear
     # component at the running scale before iterating).
-    "tanh-centered": Nonlinearity(np.tanh, "tanh-centered", writes_out=True),
-    "cubic-centered": Nonlinearity(_cubic, "cubic-centered", writes_out=True),
+    "tanh-centered": Nonlinearity(np.tanh, "tanh-centered"),
+    "cubic-centered": Nonlinearity(_cubic, "cubic-centered"),
 }
 
 

@@ -37,6 +37,7 @@ and Hopfield couplings, the dense Cholesky inverse of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -229,7 +230,7 @@ def g_nonlinearity(params: TapParameters, h=1.0) -> Nonlinearity:
         out /= scale
         return out if out.ndim else out[()]
 
-    return Nonlinearity(g, "tap-g", writes_out=True)
+    return Nonlinearity(g, "tap-g")
 
 
 def resolvent_operator(coupling: MatrixOperator,
@@ -314,10 +315,10 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
     iterate identity z^t(J, h) = diag(h) z^t(Jbar, 1) holds entrywise.
     Jbar keeps the spectrum and the trace of J, so under the same law it
     takes the same resolvent.  For J = S K S (J has ``signs``) it is
-    (h S) K (h S), at J's cost, and a sign-perm J keeps its ``spectrum``,
-    so its closed-form resolvent stays a sign-perm operator; a J with
-    ``blocks`` gives Jbar's blocks, so its resolvent is written from J's
-    draw too.
+    (h S) K (h S), J's ``apply`` with ``signs`` rebound, at J's cost, and
+    a sign-perm J keeps its ``spectrum``, so its closed-form resolvent
+    stays a sign-perm operator; a J with ``blocks`` gives Jbar's blocks,
+    so its resolvent is written from J's draw too.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (j_op.dim,):
@@ -337,9 +338,9 @@ def gauge_conjugate(j_op: MatrixOperator, h: np.ndarray) -> MatrixOperator:
         return out
 
     trace = j_op.trace  # diag(h) J diag(h) has the same diagonal
-    return MatrixOperator(j_op.dim, apply if signs is None else j_op._apply,
+    return MatrixOperator(j_op.dim, apply if signs is None
+                          else partial(j_op._apply, signs=signs),
                           j_op.sigma_psi_sq, f"{j_op.label}-gauged",
                           trace=trace, coupling=j_op, signs=signs,
                           spectrum=j_op.spectrum,
-                          writes_out=signs is None or j_op.writes_out,
                           blocks=None if j_op.blocks is None else blocks)

@@ -46,7 +46,8 @@ class TestGaussianInit:
 class TestRunAmp:
     def test_zero_nonlinearity_gives_zero_iterates(self):
         op = build_signed_sine(128, seed=1)
-        zero = Nonlinearity(lambda x: np.zeros_like(x), "zero")
+        zero = Nonlinearity(lambda x, out=None: np.multiply(x, 0.0, out=out),
+                            "zero")
         its = iterates(op, [zero] * 3, gaussian_init(128, 1.0, 5), 3)
         for t in range(1, 4):
             np.testing.assert_array_equal(its[t], 0.0)
@@ -75,13 +76,15 @@ class TestRunAmp:
 
     def test_projected_zero_norm_error_names_step(self):
         op = build_signed_sine(64, seed=3)
-        zero = Nonlinearity(lambda x: np.zeros_like(x), "zero")
+        zero = Nonlinearity(lambda x, out=None: np.multiply(x, 0.0, out=out),
+                            "zero")
         with pytest.raises(NumericError, match="step 1"):
             run_amp(op, [zero] * 2, gaussian_init(64, 1.0, 7), 2, "projected")
 
     def test_non_finite_named(self):
         op = build_signed_sine(64, seed=4)
-        bad = Nonlinearity(lambda x: x / 0.0, "bad")
+        bad = Nonlinearity(lambda x, out=None: np.divide(x, 0.0, out=out),
+                           "bad")
         with pytest.raises(NumericError, match="index"):
             with np.errstate(divide="ignore", invalid="ignore"):
                 run_amp(op, [bad], gaussian_init(64, 1.0, 8), 1)
@@ -93,8 +96,10 @@ class TestRunAmp:
         c = 0.7
         f1, f2, f3 = SQUARE, preset_nonlinearity("cubic-centered"), SQUARE
         det = iterates(op, [f1, f2, f3], c * np.ones(256), 3)
-        const = Nonlinearity(lambda x, v=float(f1.eval(c)): np.full_like(x, v),
-                             "const")
+        v = float(f1.eval(c))
+        const = Nonlinearity(
+            lambda x, out=None: np.positive(np.full_like(x, v), out=out),
+            "const")
         rand = iterates(op, [const, f2, f3], gaussian_init(256, 1.0, 9), 3)
         for t in range(1, 4):
             np.testing.assert_allclose(det[t], rand[t], atol=1e-12)

@@ -850,15 +850,15 @@ DENSE_COUPLINGS = {
 
 
 def zero_operator(n):
-    return MatrixOperator(n, lambda v: np.zeros_like(v), 1.0, "zero",
-                          trace=0.0)
+    return MatrixOperator(n, lambda v, out: np.multiply(v, 0.0, out=out), 1.0,
+                          "zero", trace=0.0)
 
 
 def dense_operator(op):
     """``op`` as an operator built around its dense array."""
     m = dense_form(op)
-    return MatrixOperator(op.dim, lambda v: m @ v, op.sigma_psi_sq, op.label,
-                          trace=op.trace, dense=m)
+    return MatrixOperator(op.dim, lambda v, out: np.matmul(m, v, out=out),
+                          op.sigma_psi_sq, op.label, trace=op.trace, dense=m)
 
 
 class TestCenteredResolvent:
@@ -961,9 +961,9 @@ print(np.array_equal(first, want), np.array_equal(again, want))
         inner = build_signed_sine(MATERIALIZATION_CAP + 8, seed=1)
         calls = []
 
-        def apply(v):
+        def apply(v, out):
             calls.append(v.shape)
-            return inner.matvec(v)
+            return inner.matvec(v, out=out)
 
         counted = MatrixOperator(inner.dim, apply, 1.0, "counted")
         with pytest.raises(ValueError, match="exceeds cap"):
@@ -1008,7 +1008,7 @@ class TestInvolutionResolvent:
             assert diff <= 1e-8 * np.linalg.norm(v)
 
     def test_requires_known_trace(self):
-        op = MatrixOperator(64, lambda v: v, 1.0, "anon")
+        op = MatrixOperator(64, np.positive, 1.0, "anon")
         with pytest.raises(ValueError, match="trace"):
             involution_resolvent(op, 2.0, 1.0)
 
@@ -1044,7 +1044,7 @@ class TestCheckSemiRandom:
             np.max(np.abs(diag - op.sigma_psi_sq)))
 
     def test_identity_operator_fails_delocalization(self):
-        op = MatrixOperator(128, lambda v: v.copy(), 1.0, "identity")
+        op = MatrixOperator(128, np.positive, 1.0, "identity")
         diag = check_semi_random(op, "dense")
         assert diag.psi_inf_norm == 1.0
         assert diag.max_offdiag_gram == 0.0
@@ -1430,6 +1430,22 @@ class TestMatvecIntoItsInput:
         v = np.random.default_rng(42).standard_normal(self.N)
         want = op.matvec(v)
         assert np.array_equal(op.matvec(v, out=v), want)
+
+    @pytest.mark.parametrize("name", ["signed-hadamard", "signed-sine",
+                                      "random-orthogonal", "wishart-resolvent"])
+    def test_bad_out_refused_before_apply(self, name):
+        # a float32 out would round M v; a wrong-shaped one would fail only
+        # after the Haar store drew beta and g for the query
+        op = row_operator(name, self.N, 1, None)
+        v = np.random.default_rng(45).standard_normal(self.N)
+        for out in (np.empty(self.N, dtype=np.float32), np.empty(self.N + 1)):
+            with pytest.raises(ValueError, match=r"shape .* and dtype .*; "
+                               r"expected \(256,\) and float64"):
+                op.matvec(v, out=out)
+        if op.haar_basis is not None:
+            assert op.haar_basis.q.shape[0] == 0
+        assert np.array_equal(op.matvec(v),
+                              row_operator(name, self.N, 1, None).matvec(v))
 
     @pytest.mark.parametrize("gauged", [False, True])
     def test_folded_hadamard_resolvent_is_the_polynomial(self, gauged):

@@ -6,8 +6,10 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from amplab import hermite
 from amplab.hermite import gaussian_expectation
+from amplab.rng import CHUNK, rademacher, substream
 from amplab.spectral import SpectralLaw
-from amplab.state_evolution import (Nonlinearity, center_divergence_free,
+from amplab.state_evolution import (PRESETS, Nonlinearity,
+                                    center_divergence_free,
                                     linear_coefficient, preset_nonlinearity,
                                     run_state_evolution)
 from amplab.tap import g_nonlinearity, solve_q_star
@@ -64,7 +66,7 @@ def tap_case(beta):
 
 class TestCentering:
     def test_identity_projects_to_zero(self):
-        f = Nonlinearity(lambda x: x, "id")
+        f = Nonlinearity(np.positive, "id")
         for sigma in (0.5, 1.0, 3.0):
             fbar = center_divergence_free(f, sigma)
             x = np.linspace(-4, 4, 9)
@@ -114,7 +116,8 @@ class TestRecursion:
     def test_single_step_matches_direct_quadrature(self):
         # T = 1 with an even polynomial; oracle is a one-dimensional Gauss
         # rule, bypassing both the trapezoid grid and the Hermite series
-        h2 = Nonlinearity(lambda x: (x * x - 1.0) / np.sqrt(2.0), "h2")
+        h2 = Nonlinearity(lambda x, out=None: np.divide(
+            np.multiply(x, x, out=out) - 1.0, np.sqrt(2.0), out=out), "h2")
         sigma0_sq, spsi = 1.7, 0.9
         se = run_state_evolution([h2], sigma0_sq, spsi, 1)
         x, w = gauss_rule(80)
@@ -161,7 +164,8 @@ class TestRecursion:
         assert d[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_linear_nonlinearity_flagged(self):
-        linear = Nonlinearity(lambda x: 2.0 * x, "linear")
+        linear = Nonlinearity(
+            lambda x, out=None: np.multiply(2.0, x, out=out), "linear")
         with pytest.warns(UserWarning, match="degenerate"):
             se = run_state_evolution([linear, SQUARE, SQUARE], 1.0, 1.0, 3)
         assert se.degenerate
@@ -170,7 +174,8 @@ class TestRecursion:
 
     def test_covariance_is_one_read_only_matrix(self):
         # a degenerate third step leaves every later row and column zero
-        linear = Nonlinearity(lambda x: 2.0 * x, "linear")
+        linear = Nonlinearity(
+            lambda x, out=None: np.multiply(2.0, x, out=out), "linear")
         with pytest.warns(UserWarning, match="degenerate at step 3"):
             se = run_state_evolution([SQUARE, SQUARE, linear, SQUARE],
                                      1.0, 1.0, 4)
@@ -228,3 +233,32 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
             preset_nonlinearity("mystery")
+
+
+# more than one CHUNK: the centered nonlinearities subtract a chunk at a time
+N_EVAL = CHUNK + 7
+
+
+def library_nonlinearities():
+    """Each nonlinearity the library builds, by name: the presets, each
+    centered at sigma = 1.3, and g with h = 1 and with a +/-1 vector h."""
+    params = solve_q_star(2.0, 2.0, SpectralLaw.rademacher())
+    field = rademacher(substream(3, "field"), N_EVAL)
+    return {**PRESETS,
+            **{f"{name}@1.3": center_divergence_free(f, 1.3)
+               for name, f in PRESETS.items()},
+            "g": g_nonlinearity(params),
+            "g-field": g_nonlinearity(params, field)}
+
+
+@pytest.mark.parametrize("name", sorted(library_nonlinearities()))
+def test_eval_into_out_equals_eval_bit_for_bit(name):
+    # state evolution calls eval(x), run_amp eval(x, out)
+    f = library_nonlinearities()[name]
+    x = substream(4, "x").standard_normal(N_EVAL)
+    before = x.copy()
+    want = f.eval(x)
+    out = np.empty(N_EVAL)
+    assert f.eval(x, out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(x, before)

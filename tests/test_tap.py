@@ -220,9 +220,9 @@ class TestRunTapAmp:
         def counting_build(ensemble, n, seed, phi=1.0, **budget):
             j = build_coupling(ensemble, n, seed, phi, **budget)
 
-            def apply(v):
+            def apply(v, out):
                 calls.append(v.shape)
-                return j.matvec(v)
+                return j.matvec(v, out=out)
 
             return MatrixOperator(j.dim, apply, j.sigma_psi_sq, j.label,
                                   trace=j.trace)
@@ -336,8 +336,9 @@ class TestRunTapAmp:
         # a dense involution passes the probe and takes the closed form
         hadamard = build_coupling("signed-hadamard", 256, 1)
         m = dense_form(hadamard)
-        coupling = MatrixOperator(256, lambda v: m @ v, 1.0, "dense-hadamard",
-                                  trace=hadamard.trace, dense=m)
+        coupling = MatrixOperator(256, lambda v, out: np.matmul(m, v, out=out),
+                                  1.0, "dense-hadamard", trace=hadamard.trace,
+                                  dense=m)
         assert resolvent_operator(coupling, params).dense is None
 
     def test_sigma_psi_consistency_hutchinson(self):
@@ -409,13 +410,18 @@ class TestGaugeTransform:
     def test_equals_conjugating_by_hand_bit_for_bit(self, build):
         # the field folded into S (sine, Hadamard, sign-perm) or applied
         # around the matvec (random orthogonal) gives the bits of
-        # diag(h) J diag(h) v; fresh copies, as the Haar store grows
-        h = rademacher(substream(11, "field"), 256)
+        # diag(h) J diag(h) v, and a second field those of h = h1 h2 (a
+        # partial of a partial, its signs rebound); fresh copies, as the
+        # Haar store grows
+        h1, h2 = (rademacher(substream(seed, "field"), 256) for seed in (11, 14))
         rng = substream(12, "v")
         for v in (rng.standard_normal(256), rng.standard_normal((256, 3))):
-            hv = h[:, None] if v.ndim == 2 else h
-            assert np.array_equal(gauge_conjugate(build(), h).matvec(v),
-                                  hv * build().matvec(hv * v))
+            for gauged, h in (
+                    (gauge_conjugate(build(), h1), h1),
+                    (gauge_conjugate(gauge_conjugate(build(), h1), h2), h1 * h2)):
+                hv = h[:, None] if v.ndim == 2 else h
+                assert np.array_equal(gauged.matvec(v),
+                                      hv * build().matvec(hv * v))
 
     def test_gauged_hadamard_matvec_peaks_below_three_and_a_half_vectors(self):
         # 3.38 N-vectors, those of the plain matvec: its one new array and
